@@ -1,13 +1,14 @@
-"""Benchmark of conformal-zeta: the acceptance suite, the maximizer and the CLI.
+"""Benchmark of conformal-zeta: the acceptance suite and the CLI.
 
-    python3 perfbench/run.py --workload suite|maximize|cli|all --seed N --seconds S --trace 0|1
+    python3 perfbench/run.py --workload suite|cli|all --seed N --seconds S --trace 0|1
 
 Run it from the root of a checkout.  The package is imported from ./src
 as it stands; nothing is installed.  Every workload is a closed loop with one
-caller and one operation in flight.  It runs until ``--seconds`` have
-passed, then finishes the operation in flight (``cli`` finishes its cycle of
-the mix).  Every operation's output is checked; a check failure, an
-exception or a non-zero exit counts as a failed operation.
+caller and one operation in flight.  It runs in rounds (one ``run_suite()``
+call, or one whole cycle of the ``cli`` mix) and starts a round only if a
+round of the mean length so far ends within ``--seconds``.  Every operation's
+output is checked; a check failure, an exception or a non-zero exit counts as a
+failed operation.  Timing metrics are scaled to a nominal host speed (``HostSpeed``).
 
 ``--trace 0`` reports the end-to-end metrics named in BENCHMARK.json.
 ``--trace 1`` runs each operation untraced and then with the layer spans of
@@ -36,6 +37,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -49,13 +51,10 @@ WORK = ROOT / ".bench_work"
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-SETUP_SAMPLES = 3  # the run's own set-up plus two fresh processes doing the same
+# The run's own set-up plus fresh processes doing the same, half of them before
+# the timed loop and half after it, so the median spans the run's host phases.
+SETUP_PROBES_BEFORE = SETUP_PROBES_AFTER = 2
 TAIL_BEYOND = 10
-
-# Field law and pair seeds of the registry's conformal-covariance checks
-# (acceptance._law_checks); the probe evaluates the same three identities.
-LAW_LMAX, LAW_DECAY, PHI_AMPLITUDE, F_AMPLITUDE = 16, 5.0, 0.3, 0.5
-PROBE_PAIRS = (0, 1)
 
 
 class CheckFailed(Exception):
@@ -106,37 +105,76 @@ def environment_record() -> dict:
     }
 
 
-def covariance_residual(grid) -> float:
-    """Worst residual of the three registered covariance identities on ``grid``."""
-    import numpy as np
+def covariance_residual() -> float:
+    """Worst of the registry's three covariance-identity check values, computed by
+    ``acceptance.run_suite`` itself (100 seeded pairs at N=256)."""
+    from conformal_zeta import acceptance
 
-    from conformal_zeta import laws
-    from conformal_zeta.background import round_sphere_background
-    from conformal_zeta.zonal import ZonalField, random_band_limited, random_zonal
+    report = acceptance.run_suite(names=["covariance_*"], jobs=1)
+    require(len(report.checks) == 3 and report.overall_pass,
+            f"covariance checks: {[(c.name, c.value, c.passed) for c in report.checks]}")
+    return max(c.value for c in report.checks)
 
-    n = grid.n
-    bg = round_sphere_background(n, grid, variant="calibrated")
-    worst = 0.0
-    for seed in PROBE_PAIRS:
-        f = random_band_limited(grid, 3000 + seed, LAW_LMAX, F_AMPLITUDE, LAW_DECAY)
-        phi = random_band_limited(grid, 9000 + seed, LAW_LMAX, PHI_AMPLITUDE, LAW_DECAY)
-        mnor = random_zonal(grid, 15000 + seed, LAW_LMAX, 0.3, 0.05)
-        bg_m = round_sphere_background(n, grid, variant="calibrated", mnor=mnor)
-        u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
-        ramp = np.exp(-(n + 2) / 2.0 * phi.values)
-        bg_h = laws.transform_background(bg, phi)
-        lhs = (laws.transformed_laplacian(f, phi, bg).values
-               + bg.params.a_n * bg_h.scal.values * f.values)
-        worst = max(worst, float(np.abs(lhs - ramp * laws.yamabe_apply(u * f, bg).values).max()))
-        bg_hm = laws.transform_background(bg_m, phi)
-        lhs = (bg.params.c_n * laws.transformed_laplacian(f, phi, bg_m).values
-               - bg_hm.mass_field().values * f.values)
-        worst = max(worst, float(np.abs(lhs - ramp * laws.p_operator_apply(u * f, bg_m).values).max()))
-        lhs = (laws.mass_pushforward(u, bg_m).values
-               + bg_m.params.b_n * laws.transformed_scalar_curvature(u, bg_m).values)
-        rhs = laws.normalized_mass_pushforward(bg_m.mnor, phi).values
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+
+class HostSpeed:
+    """How fast the shared host runs, measured next to the operations.
+
+    The host's speed drifts by tens of percent over minutes, far more than the
+    benchmark's bounds.  So between operations the run does a fixed reference
+    work that shares no code with the package: long-double 256x256
+    matrix-vector products, straight and transposed, the kind of work the zonal
+    transforms do.  It runs on as many Python threads as the workload's
+    operation keeps busy (``reference_threads``).  Every timing metric is a
+    wall time ``t`` scaled to the nominal speed, ``t * speed /
+    NOMINAL_UNITS_PER_S``: seconds on a host that does the reference work at
+    the nominal speed.
+    """
+
+    NOMINAL_UNITS_PER_S = 600.0  # about the median speed of the baseline's machine
+    SIZE = 256
+    SHARE = 0.1  # reference time before an operation, as a share of the last one
+
+    def __init__(self, threads):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        self.mats = [rng.standard_normal((self.SIZE, self.SIZE)).astype(np.longdouble)
+                     for _ in range(2)]
+        self.vec = rng.standard_normal(self.SIZE).astype(np.longdouble)
+        self.threads = threads
+        self.units, self.seconds = 0, 0.0
+
+    def _unit(self):
+        for m in self.mats:
+            m @ self.vec
+            m.T @ self.vec
+
+    def sample(self, seconds):
+        """Run the reference work on every thread for ``seconds`` and add it to the totals."""
+        counts = [0] * self.threads
+        stop = threading.Event()
+
+        def work(i):
+            while not stop.is_set():
+                self._unit()
+                counts[i] += 1
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(self.threads)]
+        start = time.perf_counter()
+        for w in workers:
+            w.start()
+        time.sleep(seconds)
+        stop.set()
+        for w in workers:
+            w.join()
+        self.seconds += time.perf_counter() - start
+        self.units += sum(counts)
+
+    def speed(self) -> float:
+        return self.units / self.seconds
+
+    def scale(self, seconds) -> float:
+        return seconds * self.speed() / self.NOMINAL_UNITS_PER_S
 
 
 def timed_call(fn, tracer):
@@ -156,16 +194,13 @@ def timed_call(fn, tracer):
 # ---------------------------------------------------------------------------
 
 class Suite:
-    """Back-to-back ``acceptance.run_suite()`` with default arguments, on one CPU.
+    """Back-to-back ``acceptance.run_suite()`` with default arguments, as users run it:
+    the program's 4-thread pool on every CPU the process may use."""
 
-    The program's 4-thread pool is GIL-bound.  With both vCPUs of a shared VM
-    busy, host steal on either one stalls the GIL hand-offs of every thread:
-    unpinned operations ranged from 5.3 s to 9.1 s (up to 2.7 s of steal), pinned
-    ones from 5.6 s to 7.5 s (under 0.2 s).  The pool still runs its four threads.
-    """
+    # the pool's threads take turns with the GIL on every usable CPU
+    reference_threads = len(os.sched_getaffinity(0))
 
     def __init__(self, seed, work):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         from conformal_zeta import acceptance
 
         self.acceptance = acceptance
@@ -197,65 +232,6 @@ class Suite:
         return self.worst_identity
 
 
-class Maximize:
-    """``maximize_mass_functional`` at N=512, n=4.
-
-    One operation is a bare-sphere call followed by a polar-bump call, each
-    with its own optimizer seed.  The two kinds differ about threefold in cost,
-    so a median over single calls would fall in the gap between them.
-    """
-
-    GRID_N = 512
-
-    def __init__(self, seed, work):
-        import numpy as np
-
-        from conformal_zeta import optimize, zonal
-        from conformal_zeta.background import round_sphere_background
-
-        self.optimize = optimize
-        self.rng = random.Random(seed)
-        self.grid = zonal.make_grid(4, self.GRID_N)
-        bump = zonal.ZonalField(self.grid, 0.02 * np.exp(-(self.grid.theta ** 2) / 0.1))
-        self.backgrounds = {"bare": round_sphere_background(4, self.grid),
-                            "bump": round_sphere_background(4, self.grid, mnor=bump)}
-        params = self.backgrounds["bare"].params
-        self.orbit = -params.b_n * params.yamabe_sphere
-        small = zonal.make_grid(4, 64)
-        optimize.maximize_mass_functional(round_sphere_background(4, small))  # warm-up
-
-    def rounds(self):
-        while True:
-            yield [(("bare", self.rng.randrange(10 ** 6)), ("bump", self.rng.randrange(10 ** 6)))]
-
-    def run(self, op, tracer):
-        def pair():
-            return [self.optimize.maximize_mass_functional(
-                self.backgrounds[kind], self.optimize.OptimizerConfig(seed=seed)) for kind, seed in op]
-
-        out, seconds, error = timed_call(pair, tracer)
-        summary = tracer.summary() if tracer is not None else None
-        return out, seconds, error, summary
-
-    def check(self, op, results):
-        values = []
-        for (kind, seed), res in zip(op, results):
-            require(res.converged, f"{kind} seed {seed}: not converged (residual {res.residual})")
-            require(res.mass_reldev <= 1e-6, f"{kind} seed {seed}: mass_reldev {res.mass_reldev}")
-            if kind == "bare":
-                require(close(res.value, self.orbit, rel=1e-6),
-                        f"bare seed {seed}: value {res.value} vs orbit {self.orbit}")
-            else:
-                require(res.value - self.orbit >= 1e-4,
-                        f"bump seed {seed}: margin {res.value - self.orbit} below 1e-4")
-            values.append((res.value, res.lam, res.residual, res.mass_mean, res.mass_reldev,
-                           res.iterations, res.converged, res.u_star.values.tobytes()))
-        return tuple(values)
-
-    def identity_residual(self):
-        return covariance_residual(self.grid)
-
-
 @dataclass
 class CliResult:
     code: int
@@ -269,6 +245,7 @@ class Cli:
     """Sequential ``python -m conformal_zeta`` invocations over a fixed mix."""
 
     ALPHAS = "0.02:0.3:12"
+    reference_threads = 1  # one single-threaded child at a time
 
     def __init__(self, seed, work):
         import numpy as np
@@ -288,7 +265,6 @@ class Cli:
 
         self.files = {}
         self.reference = {}
-        self.grid1024 = None
         for n, size in ((4, 256), (6, 512), (4, 1024)):
             grid = zonal.make_grid(n, size)
             dil = functionals.dilation_factor(self.rng.uniform(0.2, 0.6), grid)
@@ -303,8 +279,6 @@ class Cli:
                 w, u = grid.weights, dil.values
                 norm_sq = float((u ** p4.p) @ w) ** (2.0 / p4.p)
                 self.reference["dil256"] += float((bump.values * u * u) @ w) / norm_sq
-            if size == 1024:
-                self.grid1024 = grid
 
     def _write(self, fieldio, name, field):
         path = self.work / name
@@ -440,10 +414,10 @@ class Cli:
         require(len(doc["u_star"]["values"]) == 256, "optimize: u_star has the wrong size")
 
     def identity_residual(self):
-        return covariance_residual(self.grid1024)
+        return covariance_residual()
 
 
-WORKLOADS = {"suite": Suite, "maximize": Maximize, "cli": Cli}
+WORKLOADS = {"suite": Suite, "cli": Cli}
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +434,25 @@ def tail(latencies):
     return xs[-1], 100.0
 
 
-def measure(wl, seconds, trace):
+def measure(wl, seconds, trace, host=None):
     latencies, traced_latencies, problems = [], [], []
     attempted = failed = traced_ops = 0
     identical = True
     totals = collections.Counter()
     cli_import = []
     start = time.perf_counter()
-    for ops in wl.rounds():
-        if attempted and time.perf_counter() - start >= seconds:
+    for done, ops in enumerate(wl.rounds()):
+        # start a round only if a round of the mean length so far ends within the run
+        elapsed = time.perf_counter() - start
+        if done and elapsed * (done + 1) / done > seconds:
             break
         for op in ops:
             runs = [None, tracing.Tracer()] if trace else [None]
             values = []
             for tracer in runs:
                 attempted += 1
+                if host is not None:
+                    host.sample(HostSpeed.SHARE * latencies[-1] if latencies else 0.3)
                 out, dt, error, summary = wl.run(op, tracer)
                 checked = None
                 if error is None:
@@ -512,19 +490,22 @@ def load_spec():
             {m["name"]: m["unit"] for m in spec["per_layer"]})
 
 
-def setup_probe(args) -> float:
+def setup_probe(args) -> dict:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", "0", "--setup-probe"]
     out = subprocess.run(cmd, cwd=ROOT, env=dict(os.environ), stdout=subprocess.PIPE, check=True)
-    return json.loads(out.stdout.decode().splitlines()[-1])["setup_s"]
+    return json.loads(out.stdout.decode().splitlines()[-1])
 
 
 def run_workload(args, work) -> int:
     end_to_end, per_layer = load_spec()
     wl = WORKLOADS[args.workload](args.seed, work)
     setup_s = time.perf_counter() - START
+    probe = HostSpeed(wl.reference_threads)
+    probe.sample(0.5)
+    setup = {"setup_s": setup_s, "host_speed": probe.speed()}
     if args.setup_probe:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps(setup))
         return 0
     details = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                "trace": args.trace, "environment": environment_record()}
@@ -533,10 +514,13 @@ def run_workload(args, work) -> int:
         details["wrapper_self_test"] = problems or "passed"
     else:
         problems = []
-        setup_samples = [setup_s] + [setup_probe(args) for _ in range(SETUP_SAMPLES - 1)]
-        details["setup_samples_s"] = setup_samples
+        setup_samples = [setup] + [setup_probe(args) for _ in range(SETUP_PROBES_BEFORE)]
 
-    res = measure(wl, args.seconds, args.trace)
+    host = None if args.trace else HostSpeed(wl.reference_threads)
+    res = measure(wl, args.seconds, args.trace, host)
+    if not args.trace:
+        setup_samples += [setup_probe(args) for _ in range(SETUP_PROBES_AFTER)]
+        details["setup_samples"] = setup_samples
     lat = res["latencies"]
     attempted, failed = res["attempted"], res["failed"]
     details.update(operations=len(lat), fail_ratio=failed / attempted,
@@ -559,16 +543,26 @@ def run_workload(args, work) -> int:
             rss_kb = max(wl.rss_kb)
         else:
             rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        computed = {
-            "setup_s": statistics.median(setup_samples),
+        # wall times as measured; each set-up sample has its own process's host speed
+        wall = {
+            "setup_s": statistics.median(x["setup_s"] for x in setup_samples),
             "ops_per_s": len(lat) / sum(lat),
             "op_p50_s": statistics.median(lat),
             "op_tail_s": tail_value,
+        }
+        nominal = HostSpeed.NOMINAL_UNITS_PER_S
+        computed = {
+            "setup_s": statistics.median(x["setup_s"] * x["host_speed"] / nominal
+                                         for x in setup_samples),
+            "ops_per_s": wall["ops_per_s"] * nominal / host.speed(),
+            "op_p50_s": host.scale(wall["op_p50_s"]),
+            "op_tail_s": host.scale(tail_value),
             "peak_rss_mb": rss_kb / 1024.0,
             "identity_residual_max": wl.identity_residual(),
         }
         details.update(tail_percentile=tail_pct, tail_samples=len(lat),
-                       tail_samples_beyond=sum(x > tail_value for x in lat))
+                       tail_samples_beyond=sum(x > tail_value for x in lat), wall=wall,
+                       host_speed=host.speed(), host_reference_s=host.seconds, latencies_s=lat)
         units = end_to_end
 
     metrics = {name: {"value": computed[name], "unit": unit} for name, unit in units.items()}
