@@ -14,13 +14,13 @@ import numpy as np
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import concentration_sweep
 from conformal_zeta.optimize import OptimizerConfig, maximize_mass_functional
-from conformal_zeta.zonal import ZonalField, make_grid
+from conformal_zeta.zonal import DEFAULT_GRID_SIZE, ZonalField, make_grid
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--grid-n", type=int, default=256)
+    ap.add_argument("--grid-n", type=int, default=DEFAULT_GRID_SIZE)
     ap.add_argument("--epsilon", type=float, default=0.3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run the full acceptance suite and print a human-readable table.
 
-Writes the JSON report next to this script unless --out is given; exits 0
-only when every registered check passes.
+    python scripts/run_suite.py [--out report.json] [--grid-n 256]
+
+The checks run one after another in this process.  The JSON report goes to
+``acceptance_report.json`` next to this script (ignored by git) unless --out
+is given; exits 0 only when every registered check passes.
 """
 
 import argparse
@@ -11,16 +14,16 @@ import sys
 from pathlib import Path
 
 from conformal_zeta.acceptance import run_suite
+from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=str(Path(__file__).with_name("acceptance_report.json")))
-    ap.add_argument("--jobs", type=int, default=4)
-    ap.add_argument("--grid-n", type=int, default=256)
+    ap.add_argument("--grid-n", type=int, default=DEFAULT_GRID_SIZE)
     args = ap.parse_args()
 
-    report = run_suite(jobs=args.jobs, grid_size=args.grid_n)
+    report = run_suite(grid_size=args.grid_n)
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"

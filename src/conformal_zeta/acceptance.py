@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import bubbles, functionals, laws, optimize, zeta
+from . import bubbles, functionals, laws, optimize, zeta, zonal
 from .background import round_sphere_background
 from .params import dim_params, sphere_volume
 from .spectra import SpectrumQuery
@@ -33,7 +32,6 @@ from .zonal import (ZonalField, constant_field, make_grid, random_band_limited,
                     random_zonal)
 
 SUITE_SEED = 7041
-DEFAULT_GRID_SIZE = 256
 
 # field-generation law for the conformal-identity checks: smooth enough that
 # exp(phi)-type composites stay fully resolved at N=256 (see zonal module notes)
@@ -376,9 +374,19 @@ def _matches(name: str, patterns: list[str]) -> bool:
     return False
 
 
-def run_suite(names: list[str] | None = None, jobs: int = 4,
-              grid_size: int = DEFAULT_GRID_SIZE) -> ReportDocument:
-    """Run the acceptance checks (optionally filtered by exact name or prefix)."""
+def run_suite(names: list[str] | None = None, jobs: int = 1,
+              grid_size: int = zonal.DEFAULT_GRID_SIZE) -> ReportDocument:
+    """Run the acceptance checks (optionally filtered by exact name or prefix).
+
+    The producers hold the GIL, so they run one after another; ``jobs`` is
+    accepted for existing callers and ignored.  Raises ValueError when
+    ``names`` is empty or one of its patterns matches no registered check, so
+    a misspelt filter cannot pass vacuously.
+    """
+    if names is not None:
+        unmatched = [pat for pat in names if not any(_matches(c, [pat]) for c in CHECK_NAMES)]
+        if unmatched or not names:
+            raise ValueError(f"no registered check matches {unmatched or names!r}")
     env = {
         "grid4": make_grid(4, grid_size),
         "grid6": make_grid(6, grid_size),
@@ -387,10 +395,7 @@ def run_suite(names: list[str] | None = None, jobs: int = 4,
                  if names is None
                  or any(pat.rstrip("*").startswith(p) or p.startswith(pat.rstrip("*"))
                         for pat in names for p in prefixes)]
-    checks: list[Check] = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for batch in pool.map(lambda fn: fn(env), producers):
-            checks.extend(batch)
+    checks = [c for fn in producers for c in fn(env)]
     if names:
         checks = [c for c in checks if _matches(c.name, names)]
     checks.sort(key=lambda c: c.name)

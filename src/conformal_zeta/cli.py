@@ -2,8 +2,10 @@
 
 Subcommands: constants, zeta, trace, functional, optimize, sweep, rates,
 suite.  Structured output is JSON on stdout (17-significant-digit floats via
-shortest repr); sweeps write CSV.  Exit codes: 0 success, 1 check failure,
-2 usage error, 3 numerical-consistency error.
+shortest repr), serialized in full before anything is written; sweeps write
+CSV.  Exit codes: 0 success, 1 check failure, 2 usage error (including a
+dimension whose constants overflow a float), 3 numerical-consistency error or
+non-finite optimizer state.
 
 Config precedence: explicit flags > key=value file named by the environment
 variable CONFORMAL_ZETA_CONFIG > built-in defaults.  Recognized config keys:
@@ -25,10 +27,10 @@ from .background import round_sphere_background
 from .errors import ConsistencyError, SchemaError
 from .params import VARIANTS, dim_params
 from .spectra import SpectrumQuery
-from .zonal import make_grid
+from .zonal import DEFAULT_GRID_SIZE, make_grid
 
 CONFIG_ENV = "CONFORMAL_ZETA_CONFIG"
-_DEFAULTS = {"variant": "paper", "grid_n": acceptance.DEFAULT_GRID_SIZE, "seed": 0, "tol": 1e-8}
+_DEFAULTS = {"variant": "paper", "grid_n": DEFAULT_GRID_SIZE, "seed": 0, "tol": 1e-8}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -66,9 +68,14 @@ def _load_config() -> dict:
     return cfg
 
 
-def _emit(doc):
-    json.dump(doc, sys.stdout, allow_nan=False)
-    sys.stdout.write("\n")
+def _emit(doc, path=None, indent=None):
+    """Write ``doc`` as JSON to ``path`` or stdout, serializing it in full first."""
+    text = json.dumps(doc, allow_nan=False, indent=indent) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.add_argument("--checks", nargs="*", default=None,
                    help="restrict to these check names (trailing * for prefixes)")
-    p.add_argument("--jobs", type=int, default=4)
     p.add_argument("--grid-n", type=int, default=None)
     return top
 
@@ -190,13 +196,7 @@ def run(argv=None) -> int:
             seed=args.seed if args.seed is not None else cfg["seed"],
         )
         res = optimize.maximize_mass_functional(bg, opt_cfg)
-        doc = fieldio.result_document(res)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, allow_nan=False)
-                fh.write("\n")
-        else:
-            _emit(doc)
+        _emit(fieldio.result_document(res), args.out)
         return EXIT_OK if res.converged else EXIT_CHECK_FAILURE
 
     if args.command == "sweep":
@@ -221,15 +221,12 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "suite":
-        report = acceptance.run_suite(
-            names=args.checks, jobs=args.jobs,
-            grid_size=args.grid_n or cfg["grid_n"])
+        report = acceptance.run_suite(names=args.checks,
+                                      grid_size=args.grid_n or cfg["grid_n"])
         doc = report.to_json_dict()
-        _emit(doc)
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, allow_nan=False, indent=2)
-                fh.write("\n")
+            _emit(doc, args.out, indent=2)
+        _emit(doc)
         return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILURE
 
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -243,6 +240,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"numerical consistency error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"error: input outside the float range ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,15 +9,18 @@ is mapped through the inverse of the positive sphere operator
 c_n (D + n(n-2)/4) -- a Sobolev-metric gradient, diagonal in the Gegenbauer
 basis -- and a backtracking line search accepts only M-increases, after which
 the iterate is clipped at the positivity floor and renormalized to
-||u||_q = 1.  The plain L2 gradient direction is available
-(``precondition=False``) but needs ~10^5 iterations at these grid resolutions;
-the Sobolev direction converges in tens of steps and has the same fixed
-points, which is why it is the default.
+||u||_q = 1.  The Sobolev direction converges in tens of steps; the plain L2
+gradient has the same fixed points but needs ~10^5 iterations at these grid
+resolutions.
 
 Once M stops improving at working precision, a short Picard polish
 (u <- A^{-1}[Lambda |u|^{q-2} u + (m_g + shift) u], A = c_n D + shift) drives
 the residual itself to tolerance; polish steps are accepted only while the
 residual decreases.
+
+P is applied through ``laws.p_operator_apply`` and A^{-1} through
+``ZonalGrid.apply_multiplier``, the same operator layer the laws and the
+functionals use.
 """
 
 from __future__ import annotations
@@ -31,20 +34,18 @@ from scipy.optimize import minimize_scalar
 from .background import ConformalBackground
 from .functionals import dilation_factor, mass_functional
 from .laws import mass_pushforward, p_operator_apply
-from .zonal import ZonalField, lp_norm, random_band_limited
+from .zonal import ZonalField, inner, lp_norm, random_band_limited
 
-_LD = np.longdouble
+_STEP0 = 1.0  # first line-search step of each continuation stage
+_POSITIVITY_FLOOR = 1e-8  # iterates are clipped here before renormalizing
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    step0: float = 1.0
     tol_residual: float = 1e-8
     max_iters: int = 2000
     exponent_schedule: tuple[float, ...] | None = None  # None -> (p-1/2, p-1/4, p-1/8, p)
-    positivity_floor: float = 1e-8
     seed: int = 0
-    precondition: bool = True
     max_polish: int = 200
 
     def resolve_schedule(self, p: float) -> tuple[float, ...]:
@@ -56,8 +57,6 @@ class OptimizerConfig:
             raise ValueError("exponent schedule must be strictly increasing")
         if not math.isclose(sched[-1], p, rel_tol=0, abs_tol=1e-12):
             raise ValueError(f"exponent schedule must end at p={p}, got {sched[-1]}")
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity floor must be positive")
         return sched
 
 
@@ -121,44 +120,22 @@ def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground) -> tuple[float, f
     return float(best.x), float(best.fun)
 
 
-class _Workspace:
-    """Per-run cached quantities for one background."""
+def _project(vals: np.ndarray, q: float, bg: ConformalBackground):
+    """Clip at the positivity floor, renormalize to ||u||_q = 1 and apply P.
 
-    def __init__(self, bg: ConformalBackground, cfg: OptimizerConfig):
-        self.bg = bg
-        self.cfg = cfg
-        grid = bg.grid
-        self.w = grid.weights
-        self.mass = bg.mass_field().values
-        n = bg.params.n
-        c_n = bg.params.c_n
-        shift = n * (n - 2) / 4.0
-        eigs = grid.laplacian_eigenvalues
-        self.inv_sphere_op = (1.0 / (c_n * (eigs + shift))).astype(_LD)
-        self.shift = c_n * shift
-
-    def apply_p(self, vals: np.ndarray) -> np.ndarray:
-        g = self.bg.grid
-        return self.bg.params.c_n * g.apply_multiplier(vals, g.laplacian_eigenvalues) - self.mass * vals
-
-    def norm_q(self, vals: np.ndarray, q: float) -> float:
-        return float((np.abs(vals) ** q @ self.w) ** (1.0 / q))
-
-    def value(self, vals: np.ndarray, pvals: np.ndarray) -> float:
-        # with ||u||_q = 1 the functional is -int u P u
-        return -float((vals * pvals) @ self.w)
-
-    def precondition(self, vals: np.ndarray) -> np.ndarray:
-        g = self.bg.grid
-        return g.synthesize_ld(self.inv_sphere_op * g.analyze(vals))
-
-    def solve_sphere_op(self, rhs: np.ndarray) -> np.ndarray:
-        """(c_n D + c_n n(n-2)/4)^{-1} rhs."""
-        return self.precondition(rhs)
+    Returns (u, P u, M_q(u)); with ||u||_q = 1 the functional is -int u P u.
+    """
+    u = ZonalField(bg.grid, np.clip(vals, _POSITIVITY_FLOOR, None))
+    u = ZonalField(bg.grid, u.values / lp_norm(u, q))
+    pu = p_operator_apply(u, bg)
+    return u, pu, -inner(u, pu)
 
 
-def _residual_field(u, pu, m_val, q):
-    return -(pu + m_val * np.abs(u) ** (q - 2.0) * u)
+def _residual(u: ZonalField, pu: ZonalField, m_val: float, q: float) -> tuple[np.ndarray, float]:
+    """Euler-Lagrange residual field and its L2 size relative to ||P u||."""
+    r = -(pu.values + m_val * np.abs(u.values) ** (q - 2.0) * u.values)
+    w = u.grid.weights
+    return r, math.sqrt(float((r * r) @ w)) / math.sqrt(float((pu.values * pu.values) @ w))
 
 
 def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | None = None,
@@ -171,17 +148,19 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
     cfg = cfg or OptimizerConfig()
     p = bg.params.p
     schedule = cfg.resolve_schedule(p)
-    ws = _Workspace(bg, cfg)
     grid = bg.grid
-    floor = cfg.positivity_floor
+    n, c_n = bg.params.n, bg.params.c_n
+    # (c_n D + shift)^{-1}, diagonal in the Gegenbauer basis
+    inv_sphere_op = 1.0 / (c_n * (grid.laplacian_eigenvalues + n * (n - 2) / 4.0))
+    mass_shift = bg.mass_field().values + c_n * (n * (n - 2) / 4.0)
 
     if start is None:
         pert = random_band_limited(grid, cfg.seed, l_max=6, amplitude=0.1)
-        u = 1.0 + pert.values - pert.values.min()
+        u = ZonalField(grid, 1.0 + pert.values - pert.values.min())
+    elif np.any(start.values <= 0):
+        raise ValueError("starting field must be positive")
     else:
-        u = np.array(start.values, dtype=float)
-        if np.any(u <= 0):
-            raise ValueError("starting field must be positive")
+        u = start
 
     accepted: list[tuple[float, ...]] = []
     iterations = 0
@@ -189,26 +168,19 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
     for stage, q in enumerate(schedule):
         final = stage == len(schedule) - 1
         tol = cfg.tol_residual if final else 10.0 * cfg.tol_residual
-        u = np.clip(u, floor, None)
-        u = u / ws.norm_q(u, q)
-        pu = ws.apply_p(u)
-        m_val = ws.value(u, pu)
-        step = cfg.step0
+        u, pu, m_val = _project(u.values, q, bg)
+        step = _STEP0
         stage_hist: list[float] = [m_val]
         for _ in range(cfg.max_iters):
-            r = _residual_field(u, pu, m_val, q)
-            residual = math.sqrt(float((r * r) @ ws.w)) / math.sqrt(float((pu * pu) @ ws.w))
+            r, residual = _residual(u, pu, m_val, q)
             if not math.isfinite(residual):
                 raise FloatingPointError("optimizer produced a non-finite residual")
             if residual < tol:
                 break
-            direction = ws.precondition(r) if cfg.precondition else r
+            direction = grid.apply_multiplier(r, inv_sphere_op)
             improved = False
             for _ in range(60):
-                cand = np.clip(u + step * direction, floor, None)
-                cand = cand / ws.norm_q(cand, q)
-                pcand = ws.apply_p(cand)
-                m_cand = ws.value(cand, pcand)
+                cand, pcand, m_cand = _project(u.values + step * direction, q, bg)
                 if not math.isfinite(m_cand):
                     raise FloatingPointError("optimizer produced a non-finite value")
                 if m_cand > m_val:
@@ -228,16 +200,11 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
         # Picard polish: drive the residual itself once M is flat.
         if residual >= tol:
             for _ in range(cfg.max_polish):
-                lam = float((u * pu) @ ws.w) / float((np.abs(u) ** q) @ ws.w)
-                rhs = lam * np.abs(u) ** (q - 2.0) * u + (ws.mass + ws.shift) * u
-                cand = np.clip(ws.solve_sphere_op(rhs), floor, None)
-                cand = cand / ws.norm_q(cand, q)
-                pcand = ws.apply_p(cand)
-                m_cand = ws.value(cand, pcand)
-                r_cand = _residual_field(cand, pcand, m_cand, q)
-                res_cand = math.sqrt(float((r_cand * r_cand) @ ws.w)) / math.sqrt(
-                    float((pcand * pcand) @ ws.w)
-                )
+                uv = u.values
+                lam = -m_val / float((np.abs(uv) ** q) @ grid.weights)
+                rhs = lam * np.abs(uv) ** (q - 2.0) * uv + mass_shift * uv
+                cand, pcand, m_cand = _project(grid.apply_multiplier(rhs, inv_sphere_op), q, bg)
+                _, res_cand = _residual(cand, pcand, m_cand, q)
                 if not math.isfinite(res_cand):
                     raise FloatingPointError("polish produced a non-finite residual")
                 if res_cand >= residual:
@@ -247,14 +214,13 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
                 if residual < tol:
                     break
 
-    u_field = ZonalField(grid, u)
-    lam, residual = euler_lagrange_residual(u_field, bg, exponent=p)
-    mass_mean, mass_reldev = constant_mass_check(u_field, bg)
+    lam, residual = euler_lagrange_residual(u, bg, exponent=p)
+    mass_mean, mass_reldev = constant_mass_check(u, bg)
     converged = residual <= cfg.tol_residual
     # report the canonical (cross-checked) functional value at the optimum
-    value = mass_functional(u_field, bg)
+    value = mass_functional(u, bg)
     return OptimizerResult(
-        u_star=u_field,
+        u_star=u,
         value=value,
         lam=lam,
         residual=residual,

@@ -120,13 +120,14 @@ class ZonalGrid:
 
     # -- spectral kernel --------------------------------------------------------
 
-    def analyze(self, values: np.ndarray, denoise: bool = True) -> np.ndarray:
-        """Orthonormal Gegenbauer coefficients of sampled values (longdouble)."""
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
+
+        Coefficients at the quadrature-roundoff level are zeroed (see _FILTER_K).
+        """
         coeffs = self._analysis @ np.asarray(values).astype(_LD)
-        if denoise:
-            floor = _FILTER_K * _EPS_LD * float(np.sqrt(float((coeffs * coeffs).sum())))
-            coeffs = np.where(np.abs(coeffs) <= floor, _LD(0.0), coeffs)
-        return coeffs
+        floor = _FILTER_K * _EPS_LD * float(np.sqrt(float((coeffs * coeffs).sum())))
+        return np.where(np.abs(coeffs) <= floor, _LD(0.0), coeffs)
 
     def synthesize_ld(self, coeffs: np.ndarray) -> np.ndarray:
         return np.asarray(self._basis.T @ np.asarray(coeffs).astype(_LD), dtype=float)

@@ -12,6 +12,7 @@ import pytest
 
 from conformal_zeta.acceptance import (CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
                                        rational_finite_part, run_suite)
+from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +56,30 @@ def test_disputed_projective_target_diagnosis():
     # the even-degree lattice of the actual projective stream gives +1/36.
     assert rational_finite_part(4, parity="even") == Fraction(1, 36)
     assert rational_finite_part(4, parity="even", step=4) == Fraction(1, 18)
+
+
+def test_covariance_subset_with_jobs_argument(suite_report):
+    # the benchmark's identity-residual probe; ``jobs`` is accepted and ignored
+    report = run_suite(names=["covariance_*"], jobs=1)
+    assert [c.name for c in report.checks] == [
+        "covariance_normalized_mass", "covariance_p_operator", "covariance_yamabe"]
+    full = {c.name: c for c in suite_report.checks}
+    assert all(c == full[c.name] for c in report.checks)
+    assert report.environment["grid_N"] == DEFAULT_GRID_SIZE
+
+
+@pytest.mark.parametrize("names", [["nope"], ["zeta_*", "rate_n4_k1"], []])
+def test_unmatched_check_names_are_rejected(names):
+    with pytest.raises(ValueError) as err:
+        run_suite(names=names)
+    for pat in names:
+        if pat != "zeta_*":
+            assert repr(pat) in str(err.value)
+    assert "zeta_*" not in str(err.value)
+
+
+def test_benchmark_warmup_patterns_match():
+    report = run_suite(names=["zeta_*", "rate_*"])
+    names = [c.name for c in report.checks]
+    assert names == sorted(n for n in CHECK_NAMES if n.startswith(("zeta_", "rate_")))
+    assert len(names) == 8

@@ -178,8 +178,7 @@ def test_bad_config_file(capsys, tmp_path, monkeypatch):
 
 
 def test_suite_subset_deterministic(capsys):
-    argv = ["suite", "--checks", "finite_part_sphere_n4", "trace_const_n4",
-            "--jobs", "1"]
+    argv = ["suite", "--checks", "finite_part_sphere_n4", "trace_const_n4"]
     code1, out1 = run_cli(capsys, *argv)
     code2, out2 = run_cli(capsys, *argv)
     assert code1 == code2 == 0
@@ -215,3 +214,42 @@ def test_suite_reports_failure_exit_code(capsys, tmp_path, monkeypatch):
     assert by_name["finite_part_projective_n4"]["pass"] is False
     assert doc["overall_pass"] is False
     assert all(c["provenance"] in {"paper", "derived", "trivial"} for c in doc["checks"])
+
+
+def test_suite_unmatched_check_name_is_usage_error(capsys):
+    code = main(["suite", "--checks", "trace_const_n4", "nope"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'nope'" in captured.err
+
+
+def test_non_finite_output_leaves_stdout_empty(capsys):
+    # nan is not JSON; the document is rejected whole, not written in part
+    code, out = run_cli(capsys, "rates", "--n", "4", "--k", "nan")
+    assert code == 2
+    assert out == ""
+
+
+def test_zeta_dimension_overflow_is_usage_error(capsys):
+    code, out = run_cli(capsys, "zeta", "--n", "200", "--space", "sphere")
+    assert code == 2
+    assert out == ""
+
+
+def test_constants_dimension_overflow_is_usage_error(capsys):
+    code, out = run_cli(capsys, "constants", "--n", "400")
+    assert code == 2
+    assert out == ""
+
+
+def test_floating_point_error_exit_code(capsys, monkeypatch):
+    import conformal_zeta.cli as climod
+
+    def diverged(bg, cfg):
+        raise FloatingPointError("forced for the exit-code contract")
+
+    monkeypatch.setattr(climod.optimize, "maximize_mass_functional", diverged)
+    code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", "32")
+    assert code == 3
+    assert out == ""

@@ -82,19 +82,6 @@ def test_rejects_nonpositive_start(grid4, sphere4):
         maximize_mass_functional(sphere4, start=ZonalField(grid4, grid4.nodes.copy()))
 
 
-def test_plain_gradient_direction_also_ascends(grid4_small):
-    # the literal L2 direction is kept available; it climbs, just far slower
-    from conformal_zeta.background import round_sphere_background
-
-    bg = round_sphere_background(4, grid4_small, variant="paper")
-    start = ZonalField(grid4_small, 1.0 + 0.2 * grid4_small.nodes)
-    cfg = OptimizerConfig(precondition=False, max_iters=60, max_polish=0)
-    res = maximize_mass_functional(bg, cfg, start=start)
-    m0 = mass_functional(start, bg)
-    assert res.value > m0
-    assert res.value <= sphere_value(bg) + 1e-10
-
-
 def test_bad_schedule_rejected(sphere4):
     with pytest.raises(ValueError):
         maximize_mass_functional(sphere4, OptimizerConfig(exponent_schedule=(3.0, 2.5, 4.0)))
