@@ -183,7 +183,7 @@ def _zeta_checks(env) -> list[Check]:
     return out
 
 
-def _law_checks(env) -> list[Check]:
+def _covariance_checks(env) -> list[Check]:
     n = 4
     grid = env["grid4"]
     bg = round_sphere_background(n, grid, variant="calibrated")
@@ -216,7 +216,7 @@ def _law_checks(env) -> list[Check]:
         rhs_m = laws.normalized_mass_pushforward(bg_m.mnor, phi).values
         worst_m = max(worst_m, float(np.abs(lhs_m - rhs_m).max()))
 
-    out = [
+    return [
         _interval_check("covariance_yamabe", worst_y, None, 1e-8, "paper",
                         "100 seeded pairs at N=256"),
         _interval_check("covariance_p_operator", worst_p, None, 1e-8, "paper",
@@ -225,7 +225,12 @@ def _law_checks(env) -> list[Check]:
                         "100 seeded pairs at N=256"),
     ]
 
+
+def _transport_checks(env) -> list[Check]:
     # transport ODE vs closed form
+    n = 4
+    grid = env["grid4"]
+    bg = round_sphere_background(n, grid, variant="calibrated")
     worst = 0.0
     for seed in range(20):
         phi = random_band_limited(grid, 21000 + seed, _LAW_LMAX, _PHI_AMPLITUDE, _LAW_DECAY)
@@ -233,9 +238,8 @@ def _law_checks(env) -> list[Check]:
         closed = laws.mass_pushforward(u, bg).values
         marched = laws.mass_transport_ode(bg, phi, steps=64).values
         worst = max(worst, float(np.abs(closed - marched).max()))
-    out.append(_interval_check("mass_transport_ode", worst, None, 1e-6, "derived",
-                               "4th-order march of the infinitesimal law, 64 steps, 20 seeds"))
-    return out
+    return [_interval_check("mass_transport_ode", worst, None, 1e-6, "derived",
+                            "4th-order march of the infinitesimal law, 64 steps, 20 seeds")]
 
 
 def _sobolev_checks(env) -> list[Check]:
@@ -334,7 +338,8 @@ def _flat_norm_checks(env) -> list[Check]:
 # producer -> name prefixes it can emit, so filtered runs skip unrelated work
 _PRODUCERS = (
     (_zeta_checks, ("zeta_residue", "finite_part", "trace_", "calibration_", "projective_")),
-    (_law_checks, ("covariance_", "mass_transport")),
+    (_covariance_checks, ("covariance_",)),
+    (_transport_checks, ("mass_transport",)),
     (_sobolev_checks, ("sobolev_",)),
     (_optimizer_checks, ("optimizer_",)),
     (_bump_checks, ("positive_bump_",)),

@@ -4,6 +4,7 @@ Subcommands: constants, zeta, trace, functional, optimize, sweep, rates,
 suite.  Structured output is JSON on stdout (17-significant-digit floats via
 shortest repr), serialized in full before anything is written; sweeps write
 CSV.  Exit codes: 0 success, 1 check failure, 2 usage error (including a
+non-finite float flag, a grid size outside 16..2048 nodes and a
 dimension whose constants overflow a float), 3 numerical-consistency error or
 non-finite optimizer state.
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -61,6 +63,8 @@ def _load_config() -> dict:
                     cfg[key] = int(raw)
                 elif key == "tol":
                     cfg[key] = float(raw)
+                    if not math.isfinite(cfg[key]):
+                        raise SchemaError("tol must be a finite number", f"{path}:{ln}")
                 else:
                     raise SchemaError(f"unknown config key {key!r}", f"{path}:{ln}")
     except OSError as exc:
@@ -157,6 +161,10 @@ def run(argv=None) -> int:
     cfg = _load_config()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("k", "cap", "epsilon", "tol"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise SchemaError("expected a finite number", f"--{flag}")
 
     if args.command == "constants":
         params = dim_params(args.n, args.variant or cfg["variant"])

@@ -45,16 +45,16 @@ def yamabe_functional(u: ZonalField, bg: ConformalBackground) -> float:
     return inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * lp_norm(u, bg.params.p) ** 2)
 
 
-def mass_functional(u: ZonalField, bg: ConformalBackground, exponent: float | None = None) -> float:
+def mass_functional(u: ZonalField, bg: ConformalBackground) -> float:
     """M(u), cross-checked through both decomposition forms.
 
-    ``exponent`` substitutes a subcritical q for p in the normalization (used
-    by the optimizer's continuation stages); the cross-check runs either way.
+    The P form applies the mass-transport operator, the Y form the conformal
+    Laplacian plus the normalized-mass term; a disagreement beyond
+    FORM_AGREEMENT_TOL raises ConsistencyError.
     """
     _check_nonzero(u)
     _check_grid(u, bg)
-    q = bg.params.p if exponent is None else float(exponent)
-    norm_sq = lp_norm(u, q) ** 2
+    norm_sq = lp_norm(u, bg.params.p) ** 2
     p_form = -inner(u, p_operator_apply(u, bg)) / norm_sq
     mnor_term = inner(ZonalField(u.grid, u.values * u.values), bg.mnor) / norm_sq
     y_form = mnor_term - bg.params.b_n * (

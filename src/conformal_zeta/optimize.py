@@ -1,22 +1,23 @@
 """Maximization of the mass functional over positive conformal factors.
 
-Projected ascent on u -> M_q(u) with a subcritical exponent continuation
-q -> p: at each step the Euler-Lagrange residual field
+Projected ascent on u -> M(u) at the critical exponent p = 2n/(n-2): at each
+step the Euler-Lagrange residual field
 
-    r = -(P u - Lambda |u|^{q-2} u),   Lambda = int u P u / int |u|^q,
+    r = -(P u - Lambda |u|^{p-2} u),   Lambda = int u P u / int |u|^p,
 
 is mapped through the inverse of the positive sphere operator
 c_n (D + n(n-2)/4) -- a Sobolev-metric gradient, diagonal in the Gegenbauer
 basis -- and a backtracking line search accepts only M-increases, after which
 the iterate is clipped at the positivity floor and renormalized to
-||u||_q = 1.  The Sobolev direction converges in tens of steps; the plain L2
+||u||_p = 1.  The Sobolev direction converges in tens of steps; the plain L2
 gradient has the same fixed points but needs ~10^5 iterations at these grid
 resolutions.
 
 Once M stops improving at working precision, a short Picard polish
-(u <- A^{-1}[Lambda |u|^{q-2} u + (m_g + shift) u], A = c_n D + shift) drives
+(u <- A^{-1}[Lambda |u|^{p-2} u + (m_g + shift) u], A = c_n D + shift) drives
 the residual itself to tolerance; polish steps are accepted only while the
-residual decreases.
+residual decreases.  The ascent is needed first: the polish alone stalls far
+from the optimum on a background with mass data.
 
 P is applied through ``laws.p_operator_apply`` and A^{-1} through
 ``ZonalGrid.apply_multiplier``, the same operator layer the laws and the
@@ -36,28 +37,16 @@ from .functionals import dilation_factor, mass_functional
 from .laws import mass_pushforward, p_operator_apply
 from .zonal import ZonalField, inner, lp_norm, random_band_limited
 
-_STEP0 = 1.0  # first line-search step of each continuation stage
+_STEP0 = 1.0  # first line-search step
 _POSITIVITY_FLOOR = 1e-8  # iterates are clipped here before renormalizing
+_MAX_ITERS = 2000  # ascent steps
+_MAX_POLISH = 200  # Picard polish steps
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     tol_residual: float = 1e-8
-    max_iters: int = 2000
-    exponent_schedule: tuple[float, ...] | None = None  # None -> (p-1/2, p-1/4, p-1/8, p)
     seed: int = 0
-    max_polish: int = 200
-
-    def resolve_schedule(self, p: float) -> tuple[float, ...]:
-        sched = self.exponent_schedule
-        if sched is None:
-            sched = (p - 0.5, p - 0.25, p - 0.125, p)
-        sched = tuple(float(q) for q in sched)
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("exponent schedule must be strictly increasing")
-        if not math.isclose(sched[-1], p, rel_tol=0, abs_tol=1e-12):
-            raise ValueError(f"exponent schedule must end at p={p}, got {sched[-1]}")
-        return sched
 
 
 @dataclass(frozen=True)
@@ -70,22 +59,19 @@ class OptimizerResult:
     mass_reldev: float
     iterations: int
     converged: bool
-    # accepted functional values, one tuple per continuation stage (the
-    # functional changes with the exponent, so only within-stage values are
-    # comparable)
-    history: tuple[tuple[float, ...], ...] = field(repr=False, default=())
+    # accepted functional values of the ascent, nondecreasing
+    history: tuple[float, ...] = field(repr=False, default=())
 
 
-def euler_lagrange_residual(u: ZonalField, bg: ConformalBackground,
-                            exponent: float | None = None) -> tuple[float, float]:
-    """(Lambda, residual) of P u = Lambda u^{q-1} with the Rayleigh Lambda."""
+def euler_lagrange_residual(u: ZonalField, bg: ConformalBackground) -> tuple[float, float]:
+    """(Lambda, residual) of P u = Lambda u^{p-1} with the Rayleigh Lambda."""
     if np.any(u.values <= 0):
         raise ValueError("Euler-Lagrange residual needs u > 0")
-    q = bg.params.p if exponent is None else float(exponent)
+    p = bg.params.p
     w = u.grid.weights
     pu = p_operator_apply(u, bg).values
-    lam = float((u.values * pu) @ w) / float((u.values**q) @ w)
-    mismatch = pu - lam * u.values ** (q - 1.0)
+    lam = float((u.values * pu) @ w) / float((u.values**p) @ w)
+    mismatch = pu - lam * u.values ** (p - 1.0)
     residual = math.sqrt(float((mismatch**2) @ w)) / math.sqrt(float((pu**2) @ w))
     return lam, residual
 
@@ -120,34 +106,33 @@ def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground) -> tuple[float, f
     return float(best.x), float(best.fun)
 
 
-def _project(vals: np.ndarray, q: float, bg: ConformalBackground):
-    """Clip at the positivity floor, renormalize to ||u||_q = 1 and apply P.
+def _project(vals: np.ndarray, bg: ConformalBackground):
+    """Clip at the positivity floor, renormalize to ||u||_p = 1 and apply P.
 
-    Returns (u, P u, M_q(u)); with ||u||_q = 1 the functional is -int u P u.
+    Returns (u, P u, M(u)); with ||u||_p = 1 the functional is -int u P u.
     """
     u = ZonalField(bg.grid, np.clip(vals, _POSITIVITY_FLOOR, None))
-    u = ZonalField(bg.grid, u.values / lp_norm(u, q))
+    u = ZonalField(bg.grid, u.values / lp_norm(u, bg.params.p))
     pu = p_operator_apply(u, bg)
     return u, pu, -inner(u, pu)
 
 
-def _residual(u: ZonalField, pu: ZonalField, m_val: float, q: float) -> tuple[np.ndarray, float]:
+def _residual(u: ZonalField, pu: ZonalField, m_val: float, p: float) -> tuple[np.ndarray, float]:
     """Euler-Lagrange residual field and its L2 size relative to ||P u||."""
-    r = -(pu.values + m_val * np.abs(u.values) ** (q - 2.0) * u.values)
+    r = -(pu.values + m_val * np.abs(u.values) ** (p - 2.0) * u.values)
     w = u.grid.weights
     return r, math.sqrt(float((r * r) @ w)) / math.sqrt(float((pu.values * pu.values) @ w))
 
 
 def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | None = None,
                              start: ZonalField | None = None) -> OptimizerResult:
-    """Run the staged ascent and certify the final iterate.
+    """Run the ascent and the polish, then certify the final iterate.
 
-    Returns converged=False (with diagnostics populated) when the final stage
+    Returns converged=False (with diagnostics populated) when the iterate
     cannot reach ``tol_residual``; raises FloatingPointError on NaN/overflow.
     """
     cfg = cfg or OptimizerConfig()
     p = bg.params.p
-    schedule = cfg.resolve_schedule(p)
     grid = bg.grid
     n, c_n = bg.params.n, bg.params.c_n
     # (c_n D + shift)^{-1}, diagonal in the Gegenbauer basis
@@ -162,59 +147,54 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
     else:
         u = start
 
-    accepted: list[tuple[float, ...]] = []
+    tol = cfg.tol_residual
     iterations = 0
-    residual = math.inf
-    for stage, q in enumerate(schedule):
-        final = stage == len(schedule) - 1
-        tol = cfg.tol_residual if final else 10.0 * cfg.tol_residual
-        u, pu, m_val = _project(u.values, q, bg)
-        step = _STEP0
-        stage_hist: list[float] = [m_val]
-        for _ in range(cfg.max_iters):
-            r, residual = _residual(u, pu, m_val, q)
-            if not math.isfinite(residual):
-                raise FloatingPointError("optimizer produced a non-finite residual")
+    u, pu, m_val = _project(u.values, bg)
+    step = _STEP0
+    accepted: list[float] = [m_val]
+    for _ in range(_MAX_ITERS):
+        r, residual = _residual(u, pu, m_val, p)
+        if not math.isfinite(residual):
+            raise FloatingPointError("optimizer produced a non-finite residual")
+        if residual < tol:
+            break
+        direction = grid.apply_multiplier(r, inv_sphere_op)
+        improved = False
+        for _ in range(60):
+            cand, pcand, m_cand = _project(u.values + step * direction, bg)
+            if not math.isfinite(m_cand):
+                raise FloatingPointError("optimizer produced a non-finite value")
+            if m_cand > m_val:
+                u, pu, m_val = cand, pcand, m_cand
+                accepted.append(m_val)
+                step *= 1.5
+                improved = True
+                break
+            step *= 0.5
+        iterations += 1
+        if not improved:
+            break  # M at working-precision plateau; hand over to polish
+    if any(b < a for a, b in zip(accepted, accepted[1:])):
+        raise AssertionError("accepted functional values must be nondecreasing")
+
+    # Picard polish: drive the residual itself once M is flat.
+    if residual >= tol:
+        for _ in range(_MAX_POLISH):
+            uv = u.values
+            lam = -m_val / float((np.abs(uv) ** p) @ grid.weights)
+            rhs = lam * np.abs(uv) ** (p - 2.0) * uv + mass_shift * uv
+            cand, pcand, m_cand = _project(grid.apply_multiplier(rhs, inv_sphere_op), bg)
+            _, res_cand = _residual(cand, pcand, m_cand, p)
+            if not math.isfinite(res_cand):
+                raise FloatingPointError("polish produced a non-finite residual")
+            if res_cand >= residual:
+                break
+            u, pu, m_val, residual = cand, pcand, m_cand, res_cand
+            iterations += 1
             if residual < tol:
                 break
-            direction = grid.apply_multiplier(r, inv_sphere_op)
-            improved = False
-            for _ in range(60):
-                cand, pcand, m_cand = _project(u.values + step * direction, q, bg)
-                if not math.isfinite(m_cand):
-                    raise FloatingPointError("optimizer produced a non-finite value")
-                if m_cand > m_val:
-                    u, pu, m_val = cand, pcand, m_cand
-                    stage_hist.append(m_val)
-                    step *= 1.5
-                    improved = True
-                    break
-                step *= 0.5
-            iterations += 1
-            if not improved:
-                break  # M at working-precision plateau; hand over to polish
-        if any(b < a for a, b in zip(stage_hist, stage_hist[1:])):
-            raise AssertionError("accepted functional values must be nondecreasing")
-        accepted.append(tuple(stage_hist))
 
-        # Picard polish: drive the residual itself once M is flat.
-        if residual >= tol:
-            for _ in range(cfg.max_polish):
-                uv = u.values
-                lam = -m_val / float((np.abs(uv) ** q) @ grid.weights)
-                rhs = lam * np.abs(uv) ** (q - 2.0) * uv + mass_shift * uv
-                cand, pcand, m_cand = _project(grid.apply_multiplier(rhs, inv_sphere_op), q, bg)
-                _, res_cand = _residual(cand, pcand, m_cand, q)
-                if not math.isfinite(res_cand):
-                    raise FloatingPointError("polish produced a non-finite residual")
-                if res_cand >= residual:
-                    break
-                u, pu, m_val, residual = cand, pcand, m_cand, res_cand
-                iterations += 1
-                if residual < tol:
-                    break
-
-    lam, residual = euler_lagrange_residual(u, bg, exponent=p)
+    lam, residual = euler_lagrange_residual(u, bg)
     mass_mean, mass_reldev = constant_mass_check(u, bg)
     converged = residual <= cfg.tol_residual
     # report the canonical (cross-checked) functional value at the optimum

@@ -35,6 +35,9 @@ _FILTER_K = 1024.0
 
 DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
+# The grid holds several (N+1) x N longdouble tables: N=1024 peaks near 0.2 GB
+# and N=2048 near 0.6 GB of resident memory, so larger sizes are refused.
+MAX_GRID_SIZE = 2048
 
 
 def _gegenbauer_table(x: np.ndarray, lam, rows: int) -> np.ndarray:
@@ -64,6 +67,8 @@ class ZonalGrid:
             raise ValueError(f"dimension must be even and >= 4, got n={n}")
         if size < MIN_GRID_SIZE:
             raise ValueError(f"grid needs at least {MIN_GRID_SIZE} nodes, got {size}")
+        if size > MAX_GRID_SIZE:
+            raise ValueError(f"grid allows at most {MAX_GRID_SIZE} nodes, got {size}")
         self.n = n
         self.size = size
         lam = _LD(n - 1) / 2

@@ -26,3 +26,15 @@ def grid6():
 @pytest.fixture(scope="session")
 def grid4_small():
     return make_grid(4, 96)
+
+
+@pytest.fixture()
+def refuse_grid_build(monkeypatch):
+    """Fail the test if any grid's nodes or basis tables get built."""
+    import conformal_zeta.zonal as zonal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid tables were built")
+
+    monkeypatch.setattr(zonal, "roots_jacobi", refuse)
+    monkeypatch.setattr(zonal, "_gegenbauer_table", refuse)

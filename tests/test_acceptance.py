@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conformal_zeta import laws
 from conformal_zeta.acceptance import (CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
                                        rational_finite_part, run_suite)
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
@@ -83,3 +84,22 @@ def test_benchmark_warmup_patterns_match():
     names = [c.name for c in report.checks]
     assert names == sorted(n for n in CHECK_NAMES if n.startswith(("zeta_", "rate_")))
     assert len(names) == 8
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a producer outside the filter ran")
+
+
+def test_transport_filter_skips_covariance_loop(monkeypatch, suite_report):
+    monkeypatch.setattr(laws, "transform_background", _refuse)
+    report = run_suite(names=["mass_transport_ode"])
+    full = {c.name: c for c in suite_report.checks}
+    assert report.checks == (full["mass_transport_ode"],)
+
+
+def test_covariance_filter_skips_transport_march(monkeypatch, suite_report):
+    monkeypatch.setattr(laws, "mass_transport_ode", _refuse)
+    report = run_suite(names=["covariance_*"])
+    full = {c.name: c for c in suite_report.checks}
+    assert report.checks == tuple(full[c.name] for c in report.checks)
+    assert len(report.checks) == 3

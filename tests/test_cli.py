@@ -2,13 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from conformal_zeta.cli import main
 from conformal_zeta.fieldio import write_field
-from conformal_zeta.zonal import constant_field, make_grid
+from conformal_zeta.zonal import MAX_GRID_SIZE, constant_field, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +106,19 @@ def test_optimize_command(capsys, tmp_path):
     assert doc["u_star"]["grid"]["N"] == 64
 
 
+def test_optimize_non_convergence_exit_code(capsys, tmp_path):
+    # a tolerance below working precision cannot be met
+    out_path = tmp_path / "r.json"
+    code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", "64",
+                        "--tol", "1e-30", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    doc = json.loads(out_path.read_text())
+    assert doc["converged"] is False
+    assert math.isfinite(doc["residual"])
+    assert len(doc["u_star"]["values"]) == 64
+
+
 def test_sweep_command(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, _ = run_cli(capsys, "sweep", "--n", "4", "--grid-n", "64",
@@ -175,6 +190,15 @@ def test_bad_config_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CONFORMAL_ZETA_CONFIG", str(cfg))
     code, _ = run_cli(capsys, "constants", "--n", "4")
     assert code == 2
+
+
+def test_non_finite_config_tol_is_usage_error(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol=nan\n")
+    monkeypatch.setenv("CONFORMAL_ZETA_CONFIG", str(cfg))
+    code, out = run_cli(capsys, "constants", "--n", "4")
+    assert code == 2
+    assert out == ""
 
 
 def test_suite_subset_deterministic(capsys):
@@ -252,4 +276,31 @@ def test_floating_point_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(climod.optimize, "maximize_mass_functional", diverged)
     code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", "32")
     assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--k", ["rates", "--n", "4", "--k", "nan"]),
+    ("--cap", ["rates", "--n", "4", "--k", "0", "--cap", "inf"]),
+    ("--epsilon", ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.05:0.3:5",
+                   "--epsilon", "nan"]),
+    ("--tol", ["optimize", "--n", "4", "--grid-n", "32", "--tol=-inf"]),
+])
+def test_non_finite_float_flag_is_usage_error(capsys, tmp_path, flag, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "sweep.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err
+    assert not any(issubclass(w.category, IntegrationWarning) for w in caught)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_grid_size_above_bound_is_usage_error(capsys, refuse_grid_build):
+    code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", str(MAX_GRID_SIZE + 1))
+    assert code == 2
     assert out == ""

@@ -49,6 +49,12 @@ def test_mismatched_size_rejected(grid):
     assert "grid.N" in str(err.value)
 
 
+def test_oversized_grid_rejected_before_allocating(refuse_grid_build):
+    doc = {"n": 4, "grid": {"kind": "gauss-jacobi", "N": 10**7}, "values": [1.0]}
+    with pytest.raises(SchemaError):
+        parse_field(doc)
+
+
 def test_wrong_dimension_rejected(grid):
     doc = {"n": 6, "grid": {"kind": "gauss-jacobi", "N": 32}, "values": [0.0] * 32}
     with pytest.raises(SchemaError) as err:

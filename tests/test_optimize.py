@@ -63,15 +63,14 @@ def test_positive_mass_data_raises_value(grid4, bump4):
 def test_history_monotone_within_stages(grid4, sphere4):
     start = ZonalField(grid4, 1.0 + 0.25 * grid4.nodes)
     res = maximize_mass_functional(sphere4, start=start)
-    assert res.history  # one tuple per continuation stage
-    for stage in res.history:
-        assert np.all(np.diff(np.asarray(stage)) >= 0)
-    assert res.value >= res.history[-1][0] - 1e-15
+    assert len(res.history) > 1  # the start and at least one accepted step
+    assert np.all(np.diff(np.asarray(res.history)) >= 0)
+    assert res.value >= res.history[0] - 1e-15
 
 
 def test_non_convergence_is_reported(grid4, sphere4):
     start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
-    cfg = OptimizerConfig(max_iters=1, max_polish=0, tol_residual=1e-12)
+    cfg = OptimizerConfig(tol_residual=1e-30)  # below working precision
     res = maximize_mass_functional(sphere4, cfg, start=start)
     assert not res.converged
     assert math.isfinite(res.residual)
@@ -80,13 +79,6 @@ def test_non_convergence_is_reported(grid4, sphere4):
 def test_rejects_nonpositive_start(grid4, sphere4):
     with pytest.raises(ValueError):
         maximize_mass_functional(sphere4, start=ZonalField(grid4, grid4.nodes.copy()))
-
-
-def test_bad_schedule_rejected(sphere4):
-    with pytest.raises(ValueError):
-        maximize_mass_functional(sphere4, OptimizerConfig(exponent_schedule=(3.0, 2.5, 4.0)))
-    with pytest.raises(ValueError):
-        maximize_mass_functional(sphere4, OptimizerConfig(exponent_schedule=(3.0, 3.5)))
 
 
 def test_el_residual_on_constants(grid4, sphere4):
