@@ -31,9 +31,10 @@ def main():
     print(f"\noverall: {'PASS' if report.overall_pass else 'FAIL'} "
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)})")
 
+    # serialize in full first, so a non-finite value leaves no truncated file
+    text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
     with open(args.out, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     print(f"report written to {args.out}")
     return 0 if report.overall_pass else 1
 

@@ -36,7 +36,6 @@ SUITE_SEED = 7041
 # field-generation law for the conformal-identity checks: smooth enough that
 # exp(phi)-type composites stay fully resolved at N=256 (see zonal module notes)
 _LAW_LMAX = 16
-_LAW_DECAY = 5.0
 _PHI_AMPLITUDE = 0.3
 _F_AMPLITUDE = 0.5
 
@@ -189,8 +188,8 @@ def _covariance_checks(env) -> list[Check]:
     bg = round_sphere_background(n, grid, variant="calibrated")
     worst_y = worst_p = worst_m = 0.0
     for seed in range(100):
-        f = random_band_limited(grid, 3000 + seed, _LAW_LMAX, _F_AMPLITUDE, _LAW_DECAY)
-        phi = random_band_limited(grid, 9000 + seed, _LAW_LMAX, _PHI_AMPLITUDE, _LAW_DECAY)
+        f = random_band_limited(grid, 3000 + seed, _LAW_LMAX, _F_AMPLITUDE)
+        phi = random_band_limited(grid, 9000 + seed, _LAW_LMAX, _PHI_AMPLITUDE)
         mnor = random_zonal(grid, 15000 + seed, _LAW_LMAX, 0.3, 0.05)
         bg_m = round_sphere_background(n, grid, variant="calibrated", mnor=mnor)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
@@ -233,10 +232,10 @@ def _transport_checks(env) -> list[Check]:
     bg = round_sphere_background(n, grid, variant="calibrated")
     worst = 0.0
     for seed in range(20):
-        phi = random_band_limited(grid, 21000 + seed, _LAW_LMAX, _PHI_AMPLITUDE, _LAW_DECAY)
+        phi = random_band_limited(grid, 21000 + seed, _LAW_LMAX, _PHI_AMPLITUDE)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
         closed = laws.mass_pushforward(u, bg).values
-        marched = laws.mass_transport_ode(bg, phi, steps=64).values
+        marched = laws.mass_transport_ode(bg, phi).values
         worst = max(worst, float(np.abs(closed - marched).max()))
     return [_interval_check("mass_transport_ode", worst, None, 1e-6, "derived",
                             "4th-order march of the infinitesimal law, 64 steps, 20 seeds")]

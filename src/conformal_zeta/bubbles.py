@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from .background import ConformalBackground
 from .functionals import mass_functional
-from .params import sphere_volume
+from .params import check_dimension, sphere_volume
 from .zonal import ZonalField, integrate
 
 # Integration cap for rate fits: large enough that the subleading constant
@@ -31,6 +31,10 @@ SWEEP_EPSILON_DEFAULT = 0.3
 
 MIN_FIT_SAMPLES = 8
 MIN_FIT_DECADES = 2.0
+
+# relative tolerances of the adaptive radial quadratures
+_FLAT_MASS_REL_TOL = 1e-12
+_MOMENT_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,7 @@ class ProfileParams:
             raise ValueError("alpha must be positive")
         if not (0.0 < self.epsilon < math.pi / 2.0):
             raise ValueError("epsilon must lie in (0, pi/2) so the support fits a hemisphere")
-        if self.n % 2 != 0 or self.n < 4:
-            raise ValueError(f"dimension must be even and >= 4, got n={self.n}")
+        check_dimension(self.n)
 
 
 def bubble_profile(alpha: float, r, n: int):
@@ -59,15 +62,16 @@ def bubble_profile(alpha: float, r, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-def flat_profile_lp_mass(alpha: float, n: int, rel_tol: float = 1e-12) -> float:
+def flat_profile_lp_mass(alpha: float, n: int) -> float:
     """int over R^n of u_alpha^p dx, by radial quadrature (equals 2^{-n} omega_n)."""
     surface = sphere_volume(n - 1)
 
     def integrand(r):
         return bubble_profile(alpha, r, n) ** (2.0 * n / (n - 2.0)) * r ** (n - 1)
 
-    head, _ = quad(integrand, 0.0, 10.0 * alpha, epsabs=0.0, epsrel=rel_tol, limit=400)
-    tail, _ = quad(integrand, 10.0 * alpha, np.inf, epsabs=0.0, epsrel=rel_tol, limit=400)
+    head, _ = quad(integrand, 0.0, 10.0 * alpha, epsabs=0.0, epsrel=_FLAT_MASS_REL_TOL, limit=400)
+    tail, _ = quad(integrand, 10.0 * alpha, np.inf, epsabs=0.0, epsrel=_FLAT_MASS_REL_TOL,
+                   limit=400)
     return surface * (head + tail)
 
 
@@ -90,10 +94,9 @@ def smooth_cutoff(epsilon: float, r):
         return out
 
     num = sigma(x)
-    den = num + sigma(1.0 - x)
-    out = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    out = np.where(x >= 1.0, 1.0, out)
-    out = np.where(x <= 0.0, 0.0, out)
+    # sigma(x) and sigma(1-x) never vanish together, and the blend is exactly
+    # 1 for x >= 1 and 0 for x <= 0
+    out = num / (num + sigma(1.0 - x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -106,8 +109,7 @@ def capped_bubble(params: ProfileParams, grid) -> ZonalField:
     return ZonalField(grid, vals)
 
 
-def bubble_moment(alpha: float, epsilon: float, k: float, n: int,
-                  rel_tol: float = 1e-10) -> float:
+def bubble_moment(alpha: float, epsilon: float, k: float, n: int) -> float:
     """int_0^eps u_alpha(r)^2 r^{k+n-1} dr by adaptive quadrature.
 
     Computed in the self-similar variable r = alpha t, where the integrand
@@ -115,6 +117,7 @@ def bubble_moment(alpha: float, epsilon: float, k: float, n: int,
     exact; this keeps the quadrature well conditioned across the whole
     concentration range.
     """
+    check_dimension(n)
     if k <= -n:
         raise ValueError(f"need k > -n for convergence, got k={k}, n={n}")
     if alpha <= 0 or epsilon <= 0:
@@ -126,13 +129,10 @@ def bubble_moment(alpha: float, epsilon: float, k: float, n: int,
     top = epsilon / alpha
     pieces = []
     cut = min(top, 10.0)
-    pieces.append(quad(integrand, 0.0, cut, epsabs=0.0, epsrel=rel_tol, limit=400)[0])
+    pieces.append(quad(integrand, 0.0, cut, epsabs=0.0, epsrel=_MOMENT_REL_TOL, limit=400)[0])
     if top > cut:
-        pieces.append(quad(integrand, cut, top, epsabs=0.0, epsrel=rel_tol, limit=400)[0])
+        pieces.append(quad(integrand, cut, top, epsabs=0.0, epsrel=_MOMENT_REL_TOL, limit=400)[0])
     return alpha ** (k + 2.0) * math.fsum(pieces)
-
-
-RATE_BRANCHES = ("k_plus_2", "k_plus_2_log", "n_minus_2")
 
 
 def predicted_branch(n: int, k: float) -> str:

@@ -4,13 +4,9 @@ Subcommands: constants, zeta, trace, functional, optimize, sweep, rates,
 suite.  Structured output is JSON on stdout (17-significant-digit floats via
 shortest repr), serialized in full before anything is written; sweeps write
 CSV.  Exit codes: 0 success, 1 check failure, 2 usage error (including a
-non-finite float flag, a grid size outside 16..2048 nodes and a
-dimension whose constants overflow a float), 3 numerical-consistency error or
-non-finite optimizer state.
-
-Config precedence: explicit flags > key=value file named by the environment
-variable CONFORMAL_ZETA_CONFIG > built-in defaults.  Recognized config keys:
-variant, grid_n, seed, tol.
+non-finite float flag, a grid size outside 16..2048 nodes, an odd dimension
+or one outside 4..104, and an input that overflows a float), 3
+numerical-consistency error or non-finite optimizer state.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,49 +22,14 @@ import numpy as np
 from . import acceptance, bubbles, fieldio, functionals, optimize, zeta
 from .background import round_sphere_background
 from .errors import ConsistencyError, SchemaError
-from .params import VARIANTS, dim_params
+from .params import MAX_DIMENSION, VARIANTS, dim_params
 from .spectra import SpectrumQuery
 from .zonal import DEFAULT_GRID_SIZE, make_grid
-
-CONFIG_ENV = "CONFORMAL_ZETA_CONFIG"
-_DEFAULTS = {"variant": "paper", "grid_n": DEFAULT_GRID_SIZE, "seed": 0, "tol": 1e-8}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _load_config() -> dict:
-    cfg = dict(_DEFAULTS)
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return cfg
-    try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise SchemaError("expected key=value", f"{path}:{ln}")
-                key, _, raw = line.partition("=")
-                key, raw = key.strip(), raw.strip()
-                if key == "variant":
-                    if raw not in VARIANTS:
-                        raise SchemaError(f"variant must be one of {VARIANTS}", f"{path}:{ln}")
-                    cfg[key] = raw
-                elif key in ("grid_n", "seed"):
-                    cfg[key] = int(raw)
-                elif key == "tol":
-                    cfg[key] = float(raw)
-                    if not math.isfinite(cfg[key]):
-                        raise SchemaError("tol must be a finite number", f"{path}:{ln}")
-                else:
-                    raise SchemaError(f"unknown config key {key!r}", f"{path}:{ln}")
-    except OSError as exc:
-        raise SchemaError(f"cannot read config file ({exc})", path) from exc
-    return cfg
 
 
 def _emit(doc, path=None, indent=None):
@@ -87,16 +47,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p, mass_field=False):
-        p.add_argument("--n", type=int, required=True, help="even sphere dimension >= 4")
-        p.add_argument("--variant", choices=VARIANTS, default=None)
-        p.add_argument("--grid-n", type=int, default=None, help="collocation size N")
+        p.add_argument("--n", type=int, required=True,
+                       help=f"even sphere dimension in 4..{MAX_DIMENSION}")
+        p.add_argument("--variant", choices=VARIANTS, default="paper")
+        p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_SIZE, help="collocation size N")
         if mass_field:
             p.add_argument("--mass-field", default=None,
                            help="field file with normalized-mass data on the round sphere")
 
     p = sub.add_parser("constants", help="print the dimensional constants")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=VARIANTS, default=None)
+    p.add_argument("--variant", choices=VARIANTS, default="paper")
 
     p = sub.add_parser("zeta", help="Laurent data of the spectral series at s=1")
     p.add_argument("--n", type=int, required=True)
@@ -112,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize the mass functional")
     add_common(p, mass_field=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=float, default=optimize.OptimizerConfig.tol_residual)
+    p.add_argument("--seed", type=int, default=optimize.OptimizerConfig.seed)
     p.add_argument("--out", default=None, help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("sweep", help="mass functional along the glued-bubble family")
@@ -132,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.add_argument("--checks", nargs="*", default=None,
                    help="restrict to these check names (trailing * for prefixes)")
-    p.add_argument("--grid-n", type=int, default=None)
+    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_SIZE)
     return top
 
 
@@ -147,18 +108,15 @@ def _parse_alphas(raw: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def _background(args, cfg):
-    n = args.n
-    variant = args.variant or cfg["variant"]
-    grid = make_grid(n, getattr(args, "grid_n", None) or cfg["grid_n"])
+def _background(args):
+    grid = make_grid(args.n, args.grid_n)
     mnor = None
-    if getattr(args, "mass_field", None):
+    if getattr(args, "mass_field", None):  # trace takes no mass field
         mnor = fieldio.read_field(args.mass_field, grid)
-    return round_sphere_background(n, grid, variant=variant, mnor=mnor)
+    return round_sphere_background(args.n, grid, variant=args.variant, mnor=mnor)
 
 
 def run(argv=None) -> int:
-    cfg = _load_config()
     parser = _build_parser()
     args = parser.parse_args(argv)
     for flag in ("k", "cap", "epsilon", "tol"):
@@ -167,7 +125,7 @@ def run(argv=None) -> int:
             raise SchemaError("expected a finite number", f"--{flag}")
 
     if args.command == "constants":
-        params = dim_params(args.n, args.variant or cfg["variant"])
+        params = dim_params(args.n, args.variant)
         _emit({
             "n": params.n, "m": params.m, "p": params.p, "a_n": params.a_n,
             "c_n": params.c_n, "b_n": params.b_n, "omega_n": params.omega_n,
@@ -181,13 +139,13 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "trace":
-        bg = _background(args, cfg)
+        bg = _background(args)
         u = fieldio.read_field(args.profile, bg.grid)
         _emit({"trace": functionals.conformal_trace(u, bg)})
         return EXIT_OK
 
     if args.command == "functional":
-        bg = _background(args, cfg)
+        bg = _background(args)
         u = fieldio.read_field(args.profile, bg.grid)
         rep = functionals.functional_report(u, bg)
         _emit({
@@ -198,17 +156,14 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "optimize":
-        bg = _background(args, cfg)
-        opt_cfg = optimize.OptimizerConfig(
-            tol_residual=args.tol if args.tol is not None else cfg["tol"],
-            seed=args.seed if args.seed is not None else cfg["seed"],
-        )
+        bg = _background(args)
+        opt_cfg = optimize.OptimizerConfig(tol_residual=args.tol, seed=args.seed)
         res = optimize.maximize_mass_functional(bg, opt_cfg)
         _emit(fieldio.result_document(res), args.out)
         return EXIT_OK if res.converged else EXIT_CHECK_FAILURE
 
     if args.command == "sweep":
-        bg = _background(args, cfg)
+        bg = _background(args)
         rows = bubbles.concentration_sweep(_parse_alphas(args.alphas), args.epsilon, bg)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -229,8 +184,7 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "suite":
-        report = acceptance.run_suite(names=args.checks,
-                                      grid_size=args.grid_n or cfg["grid_n"])
+        report = acceptance.run_suite(names=args.checks, grid_size=args.grid_n)
         doc = report.to_json_dict()
         if args.out:
             _emit(doc, args.out, indent=2)

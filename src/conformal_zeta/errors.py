@@ -10,7 +10,7 @@ class GridMismatchError(ConformalZetaError):
 
 
 class SchemaError(ConformalZetaError):
-    """A field file or config file violates its schema."""
+    """A field file or a command-line value violates its schema."""
 
     def __init__(self, message, path="$"):
         super().__init__(f"{path}: {message}")

@@ -25,6 +25,8 @@ from .errors import GridMismatchError
 from .params import infinitesimal_transport_coefficient
 from .zonal import ZonalField, gradient_pairing, laplacian
 
+_TRANSPORT_STEPS = 64  # Runge-Kutta steps of the mass-transport march
+
 
 def _require_same_grid(*fields: ZonalField):
     first = fields[0].grid
@@ -99,7 +101,7 @@ def transform_background(bg: ConformalBackground, phi: ZonalField) -> ConformalB
     )
 
 
-def mass_transport_ode(bg: ConformalBackground, phi: ZonalField, steps: int = 64) -> ZonalField:
+def mass_transport_ode(bg: ConformalBackground, phi: ZonalField) -> ZonalField:
     """Integrate the infinitesimal mass-variation law along g_t = e^{2 t phi} g.
 
     d/dt m_t = -2 phi m_t + (n-2) Q_t phi  with  Q_t = -gamma D_{g_t}, where
@@ -123,9 +125,9 @@ def mass_transport_ode(bg: ConformalBackground, phi: ZonalField, steps: int = 64
         return -2.0 * pvals * m + (n - 2) * q_phi
 
     m = bg.mass_field().values.copy()
-    h = 1.0 / steps
+    h = 1.0 / _TRANSPORT_STEPS
     t = 0.0
-    for _ in range(steps):
+    for _ in range(_TRANSPORT_STEPS):
         k1 = rate(t, m)
         k2 = rate(t + h / 2, m + h / 2 * k1)
         k3 = rate(t + h / 2, m + h / 2 * k2)

@@ -19,6 +19,16 @@ from dataclasses import dataclass
 
 VARIANTS = ("paper", "calibrated")
 
+# Largest supported dimension.  From n = 106 on, the zeta engine's eigenvalue
+# products (l+1)...(l+n-2) at the head cutoff no longer convert to a float.
+MAX_DIMENSION = 104
+
+
+def check_dimension(n: int) -> None:
+    """Raise ValueError unless n is even and 4 <= n <= MAX_DIMENSION."""
+    if n % 2 != 0 or not 4 <= n <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be even and in 4..{MAX_DIMENSION}, got n={n}")
+
 
 def sphere_volume(n: int) -> float:
     """Volume of the unit round n-sphere, 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
@@ -35,8 +45,7 @@ def infinitesimal_transport_coefficient(n: int) -> float:
     c_n = 2 gamma, i.e. with the calibrated constants.  gamma itself is the
     printed closed form.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"dimension must be even and >= 4, got n={n}")
+    check_dimension(n)
     return (n - 2) / (6.0 * (4.0 * math.pi) ** (n / 2) * math.factorial(n // 2))
 
 
@@ -67,9 +76,8 @@ class DimensionParams:
 
 
 def dim_params(n: int, variant: str = "paper") -> DimensionParams:
-    """Build the constants record for even ``n >= 4``."""
-    if n % 2 != 0 or n < 4:
-        raise ValueError(f"dimension must be even and >= 4, got n={n}")
+    """Build the constants record for an even ``n`` in 4..MAX_DIMENSION."""
+    check_dimension(n)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a_n = (n - 2) / (4.0 * (n - 1))

@@ -18,23 +18,20 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from .params import check_dimension
+
 SPACES = ("sphere", "projective")
-OPERATORS = ("laplacian", "subcritical_gjms")
 
 
 @dataclass(frozen=True)
 class SpectrumQuery:
     space: str
     n: int
-    operator: str = "subcritical_gjms"
 
     def __post_init__(self):
         if self.space not in SPACES:
             raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
-        if self.operator not in OPERATORS:
-            raise ValueError(f"operator must be one of {OPERATORS}, got {self.operator!r}")
-        if self.n % 2 != 0 or self.n < 4:
-            raise ValueError(f"dimension must be even and >= 4, got n={self.n}")
+        check_dimension(self.n)
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,6 @@ def harmonic_multiplicity(n: int, l: int) -> int:
     return num // (math.factorial(n - 1) * math.factorial(l))
 
 
-def laplacian_eigenvalue(n: int, l: int) -> int:
-    return l * (l + n - 1)
-
-
 def subcritical_eigenvalue(n: int, l: int) -> int:
     """(l+1)(l+2)...(l+n-2), strictly positive from l = 0 on."""
     val = 1
@@ -66,13 +59,9 @@ def subcritical_eigenvalue(n: int, l: int) -> int:
 
 def spectrum_stream(query: SpectrumQuery) -> Iterator[SpectrumTerm]:
     """Lazy (eigenvalue, multiplicity) stream; consumers truncate explicitly."""
-    eig = laplacian_eigenvalue if query.operator == "laplacian" else subcritical_eigenvalue
     step = 2 if query.space == "projective" else 1
     l = 0
     while True:
-        ev = eig(query.n, l)
-        if ev != 0:  # the Laplacian stream drops its zero mode
-            yield SpectrumTerm(degree=l, eigenvalue=float(ev), multiplicity=harmonic_multiplicity(query.n, l))
-        elif query.operator == "subcritical_gjms":
-            raise AssertionError("subcritical stream produced a zero eigenvalue")
+        yield SpectrumTerm(degree=l, eigenvalue=float(subcritical_eigenvalue(query.n, l)),
+                           multiplicity=harmonic_multiplicity(query.n, l))
         l += step

@@ -15,8 +15,8 @@ inverse operator.
 
 Two evaluation routes are exposed and cross-checked by the test suite:
 
-* ``spectral_zeta(query, s)``: exact head (l <= head_size) plus the expanded
-  tail, valid away from s=1 and the Weyl poles;
+* ``spectral_zeta(query, s)``: exact head (l <= 1000) plus the expanded tail,
+  valid away from s=1 and the Weyl poles;
 * ``spectral_zeta_at_one(query)``: at s=1 the eigenvalue factor drops out of
   every term (lam^0 = 1), so the head/tail split telescopes through the
   Hurwitz recurrence into a two-term closed form; the reported residue is
@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 from scipy.special import digamma
 
-from .params import DimensionParams, sphere_volume
+from .params import DimensionParams, check_dimension, sphere_volume
 from .spectra import SpectrumQuery, subcritical_eigenvalue
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def hurwitz_laurent_at_1(a: float) -> LaurentValue:
 # Spectral zeta of the order-(n-2) operator
 # ---------------------------------------------------------------------------
 
-DEFAULT_HEAD_SIZE = 1000
+HEAD_SIZE = 1000
 MAX_TAIL_ORDER = 20
 TAIL_TOLERANCE = 1e-13
 _RESIDUE_DELTA = 1e-4
@@ -195,59 +195,36 @@ def _step_sum_value(w: float, x0: float, step: int) -> float:
     return step ** (-w) * hurwitz_zeta(w, x0 / step)
 
 
-def _require_subcritical(query: SpectrumQuery):
-    if query.operator != "subcritical_gjms":
-        raise ValueError(
-            "only the order-(n-2) operator has a zeta regular at s=1 here; "
-            "the Laplacian series carries a genuine pole"
-        )
+def _stream_geometry(query: SpectrumQuery):
+    """(first x, step) of the x-lattice: projective space keeps even degrees."""
+    return (query.n - 1) / 2.0, 2 if query.space == "projective" else 1
 
 
-def _stream_geometry(query: SpectrumQuery, parity: str | None = None):
-    """(first x, step) of the x-lattice for the requested stream."""
-    n = query.n
-    x_first = (n - 1) / 2.0
-    if query.space == "projective":
-        step = 2
-    elif parity is not None:
-        if parity not in PARITIES:
-            raise ValueError(f"parity must be one of {PARITIES}")
-        step = 2
-        if parity == "odd":
-            x_first += 1.0
-    else:
-        step = 1
-    return x_first, step
-
-
-def spectral_zeta(query: SpectrumQuery, s: float, head_size: int = DEFAULT_HEAD_SIZE,
-                  parity: str | None = None) -> float:
+def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     """Evaluate the continued spectral series at real s away from its poles.
 
-    Head: exact termwise summation up to degree ``head_size``.  Tail: the
+    Head: exact termwise summation up to degree ``HEAD_SIZE``.  Tail: the
     x^{-2k} expansion, each term a (possibly step-2) Hurwitz zeta, truncated
     once a rigorous bound on the remainder drops below 1e-13 (error if that
     cannot be met within order 20).
     """
-    _require_subcritical(query)
     n = query.n
     if abs(s - 1.0) < POLE_GUARD:
         raise ValueError("use spectral_zeta_at_one for the expansion point s=1")
     sigma = s - 1.0
-    x_first, step = _stream_geometry(query, parity)
+    _, step = _stream_geometry(query)
     prefactor = 2.0 / math.factorial(n - 1)
 
     # exact head over degrees l with x = l + (n-1)/2 on the stream lattice
-    l_first = int(round(x_first - (n - 1) / 2.0))
     head_terms = []
-    for l in range(l_first, head_size + 1, step):
+    for l in range(0, HEAD_SIZE + 1, step):
         x = l + (n - 1) / 2.0
         lam = float(subcritical_eigenvalue(n, l))
         head_terms.append(x * lam ** (-sigma))
     head = prefactor * math.fsum(head_terms)
 
     # tail over x >= x_tail
-    l_tail = l_first + step * ((head_size - l_first) // step + 1)
+    l_tail = step * (HEAD_SIZE // step + 1)
     x_tail = l_tail + (n - 1) / 2.0
     polys = _tail_coefficient_polys(n, MAX_TAIL_ORDER)
     tail = 0.0
@@ -301,20 +278,19 @@ def _finite_part_closed_form(n: int, x_first: float, step: int) -> float:
     return prefactor * (k0 + finite)
 
 
-def spectral_zeta_at_one(query: SpectrumQuery, parity: str | None = None) -> LaurentValue:
+def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:
     """Laurent data at s=1: numerically extracted residue, closed-form finite part.
 
     The residue comes from Richardson-extrapolated symmetric differences of
     the full head+tail evaluator at s = 1 +/- delta, so the regularity of the
     series is observed rather than imposed.
     """
-    _require_subcritical(query)
-    x_first, step = _stream_geometry(query, parity)
+    x_first, step = _stream_geometry(query)
     fp = _finite_part_closed_form(query.n, x_first, step)
 
     def residue_estimate(delta: float) -> float:
-        plus = spectral_zeta(query, 1.0 + delta, parity=parity)
-        minus = spectral_zeta(query, 1.0 - delta, parity=parity)
+        plus = spectral_zeta(query, 1.0 + delta)
+        minus = spectral_zeta(query, 1.0 - delta)
         return delta * (plus - minus) / 2.0
 
     r1 = residue_estimate(_RESIDUE_DELTA)
@@ -329,9 +305,11 @@ def parity_finite_part(n: int, parity: str) -> float:
     Exposed so the step-2 machinery can be checked to recombine into the full
     series: even + odd must reproduce the sphere finite part.
     """
-    query = SpectrumQuery(space="sphere", n=n)
-    x_first, step = _stream_geometry(query, parity)
-    return _finite_part_closed_form(n, x_first, step)
+    check_dimension(n)
+    if parity not in PARITIES:
+        raise ValueError(f"parity must be one of {PARITIES}")
+    x_first = (n - 1) / 2.0 + (1.0 if parity == "odd" else 0.0)
+    return _finite_part_closed_form(n, x_first, 2)
 
 
 @dataclass(frozen=True)
@@ -346,7 +324,6 @@ def homogeneous_mass(query: SpectrumQuery, params: DimensionParams) -> Homogeneo
     Volume is omega_n for the sphere and omega_n / 2 for projective space;
     the normalized mass adds b_n * scal = b_n n(n-1).
     """
-    _require_subcritical(query)
     if params.n != query.n:
         raise ValueError(f"params n={params.n} does not match query n={query.n}")
     fp = spectral_zeta_at_one(query).finite_part

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import GridMismatchError
-from .params import sphere_volume
+from .params import check_dimension, sphere_volume
 
 _LD = np.longdouble
 _EPS_LD = float(np.finfo(np.longdouble).eps)
@@ -56,15 +56,14 @@ class ZonalGrid:
 
     Attributes
     ----------
-    n        : sphere dimension (even, >= 4)
+    n        : sphere dimension (even, 4..MAX_DIMENSION)
     size     : number of nodes N
     nodes    : x_i = cos(theta_i), strictly increasing in (-1, 1)
     weights  : positive quadrature weights, sum = omega_n
     """
 
     def __init__(self, n: int, size: int = DEFAULT_GRID_SIZE):
-        if n % 2 != 0 or n < 4:
-            raise ValueError(f"dimension must be even and >= 4, got n={n}")
+        check_dimension(n)
         if size < MIN_GRID_SIZE:
             raise ValueError(f"grid needs at least {MIN_GRID_SIZE} nodes, got {size}")
         if size > MAX_GRID_SIZE:
@@ -278,18 +277,16 @@ def random_zonal(grid: ZonalGrid, seed: int, l_max: int, amplitude: float, floor
     return ZonalField(grid, shifted)
 
 
-def random_band_limited(
-    grid: ZonalGrid, seed: int, l_max: int, amplitude: float, decay: float = 5.0
-) -> ZonalField:
+def random_band_limited(grid: ZonalGrid, seed: int, l_max: int, amplitude: float) -> ZonalField:
     """Seeded smooth random field, sup-normalized to ``amplitude``.
 
-    Gaussian coefficient decay exp(-(l/decay)^2) keeps products and
+    Gaussian coefficient decay exp(-(l/5)^2) keeps products and
     exponentials of these fields resolvable on the grid; used by the
     conformal-identity checks.
     """
     rng = np.random.default_rng(seed)
     ells = np.arange(l_max + 1)
-    coeffs = rng.standard_normal(l_max + 1) * np.exp(-((ells / decay) ** 2))
+    coeffs = rng.standard_normal(l_max + 1) * np.exp(-((ells / 5.0) ** 2))
     rough = synthesize(grid, coeffs)
     top = np.abs(rough.values).max()
     if top == 0.0:

@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from conformal_zeta.cli import main
 from conformal_zeta.fieldio import write_field
+from conformal_zeta.params import MAX_DIMENSION
 from conformal_zeta.zonal import MAX_GRID_SIZE, constant_field, make_grid
 
 
@@ -173,32 +178,14 @@ def test_internal_consistency_failure_exit_code(capsys, ones_file, monkeypatch):
     assert code == 3
 
 
-def test_config_file_precedence(capsys, tmp_path, monkeypatch):
+def test_stray_config_environment_is_ignored(capsys, tmp_path, monkeypatch):
+    # the CLI reads no configuration file: its settings come from the flags alone
     cfg = tmp_path / "cfg"
-    cfg.write_text("variant=calibrated\n")
+    cfg.write_text("variant=weird\ntol=nan\n")
     monkeypatch.setenv("CONFORMAL_ZETA_CONFIG", str(cfg))
-    _, out = run_cli(capsys, "constants", "--n", "4")
-    assert json.loads(out)["variant"] == "calibrated"
-    # explicit flag wins over the config file
-    _, out = run_cli(capsys, "constants", "--n", "4", "--variant", "paper")
-    assert json.loads(out)["variant"] == "paper"
-
-
-def test_bad_config_file(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("variant=weird\n")
-    monkeypatch.setenv("CONFORMAL_ZETA_CONFIG", str(cfg))
-    code, _ = run_cli(capsys, "constants", "--n", "4")
-    assert code == 2
-
-
-def test_non_finite_config_tol_is_usage_error(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("tol=nan\n")
-    monkeypatch.setenv("CONFORMAL_ZETA_CONFIG", str(cfg))
-    code, out = run_cli(capsys, "constants", "--n", "4")
-    assert code == 2
-    assert out == ""
+    code, out = run_cli(capsys, "zeta", "--n", "4", "--space", "sphere")
+    assert code == 0
+    assert json.loads(out)["finite_part"] == pytest.approx(-1 / 9, abs=1e-12)
 
 
 def test_suite_subset_deterministic(capsys):
@@ -246,6 +233,13 @@ def test_suite_unmatched_check_name_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "'nope'" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "3", "-2"])
+def test_rates_rejects_unsupported_dimension(capsys, n):
+    code, out = run_cli(capsys, "rates", "--n", n, "--k", "2")
+    assert code == 2
+    assert out == ""
 
 
 def test_non_finite_output_leaves_stdout_empty(capsys):
@@ -304,3 +298,114 @@ def test_grid_size_above_bound_is_usage_error(capsys, refuse_grid_build):
     code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", str(MAX_GRID_SIZE + 1))
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--n", "4", "--grid-n", "0"],
+    ["suite", "--checks", "trace_const_n4", "--grid-n", "0"],
+], ids=["trace", "suite"])
+def test_grid_size_zero_is_usage_error(capsys, ones_file, refuse_grid_build, argv):
+    if argv[0] == "trace":
+        argv = argv + ["--profile", ones_file]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "got 0" in captured.err
+
+
+def test_dimension_above_bound_is_usage_error(capsys, tmp_path, refuse_grid_build):
+    profile = tmp_path / "f.json"
+    profile.write_text(json.dumps(
+        {"n": 4, "grid": {"kind": "gauss-jacobi", "N": 16}, "values": [1.0] * 16}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["trace", "--n", "20000", "--grid-n", "16", "--profile", str(profile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n=20000" in captured.err and str(MAX_DIMENSION) in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+# --- bounded fuzz of the argument grammar ------------------------------------
+
+# repeated entries weight the draws toward n=4, N=32 runs that match the field files
+FUZZ_DIMENSIONS = [4, 4, 4, -2, 0, 3, MAX_DIMENSION, MAX_DIMENSION + 2, 10**6]
+FUZZ_GRID_SIZES = [32, 32, None, -1, 0, 15, 16, MAX_GRID_SIZE + 1]
+FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, small_grid):
+    """n=4, N=32 profile and mass-field files, plus a directory for outputs."""
+    from conformal_zeta.zonal import ZonalField
+
+    root = tmp_path_factory.mktemp("fuzz")
+    write_field(root / "profile.json", constant_field(small_grid, 1.0))
+    write_field(root / "mnor.json",
+                ZonalField(small_grid, 0.02 * np.exp(-small_grid.theta**2 / 0.1)))
+    return root
+
+
+@st.composite
+def cli_arguments(draw, root):
+    command = draw(st.sampled_from(
+        ["constants", "zeta", "trace", "functional", "optimize", "sweep", "rates", "suite"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "=" keeps "-inf" a value, not a flag
+
+    if command == "suite":
+        argv += ["--checks", "trace_const_n4"]
+        maybe("--grid-n", FUZZ_GRID_SIZES)
+        maybe("--out", [root / "report.json"])
+        return argv
+    argv.append(f"--n={draw(st.sampled_from(FUZZ_DIMENSIONS))}")
+    if command == "zeta":
+        argv.append(f"--space={draw(st.sampled_from(['sphere', 'projective']))}")
+        return argv
+    if command == "rates":
+        argv.append(f"--k={draw(st.sampled_from([*FUZZ_FLOATS, '2']))}")
+        maybe("--cap", [*FUZZ_FLOATS, "2.5"])
+        return argv
+    maybe("--variant", ["paper", "calibrated"])
+    if command != "constants":
+        grid_n = draw(st.sampled_from(FUZZ_GRID_SIZES))
+        if grid_n is not None:
+            argv.append(f"--grid-n={grid_n}")
+        if command in ("trace", "functional"):
+            argv += ["--profile", str(root / "profile.json")]
+        if command != "trace":
+            maybe("--mass-field", [root / "mnor.json"])
+        if command == "optimize":
+            maybe("--tol", [*FUZZ_FLOATS, "1e-8"])
+            maybe("--seed", [0, 3])
+            maybe("--out", [root / "optimize.json"])
+        if command == "sweep":
+            argv += ["--alphas", draw(st.sampled_from(["0.05:0.3:3", "0.3:0.05:3", "nope"])),
+                     "--out", str(root / "sweep.csv")]
+            maybe("--epsilon", [*FUZZ_FLOATS, "0.3"])
+    return argv
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_fuzz_exit_codes_and_stdout(fuzz_files, data):
+    argv = data.draw(cli_arguments(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    text = out.getvalue()
+    if text:
+        assert text.endswith("\n"), argv
+        json.loads(text)  # exactly one complete document

@@ -2,8 +2,12 @@ import math
 
 import pytest
 
-from conformal_zeta.params import (dim_params, infinitesimal_transport_coefficient,
-                                   sphere_volume)
+from conformal_zeta.bubbles import ProfileParams, bubble_moment
+from conformal_zeta.params import (MAX_DIMENSION, dim_params,
+                                   infinitesimal_transport_coefficient, sphere_volume)
+from conformal_zeta.spectra import SpectrumQuery
+from conformal_zeta.zeta import parity_finite_part, spectral_zeta_at_one
+from conformal_zeta.zonal import make_grid
 
 
 def test_n4_paper_closed_forms():
@@ -43,6 +47,31 @@ def test_coupling_product_identity(n, variant):
 def test_rejects_bad_dimensions(bad):
     with pytest.raises(ValueError):
         dim_params(bad)
+
+
+@pytest.mark.parametrize("build", [
+    dim_params,
+    infinitesimal_transport_coefficient,
+    lambda n: SpectrumQuery(space="sphere", n=n),
+    lambda n: make_grid(n, 16),
+    lambda n: ProfileParams(alpha=0.1, epsilon=0.3, n=n),
+    lambda n: parity_finite_part(n, "even"),
+    lambda n: bubble_moment(0.1, 2.5, 0, n),
+], ids=["dim_params", "transport_coefficient", "spectrum_query", "zonal_grid",
+        "profile_params", "parity_finite_part", "bubble_moment"])
+def test_dimension_rule_is_shared(build, refuse_grid_build):
+    for bad in (3, 2, MAX_DIMENSION + 2, 20000):
+        with pytest.raises(ValueError, match=f"4..{MAX_DIMENSION}, got n={bad}"):
+            build(bad)
+
+
+@pytest.mark.parametrize("space", ["sphere", "projective"])
+def test_largest_dimension_is_supported(space):
+    # the bound sits where the zeta head's eigenvalue products still fit a float
+    p = dim_params(MAX_DIMENSION)
+    assert all(math.isfinite(v) and v > 0 for v in (p.c_n, p.b_n, p.omega_n))
+    lv = spectral_zeta_at_one(SpectrumQuery(space=space, n=MAX_DIMENSION))
+    assert math.isfinite(lv.finite_part) and math.isfinite(lv.residue)
 
 
 def test_rejects_unknown_variant():

@@ -88,11 +88,3 @@ def test_rejects_bad_queries():
         SpectrumQuery(space="torus", n=4)
     with pytest.raises(ValueError):
         SpectrumQuery(space="sphere", n=5)
-    with pytest.raises(ValueError):
-        SpectrumQuery(space="sphere", n=4, operator="biharmonic")
-
-
-def test_laplacian_stream_drops_zero_mode():
-    terms = take(SpectrumQuery(space="sphere", n=4, operator="laplacian"), 2)
-    assert [t.degree for t in terms] == [1, 2]
-    assert terms[0].eigenvalue == 4.0

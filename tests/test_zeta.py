@@ -147,9 +147,9 @@ def test_finite_part_agrees_with_symmetric_evaluation():
             assert lv.finite_part == pytest.approx(richardson, abs=1e-9)
 
 
-def test_laplacian_query_rejected():
+def test_parity_finite_part_rejects_bad_parity():
     with pytest.raises(ValueError):
-        spectral_zeta_at_one(SpectrumQuery(space="sphere", n=4, operator="laplacian"))
+        parity_finite_part(4, "both")
 
 
 def test_weyl_pole_rejected():
