@@ -18,6 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .background import ConformalBackground
+from .errors import ZeroFieldError
 from .functionals import mass_functional
 from .params import check_dimension, sphere_volume
 from .zonal import ZonalField, integrate
@@ -220,6 +221,10 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
     rows = []
     for alpha in np.asarray(alphas, dtype=float):
         psi = capped_bubble(ProfileParams(alpha=float(alpha), epsilon=epsilon, n=n), bg.grid)
+        if not np.any(psi.values):
+            raise ZeroFieldError(
+                f"the capped bubble for n={n}, alpha={alpha:g} is zero at every node of the "
+                f"{bg.grid.size}-node grid: no node lies inside its cap, or the profile underflows")
         m_psi = mass_functional(psi, bg)
         rows.append(SweepRow(
             alpha=float(alpha),

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import acceptance, bubbles, fieldio, functionals, optimize, zeta
 from .background import round_sphere_background
-from .errors import ConsistencyError, SchemaError
+from .errors import ConsistencyError, SchemaError, ZeroFieldError
 from .params import MAX_DIMENSION, VARIANTS, dim_params
 from .spectra import SpectrumQuery
 from .zonal import DEFAULT_GRID_SIZE, make_grid
@@ -32,14 +34,28 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+def _write_file(path, text):
+    """Write ``text`` to ``path`` via a temporary file in the same directory and a
+    rename, so a failed write never leaves ``path`` half-written or changed."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(doc, path=None, indent=None):
     """Write ``doc`` as JSON to ``path`` or stdout, serializing it in full first."""
     text = json.dumps(doc, allow_nan=False, indent=indent) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_file(path, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,17 +180,28 @@ def run(argv=None) -> int:
 
     if args.command == "sweep":
         bg = _background(args)
-        rows = bubbles.concentration_sweep(_parse_alphas(args.alphas), args.epsilon, bg)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "M_psi", "sphere_value", "margin", "mu"])
-            for r in rows:
-                writer.writerow([repr(v) for v in (r.alpha, r.m_psi, r.sphere_value, r.margin, r.mu)])
+        try:
+            rows = bubbles.concentration_sweep(_parse_alphas(args.alphas), args.epsilon, bg)
+        except ZeroFieldError as exc:
+            raise SchemaError(f"{exc}; use a larger grid", "--grid-n") from exc
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["alpha", "M_psi", "sphere_value", "margin", "mu"])
+        for r in rows:
+            writer.writerow([repr(v) for v in (r.alpha, r.m_psi, r.sphere_value, r.margin, r.mu)])
+        _write_file(args.out, text.getvalue())
         return EXIT_OK
 
     if args.command == "rates":
         alphas = np.logspace(-3, -1, 25)
-        vals = [bubbles.bubble_moment(a, args.cap, args.k, args.n) for a in alphas]
+        try:
+            vals = [bubbles.bubble_moment(a, args.cap, args.k, args.n) for a in alphas]
+        except OverflowError as exc:
+            top = args.cap / alphas[0]
+            raise SchemaError(
+                f"the moment integrand t^(n+k-1) overflows at t = cap/alpha = {top:g} for "
+                f"n={args.n}, k={args.k:g}: (n + k - 1) ln({top:g}) must stay below "
+                f"{math.log(sys.float_info.max):.1f}", "--n/--k") from exc
         fit = bubbles.fit_decay_rate(alphas, vals, args.n, args.k)
         _emit({
             "n": args.n, "k": fit.k, "exponent_fit": fit.exponent_fit,

@@ -9,6 +9,10 @@ class GridMismatchError(ConformalZetaError):
     """Two fields (or a field and a background) live on incompatible grids."""
 
 
+class ZeroFieldError(ConformalZetaError, ValueError):
+    """A field that must be nonzero somewhere vanishes at every grid node."""
+
+
 class SchemaError(ConformalZetaError):
     """A field file or a command-line value violates its schema."""
 

@@ -174,8 +174,6 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
         iterations += 1
         if not improved:
             break  # M at working-precision plateau; hand over to polish
-    if any(b < a for a, b in zip(accepted, accepted[1:])):
-        raise AssertionError("accepted functional values must be nondecreasing")
 
     # Picard polish: drive the residual itself once M is flat.
     if residual >= tol:

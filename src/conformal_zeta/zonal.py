@@ -7,16 +7,33 @@ with alpha = beta = (n-2)/2 integrate it exactly, and the Gegenbauer family
 C_l^{(n-1)/2} diagonalizes the Laplace-Beltrami operator with eigenvalues
 l(l+n-1).
 
-Internals run in extended precision (longdouble): the basis tables are built
-from Newton-refined nodes and the analysis/synthesis matvecs are accumulated
-in longdouble.  Without this, applying the l(l+n-1) multiplier amplifies
-float64 node noise to ~1e-6 near the poles, which would drown the 1e-8-level
-conformal-identity checks this package exists to run.  Field values exposed to
-callers are plain float64.
+The transforms need more than float64 accuracy: applying the l(l+n-1)
+multiplier amplifies float64 roundoff in the analysis product to ~1e-7, which
+would drown the 1e-8-level conformal-identity checks this package exists to
+run.  So the basis tables are built in extended precision (longdouble) from
+Newton-refined nodes, and each transform gets that accuracy from one float64
+BLAS product by error-free splitting (Ozaki, Ogita, Oishi and Rump, Numer.
+Algorithms 59, 2012):
+
+* at build time each table T is scaled by powers of two, per column, and each
+  row of the scaled table is split as T = T_0 + T_1: T_0 holds integers of at
+  most _TABLE_BITS bits on a grid set by the row's largest entry, T_1 the
+  float64 remainder, below 2^-_TABLE_BITS of that entry;
+* each input vector v, scaled to max |v| < 1, is split as v = d + w the same
+  way: d holds integers of at most _VECTOR_BITS bits on the grid
+  2^-_VECTOR_BITS, w the remainder;
+* one GEMM of [T_0 | T_1] with [[d, w], [0, v]] gives T_0 d, which is exact in
+  float64 because _TABLE_BITS + _VECTOR_BITS + log2(N) <= 52, and
+  T_0 w + T_1 v, which is at most 2^-20 of |T| |v|, so its float64 roundoff
+  stays below the longdouble roundoff of the whole product;
+* the two columns are added in longdouble, in O(N).
+
+Field values exposed to callers are plain float64.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +52,83 @@ _FILTER_K = 1024.0
 
 DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
-# The grid holds several (N+1) x N longdouble tables: N=1024 peaks near 0.2 GB
-# and N=2048 near 0.6 GB of resident memory, so larger sizes are refused.
+# The grid holds three N x N tables, each as two float64 halves: 48 N^2
+# bytes, 50 MB at N=1024 and 200 MB at N=2048; building them peaks near
+# 64 N^2 bytes.  Larger sizes are refused, and the bit budget below is sized
+# for this bound.
 MAX_GRID_SIZE = 2048
+
+# Widths of the error-free leading parts: N <= MAX_GRID_SIZE products of a
+# _TABLE_BITS-bit and a _VECTOR_BITS-bit integer sum exactly in float64, since
+# _TABLE_BITS + _VECTOR_BITS + ceil(log2(MAX_GRID_SIZE)) <= 52.
+_TABLE_BITS = 21
+_VECTOR_BITS = 20
+# rows of a longdouble table split per block, so temporaries stay small
+_SPLIT_BLOCK = 64
+
+
+def _gegenbauer_rows(x: np.ndarray, lam, rows: int):
+    """Yield C_l^lam(x) for l = 0..rows-1 via the three-term recurrence (longdouble).
+
+    The recurrence runs in three buffers, so a yielded row is overwritten two
+    steps later; copy it to keep it.
+    """
+    prev = np.ones(x.shape[0], dtype=_LD)
+    yield prev
+    if rows < 2:
+        return
+    cur = 2 * lam * x
+    yield cur
+    two_x, nxt = 2 * x, np.empty_like(cur)
+    for l in range(2, rows):
+        np.multiply(two_x, l + lam - 1, out=nxt)
+        nxt *= cur
+        nxt -= (l + 2 * lam - 2) * prev
+        nxt /= _LD(l)
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
 
 
 def _gegenbauer_table(x: np.ndarray, lam, rows: int) -> np.ndarray:
-    """C_l^lam(x) for l = 0..rows-1 via the three-term recurrence (longdouble)."""
-    out = np.zeros((rows, x.shape[0]), dtype=_LD)
-    out[0] = 1.0
-    if rows > 1:
-        out[1] = 2 * lam * x
-    for l in range(2, rows):
-        out[l] = (2 * x * (l + lam - 1) * out[l - 1] - (l + 2 * lam - 2) * out[l - 2]) / _LD(l)
+    """C_l^lam(x) for l = 0..rows-1 as a (rows, len(x)) longdouble table."""
+    out = np.empty((rows, x.shape[0]), dtype=_LD)
+    for l, row in enumerate(_gegenbauer_rows(x, lam, rows)):
+        out[l] = row
     return out
+
+
+def _gegenbauer_top(x: np.ndarray, lam, rows: int) -> np.ndarray:
+    """C_{rows-1}^lam(x), the top row of the recurrence, without the table."""
+    return deque(_gegenbauer_rows(x, lam, rows), maxlen=1)[0]
+
+
+def _split_table(size: int, rows_of) -> tuple[np.ndarray, np.ndarray]:
+    """Split a size x size longdouble table, whose rows a:b are ``rows_of(a, b)``.
+
+    Returns ``(halves, col_scale)``: ``halves`` is [T_0 | T_1], and
+    table ~= (T_0 + T_1) * col_scale.  ``col_scale`` holds the powers of two
+    that bring each column's largest entry to [1/2, 1).  Row r of T_0 is the
+    scaled row rounded to the grid 2^(E_r - _TABLE_BITS), max |row| <= 2^E_r;
+    T_1 is the rest, good to 2^(E_r - 74).  The rows go through their exact
+    float64 pairs hi + lo, so that the split runs in float64, in place.
+    """
+    halves = np.empty((size, 2 * size))
+    hi, lo = halves[:, :size], halves[:, size:]
+    blocks = [slice(a, min(a + _SPLIT_BLOCK, size)) for a in range(0, size, _SPLIT_BLOCK)]
+    for blk in blocks:
+        rows = rows_of(blk.start, blk.stop)
+        hi[blk] = rows
+        lo[blk] = rows - hi[blk]
+    _, col_exp = np.frexp(np.maximum(hi.max(axis=0), -hi.min(axis=0)))
+    col_scale = np.ldexp(1.0, col_exp)
+    for blk in blocks:
+        h, l = hi[blk] / col_scale, lo[blk] / col_scale
+        _, exp = np.frexp(np.maximum(h.max(axis=1), -h.min(axis=1)))
+        unit = np.ldexp(1.0, exp - _TABLE_BITS)[:, None]
+        hi[blk] = np.rint(h / unit) * unit
+        # h - hi is exact (both lie on h's grid); l lies below h's last bit
+        lo[blk] = (h - hi[blk]) + l
+    return halves, col_scale
 
 
 class ZonalGrid:
@@ -76,8 +156,8 @@ class ZonalGrid:
         # scipy's nodes are float64-accurate; polish them to longdouble accuracy
         # as zeros of C_N^lam.  (d/dx) C_N^lam = 2 lam C_{N-1}^{lam+1}.
         for _ in range(4):
-            val = _gegenbauer_table(x, lam, size + 1)[size]
-            der = 2 * lam * _gegenbauer_table(x, lam + 1, size)[size - 1]
+            val = _gegenbauer_top(x, lam, size + 1)
+            der = 2 * lam * _gegenbauer_top(x, lam + 1, size)
             x = x - val / der
 
         # Quadrature weights via the Christoffel function of the orthonormal
@@ -89,19 +169,28 @@ class ZonalGrid:
         for j in range(1, n - 1):
             q *= ells + j
         q /= ells + lam
-        table = _gegenbauer_table(x, lam, size)
-        pre = table / np.sqrt(q)[:, None]
+        basis = _gegenbauer_table(x, lam, size)
+        pre = basis / np.sqrt(q)[:, None]
         w = 1.0 / np.square(pre).sum(axis=0)
+        del pre
         w *= _LD(sphere_volume(n)) / w.sum()
 
-        norms = (table * table) @ w
-        self._basis = table / np.sqrt(norms)[:, None]          # rows l, cols i
-        dtab = _gegenbauer_table(x, lam + 1, size)
-        deriv = np.zeros((size, size), dtype=_LD)
-        for l in range(1, size):
-            deriv[l] = 2 * lam * dtab[l - 1]
-        self._dbasis = deriv / np.sqrt(norms)[:, None]
-        self._analysis = self._basis * w
+        # Orthonormal basis (rows l, cols i), then its three tables, split:
+        # analysis basis * w, synthesis basis^T and derivative dbasis^T, where
+        # dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||.
+        norms = np.sqrt((basis * basis) @ w)
+        basis /= norms[:, None]
+        self._analysis = _split_table(size, lambda a, b: basis[a:b] * w)
+        self._synthesis = _split_table(size, lambda a, b: basis[:, a:b].T)
+        del basis
+        dtab = _gegenbauer_table(x, lam + 1, size - 1)
+
+        def dbasis_rows(a, b):
+            rows = np.zeros((b - a, size), dtype=_LD)
+            rows[:, 1:] = (2 * lam * dtab[:, a:b] / norms[1:, None]).T
+            return rows
+
+        self._derivative = _split_table(size, dbasis_rows)
         self._eigs = (np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD)
 
         self.nodes = np.asarray(x, dtype=float)
@@ -124,25 +213,56 @@ class ZonalGrid:
 
     # -- spectral kernel --------------------------------------------------------
 
+    def _product(self, table: tuple[np.ndarray, np.ndarray], vec) -> tuple[np.ndarray, np.ndarray, int]:
+        """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
+        float64 product of the parts at most 2^-20 of |T| |vec| (module docstring).
+
+        ``vec`` may be float64 or longdouble; it enters as its exact float64
+        pair, scaled by the table's column powers of two and then by 2^-e.
+        """
+        halves, col_scale = table
+        vec = np.asarray(vec)
+        hi = vec.astype(float)
+        lo = (vec - hi).astype(float)
+        hi *= col_scale
+        lo *= col_scale
+        e = int(np.frexp(np.abs(hi).max())[1])
+        hi = np.ldexp(hi, -e)
+        n = self.size
+        parts = np.zeros((2 * n, 2))
+        # d: hi on the grid 2^-_VECTOR_BITS (exact); w: the rest
+        parts[:n, 0] = np.rint(hi * 2.0**_VECTOR_BITS) / 2.0**_VECTOR_BITS
+        parts[:n, 1] = (hi - parts[:n, 0]) + np.ldexp(lo, -e)
+        parts[n:, 1] = hi
+        lead, rest = (halves @ parts).T
+        return lead, rest, e
+
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
 
         Coefficients at the quadrature-roundoff level are zeroed (see _FILTER_K).
         """
-        coeffs = self._analysis @ np.asarray(values).astype(_LD)
-        floor = _FILTER_K * _EPS_LD * float(np.sqrt(float((coeffs * coeffs).sum())))
-        return np.where(np.abs(coeffs) <= floor, _LD(0.0), coeffs)
+        lead, rest, e = self._product(self._analysis, values)
+        coeffs = (lead.astype(_LD) + rest) * np.ldexp(_LD(1), e)
+        # the filter is scale-free, so it runs on the float64 sum before scaling
+        scaled = lead + rest
+        coeffs[np.abs(scaled) <= _FILTER_K * _EPS_LD * np.sqrt(scaled @ scaled)] = 0.0
+        return coeffs
+
+    def _synthesize(self, table, coeffs) -> np.ndarray:
+        lead, rest, e = self._product(table, coeffs)
+        return np.ldexp(lead + rest, e)
 
     def synthesize_ld(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._basis.T @ np.asarray(coeffs).astype(_LD), dtype=float)
+        return self._synthesize(self._synthesis, coeffs)
 
     def apply_multiplier(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         c = self.analyze(values)
-        return np.asarray(self._basis.T @ (np.asarray(multiplier).astype(_LD) * c), dtype=float)
+        return self._synthesize(self._synthesis, np.asarray(multiplier).astype(_LD) * c)
 
     def differentiate(self, values: np.ndarray) -> np.ndarray:
         """d/dx of the Gegenbauer interpolant, at the nodes."""
-        return np.asarray(self._dbasis.T @ self.analyze(values), dtype=float)
+        return self._synthesize(self._derivative, self.analyze(values))
 
     @property
     def laplacian_eigenvalues(self) -> np.ndarray:

@@ -294,6 +294,55 @@ def test_non_finite_float_flag_is_usage_error(capsys, tmp_path, flag, argv):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_with_vanishing_bubble_names_its_cause(capsys, tmp_path):
+    # at n=104 no node of a 32-node grid lies inside the cap theta < 0.6
+    out_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "104", "--grid-n", "32", "--alphas", "0.05:0.3:3",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    for part in ("--grid-n", "n=104", "alpha=0.05", "zero at every node"):
+        assert part in captured.err
+    assert not out_path.exists()
+
+
+def test_rates_overflow_names_flags_and_limit(capsys):
+    code = main(["rates", "--n", "104", "--k", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--n/--k" in captured.err
+    assert f"{math.log(np.finfo(float).max):.1f}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--checks", "zeta_residue_sphere_n4", "--out"],
+    ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.05:0.3:3", "--out"],
+])
+def test_out_file_is_replaced_whole_or_not_at_all(capsys, tmp_path, monkeypatch, argv):
+    import os
+
+    target = tmp_path / "result.out"
+    target.write_text("earlier result\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", fail)
+        code = main(argv + [str(target)])
+    capsys.readouterr()
+    assert code == 2
+    assert target.read_text() == "earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.out"]
+
+    assert main(argv + [str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_text() != "earlier result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.out"]
+
+
 def test_grid_size_above_bound_is_usage_error(capsys, refuse_grid_build):
     code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", str(MAX_GRID_SIZE + 1))
     assert code == 2

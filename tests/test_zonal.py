@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scipy.special import roots_jacobi
+
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import (ZonalField, constant_field, field_from_function, grad_sq,
-                                  integrate, inner, laplacian, lp_norm, make_grid,
-                                  random_zonal, synthesize)
+from conformal_zeta.zonal import (_FILTER_K, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
+                                  ZonalField, _gegenbauer_table, constant_field,
+                                  field_from_function, grad_sq, integrate, inner, laplacian,
+                                  lp_norm, make_grid, random_zonal, synthesize)
 from oracles import fd_laplacian, zonal_moment
 
 
@@ -170,3 +173,108 @@ def test_random_zonal_band_limited(grid4):
 def test_monotone_on_nonnegative(grid4):
     f = random_zonal(grid4, 8, 10, 1.0, 0.2)
     assert integrate(f) > 0
+
+
+# -- the sliced float64 kernel against a longdouble reference ------------------
+
+LD = np.longdouble
+EPS_LD = float(np.finfo(LD).eps)
+
+
+def _reference_tables(n, size):
+    """The grid's analysis, synthesis and derivative tables as dense longdouble
+    matrices, built directly from the three-term recurrence."""
+    lam = LD(n - 1) / 2
+    x = roots_jacobi(size, (n - 2) / 2.0, (n - 2) / 2.0)[0].astype(LD)
+    for _ in range(4):
+        val = _gegenbauer_table(x, lam, size + 1)[size]
+        der = 2 * lam * _gegenbauer_table(x, lam + 1, size)[size - 1]
+        x = x - val / der
+    ells = np.arange(size, dtype=LD)
+    q = np.ones(size, dtype=LD)
+    for j in range(1, n - 1):
+        q *= ells + j
+    q /= ells + lam
+    table = _gegenbauer_table(x, lam, size)
+    w = 1.0 / np.square(table / np.sqrt(q)[:, None]).sum(axis=0)
+    w *= LD(sphere_volume(n)) / w.sum()
+    norms = np.sqrt((table * table) @ w)
+    basis = table / norms[:, None]
+    deriv = np.zeros((size, size), dtype=LD)
+    deriv[1:] = 2 * lam * _gegenbauer_table(x, lam + 1, size - 1) / norms[1:, None]
+    return basis * w, basis.T, deriv.T
+
+
+def _filtered(coeffs):
+    floor = _FILTER_K * EPS_LD * float(np.sqrt(float((coeffs * coeffs).sum())))
+    return np.where(np.abs(coeffs) <= floor, LD(0), coeffs)
+
+
+def _within(got, want, scale, k=8.0):
+    """|got - want| <= k eps_ld max(scale), plus float64 rounding of a float64 result."""
+    err = np.abs(np.asarray(got, dtype=LD) - np.asarray(want, dtype=LD))
+    rounding = np.spacing(np.abs(np.asarray(want, dtype=float))) if got.dtype == float else 0.0
+    return bool(np.all(err <= k * EPS_LD * np.max(scale) + rounding))
+
+
+@pytest.mark.parametrize("n", [4, 104])
+def test_kernel_matches_longdouble_reference(n):
+    size = 256
+    grid = make_grid(n, size)
+    analysis, synthesis, derivative = _reference_tables(n, size)
+    eigs = grid.laplacian_eigenvalues
+    for fn in (lambda th: np.exp(np.cos(th)), lambda th: 1.0 / (1.05 - np.cos(th))):
+        v = fn(grid.theta)
+        vl = v.astype(LD)
+        coeffs = _filtered(analysis @ vl)
+        # the scale of each product: |table| |vector|, the bound of its roundoff
+        c_scale = np.abs(analysis) @ np.abs(vl)
+        assert _within(grid.analyze(v), coeffs, c_scale)
+        assert _within(grid.synthesize_ld(coeffs), synthesis @ coeffs,
+                       np.abs(synthesis) @ np.abs(coeffs))
+        mult = eigs.astype(LD)
+        assert _within(grid.apply_multiplier(v, eigs), synthesis @ (mult * coeffs),
+                       np.abs(synthesis) @ (mult * (np.abs(coeffs) + c_scale)))
+        assert _within(grid.differentiate(v), derivative @ coeffs,
+                       np.abs(derivative) @ (np.abs(coeffs) + c_scale))
+
+
+def test_slice_bit_budget_makes_leading_products_exact():
+    assert _TABLE_BITS + _VECTOR_BITS + math.ceil(math.log2(MAX_GRID_SIZE)) <= 52
+    rng = np.random.default_rng(3)
+    # worst case: every entry at its largest magnitude, signs random
+    row = rng.choice([-1, 1], MAX_GRID_SIZE) * 2**_TABLE_BITS
+    for vec in (row // 2**(_TABLE_BITS - _VECTOR_BITS),  # every product positive
+                rng.choice([-1, 1], MAX_GRID_SIZE) * 2**_VECTOR_BITS):
+        exact = sum(int(a) * int(b) for a, b in zip(row, vec))
+        # on their grids, as the kernel holds them
+        got = np.ldexp(row, -40).astype(float) @ np.ldexp(vec, -_VECTOR_BITS).astype(float)
+        assert np.ldexp(got, 40 + _VECTOR_BITS) == exact
+
+
+@pytest.mark.parametrize("n", [4, 104])
+def test_zero_vector_round_trips(n):
+    grid = make_grid(n, 64)
+    zero = np.zeros(grid.size)
+    assert not np.any(grid.analyze(zero))
+    assert not np.any(grid.synthesize_ld(zero))
+    assert not np.any(grid.apply_multiplier(zero, grid.laplacian_eigenvalues))
+    assert not np.any(grid.differentiate(zero))
+
+
+@pytest.mark.parametrize("n", [4, 104])
+def test_single_coefficient_round_trips(n):
+    grid = make_grid(n, 64)
+    for i in (0, grid.size // 2, grid.size - 1):
+        mode = np.zeros(grid.size)
+        mode[i] = 3.0
+        back = np.asarray(grid.analyze(grid.synthesize_ld(mode)), dtype=float)
+        assert np.abs(back - mode).max() < 1e-15
+
+
+def test_single_value_round_trips(grid4_small):
+    grid = grid4_small
+    for i in (0, grid.size // 2, grid.size - 1):
+        spike = np.zeros(grid.size)
+        spike[i] = 3.0
+        assert np.abs(grid.synthesize_ld(grid.analyze(spike)) - spike).max() < 1e-15
