@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .background import ConformalBackground
 from .errors import ZeroFieldError
@@ -65,6 +64,8 @@ def bubble_profile(alpha: float, r, n: int):
 
 def flat_profile_lp_mass(alpha: float, n: int) -> float:
     """int over R^n of u_alpha^p dx, by radial quadrature (equals 2^{-n} omega_n)."""
+    from scipy.integrate import quad  # here, so only the commands that integrate load scipy
+
     surface = sphere_volume(n - 1)
 
     def integrand(r):
@@ -118,6 +119,8 @@ def bubble_moment(alpha: float, epsilon: float, k: float, n: int) -> float:
     exact; this keeps the quadrature well conditioned across the whole
     concentration range.
     """
+    from scipy.integrate import quad  # here, so only the commands that integrate load scipy
+
     check_dimension(n)
     if k <= -n:
         raise ValueError(f"need k > -n for convergence, got k={k}, n={n}")

@@ -122,5 +122,6 @@ def result_document(res: OptimizerResult) -> dict:
         "mass_reldev": res.mass_reldev,
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "u_star": field_document(res.u_star),
     }

@@ -19,6 +19,12 @@ the residual itself to tolerance; polish steps are accepted only while the
 residual decreases.  The ascent is needed first: the polish alone stalls far
 from the optimum on a background with mass data.
 
+``OptimizerResult.stop_reason`` says what ended the run: ``tolerance_met``
+(the residual fell below tolerance in either stage), ``polish_stalled`` (the
+ascent reached its plateau, then a polish step failed to lower the residual),
+``max_iters`` (the ascent used all _MAX_ITERS steps, then the polish stalled)
+or ``max_polish`` (the polish used all _MAX_POLISH steps).
+
 P is applied through ``laws.p_operator_apply`` and A^{-1} through
 ``ZonalGrid.apply_multiplier``, the same operator layer the laws and the
 functionals use.
@@ -30,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .background import ConformalBackground
 from .functionals import dilation_factor, mass_functional
@@ -59,6 +64,7 @@ class OptimizerResult:
     mass_reldev: float
     iterations: int
     converged: bool
+    stop_reason: str  # tolerance_met | polish_stalled | max_iters | max_polish (module docstring)
     # accepted functional values of the ascent, nondecreasing
     history: tuple[float, ...] = field(repr=False, default=())
 
@@ -94,6 +100,8 @@ def constant_mass_check(u: ZonalField, bg: ConformalBackground) -> tuple[float, 
 
 def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground) -> tuple[float, float]:
     """Best dilation strength t and the sup-distance of p-normalized profiles."""
+    from scipy.optimize import minimize_scalar  # here, so only the suite loads scipy
+
     p = bg.params.p
     ref = u.values / lp_norm(u, p)
 
@@ -149,6 +157,7 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
 
     tol = cfg.tol_residual
     iterations = 0
+    stop_reason = "max_iters"  # until a stage ends otherwise
     u, pu, m_val = _project(u.values, bg)
     step = _STEP0
     accepted: list[float] = [m_val]
@@ -157,6 +166,7 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
         if not math.isfinite(residual):
             raise FloatingPointError("optimizer produced a non-finite residual")
         if residual < tol:
+            stop_reason = "tolerance_met"
             break
         direction = grid.apply_multiplier(r, inv_sphere_op)
         improved = False
@@ -173,6 +183,7 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
             step *= 0.5
         iterations += 1
         if not improved:
+            stop_reason = "polish_stalled"  # unless the polish meets tol or its cap
             break  # M at working-precision plateau; hand over to polish
 
     # Picard polish: drive the residual itself once M is flat.
@@ -190,7 +201,10 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
             u, pu, m_val, residual = cand, pcand, m_cand, res_cand
             iterations += 1
             if residual < tol:
+                stop_reason = "tolerance_met"
                 break
+        else:
+            stop_reason = "max_polish"
 
     lam, residual = euler_lagrange_residual(u, bg)
     mass_mean, mass_reldev = constant_mass_check(u, bg)
@@ -206,5 +220,6 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
         mass_reldev=mass_reldev,
         iterations=iterations,
         converged=converged,
+        stop_reason=stop_reason,
         history=tuple(accepted),
     )

@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import digamma
 
 from .params import DimensionParams, check_dimension, sphere_volume
 from .spectra import SpectrumQuery, subcritical_eigenvalue
@@ -127,10 +126,15 @@ class LaurentValue:
 
 
 def hurwitz_laurent_at_1(a: float) -> LaurentValue:
-    """Laurent data of zeta_H(s, a) at s=1: residue 1, constant term -psi(a)."""
+    """Laurent data of zeta_H(s, a) at s=1: residue 1, constant term -psi(a).
+
+    psi(a) is evaluated at _MPMATH_DPS digits, so the float is correctly rounded.
+    """
     if a <= 0:
         raise ValueError(f"hurwitz_laurent_at_1 needs a > 0, got a={a}")
-    return LaurentValue(residue=1.0, finite_part=-float(digamma(a)), at=1.0)
+    with mpmath.workdps(_MPMATH_DPS):
+        psi = float(mpmath.digamma(a))
+    return LaurentValue(residue=1.0, finite_part=-psi, at=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,23 @@ l(l+n-1).
 The transforms need more than float64 accuracy: applying the l(l+n-1)
 multiplier amplifies float64 roundoff in the analysis product to ~1e-7, which
 would drown the 1e-8-level conformal-identity checks this package exists to
-run.  So the basis tables are built in extended precision (longdouble) from
-Newton-refined nodes, and each transform gets that accuracy from one float64
-BLAS product by error-free splitting (Ozaki, Ogita, Oishi and Rump, Numer.
-Algorithms 59, 2012):
+run.  So the basis tables are built in extended precision (longdouble), and
+each transform gets that accuracy from one float64 BLAS product by error-free
+splitting (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).
+
+The nodes start from the Golub-Welsch eigenvalue problem (Golub and Welsch,
+Math. Comp. 23, 1969) in float64 and are then polished to longdouble accuracy
+by Newton steps on C_N^lam:
+
+* the symmetric Jacobi matrix of the weight (1-x^2)^a has a zero diagonal,
+  so reordering its rows and columns even-then-odd turns it into
+  [[0, B], [B^T, 0]]; its eigenvalues, the nodes, are +-sigma for the
+  singular values sigma of the ceil(N/2) x floor(N/2) bidiagonal block B,
+  plus 0 when N is odd.  The node set is exactly symmetric about 0;
+* four longdouble Newton steps, which evaluate only the top recurrence row,
+  take the float64 start to longdouble accuracy.
+
+Each transform is split as follows:
 
 * at build time each table T is scaled by powers of two, per column, and each
   row of the scaled table is split as T = T_0 + T_1: T_0 holds integers of at
@@ -37,7 +50,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import GridMismatchError
 from .params import check_dimension, sphere_volume
@@ -102,6 +114,25 @@ def _gegenbauer_top(x: np.ndarray, lam, rows: int) -> np.ndarray:
     return deque(_gegenbauer_rows(x, lam, rows), maxlen=1)[0]
 
 
+def _jacobi_nodes(size: int, a: float) -> np.ndarray:
+    """Gauss-Jacobi nodes for the weight (1-x^2)^a, ascending, float64-accurate.
+
+    Golub-Welsch with the even-odd reduction (module docstring): the monic
+    recurrence p_{k+1} = x p_k - beta_k p_{k-1} has
+    beta_k = k (k+2a) / ((2k+2a+1)(2k+2a-1)), and the Jacobi matrix couples
+    rows k-1 and k by sqrt(beta_k).  Row i of B holds the couplings of the
+    Jacobi row 2i to the rows 2i+1 (column i) and 2i-1 (column i-1).
+    """
+    k = np.arange(1, size, dtype=float)
+    off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+    rows, cols = (size + 1) // 2, size // 2
+    block = np.zeros((rows, cols))
+    block[np.arange(cols), np.arange(cols)] = off[0::2]
+    block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]
+    sigma = np.linalg.svd(block, compute_uv=False)  # descending
+    return np.concatenate([-sigma, np.zeros(size % 2), sigma[::-1]])
+
+
 def _split_table(size: int, rows_of) -> tuple[np.ndarray, np.ndarray]:
     """Split a size x size longdouble table, whose rows a:b are ``rows_of(a, b)``.
 
@@ -152,9 +183,9 @@ class ZonalGrid:
         self.size = size
         lam = _LD(n - 1) / 2
 
-        x = roots_jacobi(size, (n - 2) / 2.0, (n - 2) / 2.0)[0].astype(_LD)
-        # scipy's nodes are float64-accurate; polish them to longdouble accuracy
-        # as zeros of C_N^lam.  (d/dx) C_N^lam = 2 lam C_{N-1}^{lam+1}.
+        x = _jacobi_nodes(size, (n - 2) / 2.0).astype(_LD)
+        # polish the float64 nodes to longdouble accuracy as zeros of C_N^lam;
+        # (d/dx) C_N^lam = 2 lam C_{N-1}^{lam+1}.
         for _ in range(4):
             val = _gegenbauer_top(x, lam, size + 1)
             der = 2 * lam * _gegenbauer_top(x, lam + 1, size)

@@ -36,5 +36,5 @@ def refuse_grid_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid tables were built")
 
-    monkeypatch.setattr(zonal, "roots_jacobi", refuse)
+    monkeypatch.setattr(zonal, "_jacobi_nodes", refuse)
     monkeypatch.setattr(zonal, "_gegenbauer_table", refuse)

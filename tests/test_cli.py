@@ -120,6 +120,7 @@ def test_optimize_non_convergence_exit_code(capsys, tmp_path):
     assert out == ""
     doc = json.loads(out_path.read_text())
     assert doc["converged"] is False
+    assert doc["stop_reason"] == "polish_stalled"
     assert math.isfinite(doc["residual"])
     assert len(doc["u_star"]["values"]) == 64
 

@@ -116,6 +116,7 @@ def test_result_document_keys(grid):
     res = maximize_mass_functional(bg, OptimizerConfig(), start=constant_field(grid, 1.0))
     doc = result_document(res)
     assert set(doc) == {"value", "lambda", "residual", "mass_mean", "mass_reldev",
-                        "iterations", "converged", "u_star"}
+                        "iterations", "converged", "stop_reason", "u_star"}
     assert doc["converged"] is True
+    assert doc["stop_reason"] == "tolerance_met"
     json.dumps(doc, allow_nan=False)  # serializable without NaN escapes

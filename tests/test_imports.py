@@ -1,0 +1,43 @@
+"""The grid and zeta commands must not load scipy: its import costs more than
+most of them compute.  Only ``rates`` and ``suite`` need it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import json
+import sys
+from conformal_zeta import cli
+from conformal_zeta.fieldio import write_field
+from conformal_zeta.zonal import constant_field, make_grid
+
+ones = "ones.json"
+write_field(ones, constant_field(make_grid(4, 32), 1.0))
+grid = ["--n", "4", "--grid-n", "32"]
+commands = [
+    ["constants", "--n", "4"],
+    ["zeta", "--n", "4", "--space", "sphere"],
+    ["zeta", "--n", "4", "--space", "projective"],
+    ["trace", *grid, "--profile", ones],
+    ["functional", *grid, "--profile", ones, "--mass-field", ones],
+    ["sweep", *grid, "--alphas", "0.05:0.3:3", "--out", "sweep.csv"],
+    ["optimize", *grid, "--out", "optimize.json"],
+]
+codes = [cli.main(argv) for argv in commands]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 7
+    assert result["scipy"] == []

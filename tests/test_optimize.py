@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import conformal_zeta.optimize as optimize
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.functionals import dilation_factor, mass_functional
 from conformal_zeta.optimize import (OptimizerConfig, constant_mass_check,
@@ -74,6 +75,17 @@ def test_non_convergence_is_reported(grid4, sphere4):
     res = maximize_mass_functional(sphere4, cfg, start=start)
     assert not res.converged
     assert math.isfinite(res.residual)
+    assert res.stop_reason == "polish_stalled"
+
+
+@pytest.mark.parametrize("cap, reason", [("_MAX_ITERS", "max_iters"),
+                                         ("_MAX_POLISH", "max_polish")])
+def test_stop_reason_names_the_cap(grid4, sphere4, monkeypatch, cap, reason):
+    monkeypatch.setattr(optimize, cap, 1)
+    start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
+    res = maximize_mass_functional(sphere4, OptimizerConfig(tol_residual=1e-30), start=start)
+    assert not res.converged
+    assert res.stop_reason == reason
 
 
 def test_rejects_nonpositive_start(grid4, sphere4):

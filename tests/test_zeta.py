@@ -74,6 +74,28 @@ def test_laurent_at_one_values():
     assert hurwitz_laurent_at_1(1.0).residue == 1.0
 
 
+def _psi_closed_forms(shifts):
+    """psi(a) at 50 digits for a = j/4 + k (j = 1, 2, 3; k < shifts), from the
+    Gauss closed forms at 1/4, 1/2, 3/4 and psi(a+1) = psi(a) + 1/a."""
+    with mpmath.workdps(50):
+        gamma, pi, ln2 = mpmath.euler, mpmath.pi, mpmath.log(2)
+        bases = {1: -gamma - pi / 2 - 3 * ln2, 2: -gamma - 2 * ln2, 3: -gamma + pi / 2 - 3 * ln2}
+        out = {}
+        for j, psi in bases.items():
+            a = mpmath.mpf(j) / 4
+            for _ in range(shifts):
+                out[float(a)] = float(psi)
+                psi += 1 / a
+                a += 1
+    return out
+
+
+def test_laurent_finite_part_is_correctly_rounded():
+    # covers every argument spectral_zeta_at_one and parity_finite_part use for n <= 104
+    for a, psi in _psi_closed_forms(60).items():
+        assert hurwitz_laurent_at_1(a).finite_part == -psi, a
+
+
 def test_laurent_rejects_nonpositive():
     with pytest.raises(ValueError):
         hurwitz_laurent_at_1(0.0)

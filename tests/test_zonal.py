@@ -9,7 +9,7 @@ from scipy.special import roots_jacobi
 
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import (_FILTER_K, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
-                                  ZonalField, _gegenbauer_table, constant_field,
+                                  ZonalField, _gegenbauer_table, _jacobi_nodes, constant_field,
                                   field_from_function, grad_sq, integrate, inner, laplacian,
                                   lp_norm, make_grid, random_zonal, synthesize)
 from oracles import fd_laplacian, zonal_moment
@@ -19,6 +19,21 @@ def test_grid_invariants(grid4):
     assert np.all(np.diff(grid4.nodes) > 0)
     assert np.all(grid4.weights > 0)
     assert grid4.weights.sum() == pytest.approx(sphere_volume(4), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 104])
+@pytest.mark.parametrize("size", [16, 17, 256, 1024])
+def test_jacobi_nodes_match_scipy(n, size):
+    a = (n - 2) / 2.0
+    want = roots_jacobi(size, a, a)[0]
+    got = _jacobi_nodes(size, a)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("size", [16, 17, 256])
+def test_grid_nodes_are_antisymmetric(size):
+    x = make_grid(4, size).nodes
+    assert np.array_equal(x, -x[::-1])
 
 
 def test_rejects_small_grid():
