@@ -88,6 +88,9 @@ def parse_field(doc: Any, grid: ZonalGrid | None = None, path: str = "$") -> Zon
 
 
 def field_document(f: ZonalField) -> dict:
+    if f.values.ndim != 1:
+        raise SchemaError(f"a document holds one field, got a stack of shape {f.values.shape}",
+                          "$.values")
     if not np.all(np.isfinite(f.values)):
         raise SchemaError("field contains NaN/Inf", "$.values")
     return {

@@ -30,7 +30,8 @@ FORM_AGREEMENT_TOL = 1e-10
 
 
 def _check_nonzero(u: ZonalField):
-    if not np.any(u.values):
+    """Reject u when it, or any field of a stack, is zero at every node."""
+    if not np.all(np.any(u.values, axis=-1)):
         raise ValueError("functional undefined for the zero field")
 
 
@@ -83,8 +84,11 @@ def conformal_trace(u: ZonalField, bg: ConformalBackground) -> float:
     return -bg.params.c_n * quad
 
 
-def sobolev_gap(u: ZonalField, bg: ConformalBackground) -> float:
-    """Sharp-Sobolev slack; nonnegative, zero exactly on the dilation orbit."""
+def sobolev_gap(u: ZonalField, bg: ConformalBackground):
+    """Sharp-Sobolev slack; nonnegative, zero exactly on the dilation orbit.
+
+    For a stack of fields, an array of their gaps.
+    """
     _check_nonzero(u)
     _check_grid(u, bg)
     n = bg.params.n

@@ -258,28 +258,20 @@ def _finite_part_closed_form(n: int, x_first: float, step: int) -> float:
     At s=1 every term is (2/(n-1)!) x, so the split point telescopes through
     the Hurwitz recurrence and only two tail orders survive: the k=0 sum
     continued to w=-1, and the k=1 pole whose residue meets a_1'(1) = sum c_i.
-    The k=1 Laurent product is assembled honestly from hurwitz_laurent_at_1;
-    its finite part enters multiplied by a_1(1) = 0.
+    The k=1 factor step^{-w} zeta_H(w, x0/step), w = 1 + (n-2) sigma, has
+    residue 1/(step (n-2)) in s; its finite part (which holds psi) would enter
+    multiplied by a_1(1) = 0, so it is not evaluated (``hurwitz_laurent_at_1``
+    gives it).
     """
     prefactor = 2.0 / math.factorial(n - 1)
     polys = _tail_coefficient_polys(n, 1)
     a1_slope = polys[1][1]          # a_1'(1) = sum of squared offsets
-    a1_value = polys[1][0]          # exactly 0.0 by construction
+    a1_value = polys[1][0]
+    assert a1_value == 0.0          # exactly, by construction
 
     k0 = _step_sum_value(-1.0, x_first, step)
-
-    # Laurent data in s of the k=1 Hurwitz factor H(w(s)), w = 1 + (n-2) sigma:
-    # residue r/(n-2) and finite part of step^{-w} zeta_H(w, x0/step) at w=1.
-    base = hurwitz_laurent_at_1(x_first / step if step > 1 else x_first)
-    if step == 1:
-        h_residue = base.residue / (n - 2)
-        h_finite = base.finite_part
-    else:
-        # step^{-w} = (1/step) e^{-(w-1) ln step} twists the expansion
-        h_residue = base.residue / (step * (n - 2))
-        h_finite = (base.finite_part - base.residue * math.log(step)) / step
-    finite = a1_slope * h_residue + a1_value * h_finite
-    return prefactor * (k0 + finite)
+    h_residue = 1.0 / (step * (n - 2))
+    return prefactor * (k0 + a1_slope * h_residue)
 
 
 def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:

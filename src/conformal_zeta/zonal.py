@@ -41,6 +41,15 @@ Each transform is split as follows:
   stays below the longdouble roundoff of the whole product;
 * the two columns are added in longdouble, in O(N).
 
+A stack of B fields on one grid, values of shape (B, N), goes through the same
+code as one field: every row gets its own exponent e, its own split and its own
+filter floor, and the B rows become the columns of one GEMM,
+[d_0..d_{B-1} | w_0..w_{B-1}].  A single field is the B = 1 case, with the same
+GEMM and arithmetic as a lone vector.  The leading products are exact either
+way, but BLAS may sum the remainder column in another order inside a wider
+GEMM, so a stacked result agrees with the per-field one within float64
+rounding, not bit for bit.
+
 Field values exposed to callers are plain float64.
 """
 
@@ -244,40 +253,58 @@ class ZonalGrid:
 
     # -- spectral kernel --------------------------------------------------------
 
-    def _product(self, table: tuple[np.ndarray, np.ndarray], vec) -> tuple[np.ndarray, np.ndarray, int]:
+    def _product(self, table: tuple[np.ndarray, np.ndarray], vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
         float64 product of the parts at most 2^-20 of |T| |vec| (module docstring).
 
-        ``vec`` may be float64 or longdouble; it enters as its exact float64
-        pair, scaled by the table's column powers of two and then by 2^-e.
+        ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble;
+        each row enters as its exact float64 pair, scaled by the table's column
+        powers of two and then by its own 2^-e.  ``lead`` and ``rest`` have
+        the shape of ``vec``; ``e`` broadcasts against them.
+        A stack is one GEMM whose columns are [d_0..d_{B-1} | w_0..w_{B-1}].
         """
         halves, col_scale = table
         vec = np.asarray(vec)
-        hi = vec.astype(float)
-        lo = (vec - hi).astype(float)
-        hi *= col_scale
-        lo *= col_scale
-        e = int(np.frexp(np.abs(hi).max())[1])
-        hi = np.ldexp(hi, -e)
         n = self.size
-        parts = np.zeros((2 * n, 2))
+        b = vec.size // n
+        hi = vec.astype(float)
+        # the low half of the pair; zero, and skipped, for float64 input
+        lo = (vec - hi).astype(float) if vec.dtype != hi.dtype else None
+        hi *= col_scale
+        # a scalar exponent for one vector, a (B, 1) column for a stack
+        e = np.frexp(np.abs(hi).max(axis=-1, keepdims=vec.ndim > 1))[1]
+        hi = np.ldexp(hi, -e)
+        parts = np.zeros((2 * n, 2 * b))
+        # views of the blocks shaped like vec: row j of each is column j of parts
+        d = parts[:n, :b].T.reshape(vec.shape)
+        w = parts[:n, b:].T.reshape(vec.shape)
         # d: hi on the grid 2^-_VECTOR_BITS (exact); w: the rest
-        parts[:n, 0] = np.rint(hi * 2.0**_VECTOR_BITS) / 2.0**_VECTOR_BITS
-        parts[:n, 1] = (hi - parts[:n, 0]) + np.ldexp(lo, -e)
-        parts[n:, 1] = hi
-        lead, rest = (halves @ parts).T
-        return lead, rest, e
+        np.divide(np.rint(hi * 2.0**_VECTOR_BITS), 2.0**_VECTOR_BITS, out=d)
+        np.subtract(hi, d, out=w)
+        if lo is not None:
+            lo *= col_scale
+            w += np.ldexp(lo, -e)
+        parts[n:, b:].T.reshape(vec.shape)[...] = hi
+        out = np.ascontiguousarray((halves @ parts).T)
+        return out[:b].reshape(vec.shape), out[b:].reshape(vec.shape), e
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
 
-        Coefficients at the quadrature-roundoff level are zeroed (see _FILTER_K).
+        ``values`` is one field (N,) or a stack (B, N).  Coefficients at the
+        quadrature-roundoff level of their own row are zeroed (see _FILTER_K).
         """
         lead, rest, e = self._product(self._analysis, values)
-        coeffs = (lead.astype(_LD) + rest) * np.ldexp(_LD(1), e)
-        # the filter is scale-free, so it runs on the float64 sum before scaling
+        coeffs = lead.astype(_LD)
+        coeffs += rest
+        coeffs *= np.ldexp(_LD(1), e)
+        # the filter is scale-free, so it runs on the float64 sum before scaling;
+        # each row's norm is its own dot product s @ s, as for a single field
+        # (a stack of 1 x N by N x 1 products; an einsum would sum in another
+        # order and move filter decisions)
         scaled = lead + rest
-        coeffs[np.abs(scaled) <= _FILTER_K * _EPS_LD * np.sqrt(scaled @ scaled)] = 0.0
+        norms = np.sqrt(scaled[..., None, :] @ scaled[..., None]).reshape(np.shape(e))
+        coeffs[np.abs(scaled) <= _FILTER_K * _EPS_LD * norms] = 0.0
         return coeffs
 
     def _synthesize(self, table, coeffs) -> np.ndarray:
@@ -302,14 +329,18 @@ class ZonalGrid:
 
 @dataclass(frozen=True)
 class ZonalField:
-    """Samples of a zonal function at the grid nodes."""
+    """Samples of a zonal function at the grid nodes.
+
+    ``values`` is one field (N,) or a stack of B fields (B, N) on the same
+    grid; pointwise arithmetic broadcasts a single field against a stack.
+    """
 
     grid: ZonalGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.size,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.grid.size or vals.size == 0:
             raise GridMismatchError(
                 f"field has {vals.shape} values for a grid of size {self.grid.size}"
             )
@@ -361,31 +392,39 @@ def field_from_function(grid: ZonalGrid, fn) -> ZonalField:
 
 
 def synthesize(grid: ZonalGrid, coeffs) -> ZonalField:
-    """Field with the given orthonormal Gegenbauer coefficients (zero-padded)."""
+    """Field with the given orthonormal Gegenbauer coefficients (zero-padded).
+
+    ``coeffs`` is one coefficient vector or a (B, L) stack of them.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > grid.size:
-        raise ValueError(f"{len(coeffs)} coefficients exceed the grid's {grid.size} modes")
-    c = np.zeros(grid.size)
-    c[: len(coeffs)] = coeffs
+    if coeffs.shape[-1] > grid.size:
+        raise ValueError(f"{coeffs.shape[-1]} coefficients exceed the grid's {grid.size} modes")
+    c = np.zeros(coeffs.shape[:-1] + (grid.size,))
+    c[..., : coeffs.shape[-1]] = coeffs
     return ZonalField(grid, grid.synthesize_ld(c))
 
 
-def integrate(f: ZonalField) -> float:
-    """Integral of f over S^n with the round measure."""
-    return float(f.values @ f.grid.weights)
+def _per_field(sums: np.ndarray):
+    """A float for one field, an array of B values for a stack."""
+    return float(sums) if sums.ndim == 0 else sums
 
 
-def inner(f: ZonalField, g: ZonalField) -> float:
+def integrate(f: ZonalField):
+    """Integral of f over S^n with the round measure (per field of a stack)."""
+    return _per_field(f.values @ f.grid.weights)
+
+
+def inner(f: ZonalField, g: ZonalField):
     if not f.grid.compatible(g.grid):
         raise GridMismatchError(f"{f.grid} vs {g.grid}")
-    return float((f.values * g.values) @ f.grid.weights)
+    return _per_field((f.values * g.values) @ f.grid.weights)
 
 
-def lp_norm(f: ZonalField, q: float) -> float:
-    """(integral of |f|^q)^{1/q}."""
+def lp_norm(f: ZonalField, q: float):
+    """(integral of |f|^q)^{1/q}, per field of a stack."""
     if q < 1.0:
         raise ValueError(f"lp_norm needs q >= 1, got q={q}")
-    return float((np.abs(f.values) ** q @ f.grid.weights) ** (1.0 / q))
+    return _per_field((np.abs(f.values) ** q @ f.grid.weights) ** (1.0 / q))
 
 
 def laplacian(f: ZonalField) -> ZonalField:
@@ -409,37 +448,43 @@ def grad_sq(f: ZonalField) -> ZonalField:
     return gradient_pairing(f, f)
 
 
-def random_zonal(grid: ZonalGrid, seed: int, l_max: int, amplitude: float, floor: float) -> ZonalField:
+def _normals(seed, count: int) -> np.ndarray:
+    """``count`` standard normals from ``default_rng(seed)``; for an array of
+    seeds, one such row per seed, each from its own generator."""
+    rows = [np.random.default_rng(s).standard_normal(count) for s in np.ravel(seed).tolist()]
+    return np.reshape(rows, np.shape(seed) + (count,))
+
+
+def random_zonal(grid: ZonalGrid, seed, l_max: int, amplitude: float, floor: float) -> ZonalField:
     """Seeded random band-limited field bounded below by ``floor``.
 
     Coefficients up to degree ``l_max`` are drawn with a mild (1+l)^-1 decay;
     the synthesized field is shifted so its minimum sits exactly at ``floor``
     (a constant shift only moves the degree-0 coefficient, so the band limit
-    survives; clipping would not preserve it).
+    survives; clipping would not preserve it).  An array of seeds gives the
+    stack of the per-seed fields, synthesized together.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
     if l_max >= grid.size:
         raise ValueError(f"l_max={l_max} exceeds grid resolution {grid.size - 1}")
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(l_max + 1) / (1.0 + np.arange(l_max + 1))
-    rough = synthesize(grid, coeffs)
-    shifted = floor + amplitude * (rough.values - rough.values.min())
+    coeffs = _normals(seed, l_max + 1) / (1.0 + np.arange(l_max + 1))
+    rough = synthesize(grid, coeffs).values
+    shifted = floor + amplitude * (rough - rough.min(axis=-1, keepdims=True))
     return ZonalField(grid, shifted)
 
 
-def random_band_limited(grid: ZonalGrid, seed: int, l_max: int, amplitude: float) -> ZonalField:
+def random_band_limited(grid: ZonalGrid, seed, l_max: int, amplitude: float) -> ZonalField:
     """Seeded smooth random field, sup-normalized to ``amplitude``.
 
     Gaussian coefficient decay exp(-(l/5)^2) keeps products and
     exponentials of these fields resolvable on the grid; used by the
-    conformal-identity checks.
+    conformal-identity checks.  An array of seeds gives the stack of the
+    per-seed fields; a field that synthesizes to zero stays zero.
     """
-    rng = np.random.default_rng(seed)
     ells = np.arange(l_max + 1)
-    coeffs = rng.standard_normal(l_max + 1) * np.exp(-((ells / 5.0) ** 2))
-    rough = synthesize(grid, coeffs)
-    top = np.abs(rough.values).max()
-    if top == 0.0:
-        return constant_field(grid, 0.0)
-    return ZonalField(grid, amplitude * rough.values / top)
+    coeffs = _normals(seed, l_max + 1) * np.exp(-((ells / 5.0) ** 2))
+    rough = synthesize(grid, coeffs).values
+    top = np.abs(rough).max(axis=-1, keepdims=True)
+    top[top == 0.0] = np.inf  # a zero field stays zero
+    return ZonalField(grid, amplitude * rough / top)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conformal_zeta import laws
+from conformal_zeta import laws, zonal
 from conformal_zeta.acceptance import (CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
                                        rational_finite_part, run_suite)
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
@@ -103,3 +103,19 @@ def test_covariance_filter_skips_transport_march(monkeypatch, suite_report):
     full = {c.name: c for c in suite_report.checks}
     assert report.checks == tuple(full[c.name] for c in report.checks)
     assert len(report.checks) == 3
+
+
+def test_seeded_loops_run_as_stacks(monkeypatch):
+    # 2 x 1000 Sobolev fields, 100 covariance pairs and 20 transport seeds
+    # take 8,896 kernel products one field at a time; as stacks, under 300
+    product = zonal.ZonalGrid._product
+    calls = []
+
+    def counted(self, table, vec):
+        calls.append(vec.shape)
+        return product(self, table, vec)
+
+    monkeypatch.setattr(zonal.ZonalGrid, "_product", counted)
+    report = run_suite(names=["sobolev_*", "covariance_*", "mass_transport_ode"])
+    assert len(report.checks) == 7 and report.overall_pass
+    assert len(calls) <= 300

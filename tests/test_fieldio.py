@@ -107,6 +107,13 @@ def test_write_rejects_nonfinite(tmp_path, grid):
         write_field(tmp_path / "inf.json", f)
 
 
+def test_field_document_refuses_stacks(grid):
+    stack = random_zonal(grid, np.arange(3), 10, 1.0, 0.1)
+    with pytest.raises(SchemaError) as err:
+        field_document(stack)
+    assert "(3, 32)" in str(err.value)
+
+
 def test_result_document_keys(grid):
     from conformal_zeta.background import round_sphere_background
     from conformal_zeta.optimize import OptimizerConfig, maximize_mass_functional

@@ -129,6 +129,26 @@ def test_sobolev_gap_nonnegative(n, grid4, grid6, sphere4, sphere6):
         assert sobolev_gap(u, bg) > -1e-9
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_sobolev_gap_of_a_stack_matches_per_field(n, grid4, grid6, sphere4, sphere6):
+    grid = grid4 if n == 4 else grid6
+    bg = sphere4 if n == 4 else sphere6
+    seeds = 2000 + np.arange(20)
+    gaps = sobolev_gap(random_zonal(grid, seeds, 32, 1.0, 0.05), bg)
+    assert gaps.shape == (20,)
+    for gap, seed in zip(gaps, seeds):
+        one = sobolev_gap(random_zonal(grid, int(seed), 32, 1.0, 0.05), bg)
+        assert gap == pytest.approx(one, rel=1e-12, abs=1e-12)
+
+
+def test_zero_guard_holds_per_row(grid4, sphere4):
+    stack = random_zonal(grid4, np.arange(3), 16, 1.0, 0.1).values.copy()
+    sobolev_gap(ZonalField(grid4, stack), sphere4)
+    stack[1] = 0.0
+    with pytest.raises(ValueError):
+        sobolev_gap(ZonalField(grid4, stack), sphere4)
+
+
 def test_dilation_factor_t_zero_is_one(grid4):
     assert np.abs(dilation_factor(0.0, grid4).values - 1.0).max() == 0.0
 

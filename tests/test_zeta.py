@@ -123,6 +123,18 @@ def test_projective_finite_part_matches_rational_oracle():
     assert lv.finite_part == pytest.approx(float(oracle), abs=1e-12)
 
 
+def test_finite_part_does_not_evaluate_psi(monkeypatch):
+    # psi(a) would enter the closed form multiplied by a_1(1) = 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi was evaluated")
+
+    monkeypatch.setattr(mpmath, "digamma", refuse)
+    sphere = spectral_zeta_at_one(SpectrumQuery(space="sphere", n=4))
+    projective = spectral_zeta_at_one(SpectrumQuery(space="projective", n=4))
+    assert sphere.finite_part == pytest.approx(-1 / 9, abs=1e-12)
+    assert projective.finite_part == pytest.approx(1 / 36, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("space", ["sphere", "projective"])
 def test_residue_vanishes(n, space):

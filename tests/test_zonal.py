@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from scipy.special import roots_jacobi
 
+from conformal_zeta import zonal
+from conformal_zeta.errors import GridMismatchError
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import (_FILTER_K, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
                                   ZonalField, _gegenbauer_table, _jacobi_nodes, constant_field,
                                   field_from_function, grad_sq, integrate, inner, laplacian,
-                                  lp_norm, make_grid, random_zonal, synthesize)
+                                  lp_norm, make_grid, random_band_limited, random_zonal,
+                                  synthesize)
 from oracles import fd_laplacian, zonal_moment
 
 
@@ -293,3 +297,122 @@ def test_single_value_round_trips(grid4_small):
         spike = np.zeros(grid.size)
         spike[i] = 3.0
         assert np.abs(grid.synthesize_ld(grid.analyze(spike)) - spike).max() < 1e-15
+
+
+# -- stacks of fields: one GEMM per transform ----------------------------------
+
+_SMOOTH = (lambda th: np.exp(np.cos(th)), lambda th: 1.0 / (1.05 - np.cos(th)))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_and_tables(n):
+    return make_grid(n, 256), _reference_tables(n, 256)
+
+
+def _stack(grid, count):
+    """The reference test's two smooth fields, then seeded random ones."""
+    smooth = [fn(grid.theta) for fn in _SMOOTH]
+    return np.vstack(smooth + [random_zonal(grid, np.arange(count), 48, 1.0, 0.05).values])[:count]
+
+
+def _transforms(grid):
+    eigs = grid.laplacian_eigenvalues
+    return {
+        "analyze": grid.analyze,
+        "synthesize": grid.synthesize_ld,
+        "multiplier": lambda v: grid.apply_multiplier(v, eigs),
+        "differentiate": grid.differentiate,
+    }
+
+
+@pytest.mark.parametrize("n", [4, 104])
+@pytest.mark.parametrize("count", [1, 3, 100])
+def test_stacked_transforms_match_row_by_row(n, count):
+    grid, (analysis, synthesis, derivative) = _grid_and_tables(n)
+    values = _stack(grid, count)
+    coeffs = grid.analyze(values)
+    mult = grid.laplacian_eigenvalues.astype(LD)
+    stacked = {name: fn(coeffs if name == "synthesize" else values)
+               for name, fn in _transforms(grid).items()}
+    for r in range(count):
+        v, c = values[r].astype(LD), coeffs[r]
+        c_scale = np.abs(analysis) @ np.abs(v)
+        scales = {
+            "analyze": c_scale,
+            "synthesize": np.abs(synthesis) @ np.abs(c),
+            "multiplier": np.abs(synthesis) @ (mult * (np.abs(c) + c_scale)),
+            "differentiate": np.abs(derivative) @ (np.abs(c) + c_scale),
+        }
+        for name, fn in _transforms(grid).items():
+            row = fn(c if name == "synthesize" else values[r])
+            assert _within(stacked[name][r], row, scales[name]), (name, r)
+        # each row is filtered against its own floor, as it would be alone
+        assert np.array_equal(coeffs[r] == 0, grid.analyze(values[r]) == 0)
+
+
+@pytest.mark.parametrize("n", [4, 104])
+def test_single_row_stack_is_bit_identical(n):
+    grid, _ = _grid_and_tables(n)
+    for v in (fn(grid.theta) for fn in _SMOOTH):
+        c = grid.analyze(v)
+        for name, fn in _transforms(grid).items():
+            arg = c if name == "synthesize" else v
+            assert np.array_equal(fn(arg[None])[0], fn(arg)), name
+
+
+@pytest.mark.parametrize("shape", [(3, 95), (3, 97), (2, 3, 96), (0, 96), ()])
+def test_field_rejects_bad_stack_shapes(grid4_small, shape):
+    with pytest.raises(GridMismatchError):
+        ZonalField(grid4_small, np.ones(shape))
+
+
+def test_stack_broadcasts_against_a_field(grid4_small):
+    grid = grid4_small
+    stack = random_zonal(grid, np.arange(3), 16, 1.0, 0.1)
+    one = constant_field(grid, 2.0)
+    assert np.array_equal((stack * one).values, 2.0 * stack.values)
+    assert integrate(stack).shape == inner(stack, one).shape == lp_norm(stack, 4.0).shape == (3,)
+    for r in range(3):
+        row = ZonalField(grid, stack.values[r])
+        assert integrate(stack)[r] == pytest.approx(integrate(row), rel=1e-14)
+        assert inner(stack, one)[r] == pytest.approx(inner(row, one), rel=1e-14)
+        assert lp_norm(stack, 4.0)[r] == pytest.approx(lp_norm(row, 4.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("make", [lambda g, s: random_zonal(g, s, 16, 0.5, 1e-3),
+                                  lambda g, s: random_band_limited(g, s, 16, 0.3)])
+def test_seed_array_matches_per_seed_fields(grid4, make):
+    seeds = np.array([5, 17, 4000])
+    stack = make(grid4, seeds).values
+    assert stack.shape == (3, grid4.size)
+    for row, seed in zip(stack, seeds):
+        one = make(grid4, int(seed)).values
+        assert np.abs(row - one).max() <= 1e-15 * np.abs(one).max()
+
+
+def test_int_seed_fields_keep_their_arithmetic(grid4):
+    # the per-field recipes, written out: an int seed must reproduce them bit for bit
+    coeffs = np.random.default_rng(42).standard_normal(17) / (1.0 + np.arange(17))
+    rough = synthesize(grid4, coeffs).values
+    assert np.array_equal(random_zonal(grid4, 42, 16, 0.5, 1e-3).values,
+                          1e-3 + 0.5 * (rough - rough.min()))
+    coeffs = np.random.default_rng(42).standard_normal(17) * np.exp(-((np.arange(17) / 5.0) ** 2))
+    rough = synthesize(grid4, coeffs).values
+    assert np.array_equal(random_band_limited(grid4, 42, 16, 0.3).values,
+                          0.3 * rough / np.abs(rough).max())
+
+
+def test_band_limited_zeroes_only_zero_rows(grid4_small, monkeypatch):
+    draw = zonal._normals
+
+    def with_zero_row(seed, count):
+        out = draw(seed, count)
+        out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(zonal, "_normals", with_zero_row)
+    stack = random_band_limited(grid4_small, np.arange(3), 16, 0.3).values
+    assert not np.any(stack[1])
+    assert np.all(np.isfinite(stack))
+    for r in (0, 2):
+        assert np.abs(stack[r]).max() == pytest.approx(0.3, rel=1e-15)
