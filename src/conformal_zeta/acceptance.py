@@ -9,8 +9,9 @@ with a tolerance, or an interval), a pass flag, and a provenance tag:
 * ``trivial`` -- structural identities.
 
 The two real-projective-space targets (the finite part on RP^4 and its
-paper-variant normalized mass) are taken from the exact-rational oracle: +1/36
-and fp/vol + 12 b_4 = 1/(24 pi^2).  They replace the former registered values
+paper-variant normalized mass) are the registered literals +1/36 and
+fp/vol + 12 b_4 = 1/(24 pi^2), the values of the exact-rational finite part
+``zeta.rational_finite_part``.  They replace the former registered values
 +1/18 (the continuation over degrees l = 0, 4, 8, ... only) and 1/(16 pi^2)
 (the calibrated-constants value).  See the README.
 """
@@ -102,34 +103,6 @@ def _interval_check(name, value, lo, hi, provenance, note="") -> Check:
 
 
 # ---------------------------------------------------------------------------
-# exact-rational oracle for the zeta targets (pre-verification route)
-# ---------------------------------------------------------------------------
-
-def rational_finite_part(n: int, parity: str | None = None, step: int | None = None) -> Fraction:
-    """Closed-form finite part with exact rational arithmetic.
-
-    fp = (2/(n-1)!) [ S(-1) + (sum_i (i+1/2)^2) * rho ], where S is the
-    (possibly step-2) lattice sum continued to exponent -1 via Bernoulli
-    polynomials and rho the lattice pole density 1/(step (n-2)).
-    """
-    x_first = Fraction(n - 1, 2)
-    if parity == "odd":
-        x_first += 1
-    lattice_step = step or (2 if parity in ("even", "odd") else 1)
-
-    def zeta_minus_one(a: Fraction) -> Fraction:
-        return -zeta.bernoulli_polynomial(2, a) / 2
-
-    if lattice_step == 1:
-        head = zeta_minus_one(x_first)
-    else:
-        head = lattice_step * zeta_minus_one(x_first / lattice_step)
-    offsets = sum(Fraction(2 * i + 1, 2) ** 2 for i in range((n - 4) // 2 + 1))
-    pole = offsets / (lattice_step * (n - 2))
-    return Fraction(2, math.factorial(n - 1)) * (head + pole)
-
-
-# ---------------------------------------------------------------------------
 # producers (grouped so expensive artifacts are shared)
 # ---------------------------------------------------------------------------
 
@@ -140,15 +113,16 @@ def _zeta_checks(env) -> list[Check]:
         out.append(_interval_check(f"zeta_residue_sphere_n{n}", abs(lv.residue),
                                    None, 1e-10, "paper",
                                    "regularity of the series at its expansion point"))
-        oracle = rational_finite_part(n)
+        oracle = zeta.rational_finite_part(n)
         target = {4: Fraction(-1, 9), 6: Fraction(-1, 45)}[n]
         out.append(_scalar_check(
             f"finite_part_sphere_n{n}", lv.finite_part, float(target), 1e-9, "derived",
             f"oracle {oracle} ({'matches' if oracle == target else 'DISAGREES with'} registered target)"))
-    rp = zeta.spectral_zeta_at_one(SpectrumQuery(space="projective", n=4))
+    rp_q = SpectrumQuery(space="projective", n=4)
+    rp = zeta.spectral_zeta_at_one(rp_q)
     out.append(_interval_check("zeta_residue_projective_n4", abs(rp.residue),
                                None, 1e-10, "paper", ""))
-    oracle_rp = rational_finite_part(4, parity="even")
+    oracle_rp = zeta.rational_finite_part(4, step=rp_q.step)
     target_rp = Fraction(1, 36)
     out.append(_scalar_check(
         "finite_part_projective_n4", rp.finite_part, float(target_rp), 1e-9, "derived",
@@ -160,7 +134,7 @@ def _zeta_checks(env) -> list[Check]:
         bg = round_sphere_background(n, grid, variant="paper")
         tr = functionals.conformal_trace(constant_field(grid, 1.0), bg)
         out.append(_scalar_check(f"trace_const_n{n}", tr, float(target), 1e-12, "paper"))
-        fp = zeta.spectral_zeta_at_one(SpectrumQuery(space="sphere", n=n)).finite_part
+        fp = zeta._finite_part(SpectrumQuery(space="sphere", n=n))
         out.append(_scalar_check(f"trace_ratio_n{n}", fp / tr, 2.0, 1e-6, "derived",
                                  "series finite part over printed-constant trace"))
 
@@ -178,18 +152,16 @@ def _zeta_checks(env) -> list[Check]:
                                  "paper constants leave -b_n n(n-1)"))
 
     # projective-space positivity and the registered value
-    rp_q = SpectrumQuery(space="projective", n=4)
     for variant in ("paper", "calibrated"):
         hm = zeta.homogeneous_mass(rp_q, dim_params(4, variant))
         out.append(_interval_check(f"projective_mass_positive_{variant}",
                                    hm.normalized_mass, 0.0, None, "paper",
                                    "positive-mass claim for real projective space"))
-    paper4 = dim_params(4, "paper")
-    hm = zeta.homogeneous_mass(rp_q, paper4)
+    hm = zeta.homogeneous_mass(rp_q, dim_params(4, "paper"))
     out.append(_scalar_check(
         "projective_normalized_mass_value", hm.normalized_mass,
-        float(oracle_rp) / (sphere_volume(4) / 2) + 12 * paper4.b_n, 1e-9, "derived",
-        "oracle route fp/vol + 12 b_4 = 1/(24 pi^2) (paper constants)"))
+        1 / (24 * math.pi**2), 1e-9, "derived",
+        "fp/vol + 12 b_4 with fp = 1/36 and vol = omega_4/2 (paper constants)"))
     return out
 
 
@@ -205,24 +177,23 @@ def _covariance_checks(env) -> list[Check]:
         bg_m = round_sphere_background(n, grid, variant="calibrated", mnor=mnor)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
         ramp = np.exp(-(n + 2) / 2.0 * phi.values)
+        # bg and bg_m share scal, and D_h reads no mass data: one transform each
+        bg_h = laws.transform_background(bg_m, phi)
+        lap_h = laws.transformed_laplacian(f, phi, bg).values
 
         # conformal Laplacian covariance
-        bg_h = laws.transform_background(bg, phi)
-        lhs = ZonalField(grid, laws.transformed_laplacian(f, phi, bg).values
-                         + bg.params.a_n * bg_h.scal.values * f.values)
+        lhs = lap_h + bg.params.a_n * bg_h.scal.values * f.values
         rhs = ramp * laws.yamabe_apply(u * f, bg).values
-        worst_y = max(worst_y, float(np.abs(lhs.values - rhs).max()))
+        worst_y = max(worst_y, float(np.abs(lhs - rhs).max()))
 
-        # mass-transport operator covariance on a background with mass data
-        bg_hm = laws.transform_background(bg_m, phi)
-        lhs_p = ZonalField(grid, bg.params.c_n * laws.transformed_laplacian(f, phi, bg_m).values
-                           - bg_hm.mass_field().values * f.values)
+        # mass-transport operator covariance on a background with mass data,
+        # with m_h = e^{-2 phi} m_nor - b_n scal_h
+        lhs_p = bg.params.c_n * lap_h - bg_h.mass_field().values * f.values
         rhs_p = ramp * laws.p_operator_apply(u * f, bg_m).values
-        worst_p = max(worst_p, float(np.abs(lhs_p.values - rhs_p).max()))
+        worst_p = max(worst_p, float(np.abs(lhs_p - rhs_p).max()))
 
         # normalized-mass covariance through the two independent routes
-        lhs_m = laws.mass_pushforward(u, bg_m).values \
-            + bg_m.params.b_n * laws.transformed_scalar_curvature(u, bg_m).values
+        lhs_m = laws.mass_pushforward(u, bg_m).values + bg_m.params.b_n * bg_h.scal.values
         rhs_m = laws.normalized_mass_pushforward(bg_m.mnor, phi).values
         worst_m = max(worst_m, float(np.abs(lhs_m - rhs_m).max()))
 

@@ -117,10 +117,10 @@ def _parse_alphas(raw: str) -> np.ndarray:
     try:
         lo, hi, count = raw.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if lo <= 0 or hi <= lo or count < 2:
+        if not (0 < lo < hi < math.inf) or count < 2:
             raise ValueError
     except ValueError:
-        raise SchemaError("expected A:B:M with 0 < A < B and integer M >= 2", "--alphas")
+        raise SchemaError("expected A:B:M with finite 0 < A < B and integer M >= 2", "--alphas")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 

@@ -40,10 +40,23 @@ def _check_grid(u: ZonalField, bg: ConformalBackground):
         raise GridMismatchError(f"{u.grid} vs {bg.grid}")
 
 
+def _norm_sq(u: ZonalField, bg: ConformalBackground):
+    """||u||_p^2, refused when it underflows to 0 or overflows: the scale-invariant
+    functionals divide by it."""
+    p = bg.params.p
+    with np.errstate(over="ignore"):
+        norm_sq = lp_norm(u, p) ** 2
+    if not np.all((norm_sq > 0.0) & np.isfinite(norm_sq)):
+        raise ValueError(f"the squared L^{p:g} norm of the field is {norm_sq!r}: "
+                         "its values are too small or too large for float64")
+    return norm_sq
+
+
 def yamabe_functional(u: ZonalField, bg: ConformalBackground) -> float:
     _check_nonzero(u)
     _check_grid(u, bg)
-    return inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * lp_norm(u, bg.params.p) ** 2)
+    norm_sq = _norm_sq(u, bg)
+    return inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * norm_sq)
 
 
 def mass_functional(u: ZonalField, bg: ConformalBackground) -> float:
@@ -55,7 +68,7 @@ def mass_functional(u: ZonalField, bg: ConformalBackground) -> float:
     """
     _check_nonzero(u)
     _check_grid(u, bg)
-    norm_sq = lp_norm(u, bg.params.p) ** 2
+    norm_sq = _norm_sq(u, bg)
     p_form = -inner(u, p_operator_apply(u, bg)) / norm_sq
     mnor_term = inner(ZonalField(u.grid, u.values * u.values), bg.mnor) / norm_sq
     y_form = mnor_term - bg.params.b_n * (

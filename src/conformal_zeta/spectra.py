@@ -33,6 +33,11 @@ class SpectrumQuery:
             raise ValueError(f"space must be one of {SPACES}, got {self.space!r}")
         check_dimension(self.n)
 
+    @property
+    def step(self) -> int:
+        """Degree step of the stream: projective space keeps the even degrees."""
+        return 2 if self.space == "projective" else 1
+
 
 @dataclass(frozen=True)
 class SpectrumTerm:
@@ -51,17 +56,13 @@ def harmonic_multiplicity(n: int, l: int) -> int:
 
 def subcritical_eigenvalue(n: int, l: int) -> int:
     """(l+1)(l+2)...(l+n-2), strictly positive from l = 0 on."""
-    val = 1
-    for j in range(1, n - 1):
-        val *= l + j
-    return val
+    return math.perm(l + n - 2, n - 2)
 
 
 def spectrum_stream(query: SpectrumQuery) -> Iterator[SpectrumTerm]:
     """Lazy (eigenvalue, multiplicity) stream; consumers truncate explicitly."""
-    step = 2 if query.space == "projective" else 1
     l = 0
     while True:
         yield SpectrumTerm(degree=l, eigenvalue=float(subcritical_eigenvalue(query.n, l)),
                            multiplicity=harmonic_multiplicity(query.n, l))
-        l += step
+        l += query.step

@@ -19,7 +19,8 @@ Two evaluation routes are exposed and cross-checked by the test suite:
   valid away from s=1 and the Weyl poles;
 * ``spectral_zeta_at_one(query)``: at s=1 the eigenvalue factor drops out of
   every term (lam^0 = 1), so the head/tail split telescopes through the
-  Hurwitz recurrence into a two-term closed form; the reported residue is
+  Hurwitz recurrence into a two-term closed form, evaluated in exact rational
+  arithmetic (``rational_finite_part``) and rounded once; the reported residue is
   extracted numerically from symmetric evaluations at 1 +/- delta so that the
   regularity claim is measured, not assumed.
 """
@@ -46,36 +47,17 @@ _EM_BERNOULLI_TERMS = 14
 _MPMATH_DPS = 40
 
 
-def _bernoulli_numbers(count: int) -> list[Fraction]:
-    """B_0..B_{count-1} as exact rationals (recurrence)."""
-    out: list[Fraction] = []
-    for m in range(count):
-        if m == 0:
-            out.append(Fraction(1))
-            continue
-        acc = Fraction(0)
-        for k in range(m):
-            acc += Fraction(math.comb(m + 1, k)) * out[k]
-        out.append(-acc / (m + 1))
-    return out
-
-
-_BERN = _bernoulli_numbers(2 * _EM_BERNOULLI_TERMS + 4)
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """B_m as an exact rational (B_1 = -1/2), by the recurrence, computed on demand."""
+    if m == 0:
+        return Fraction(1)
+    return -sum(math.comb(m + 1, j) * _bernoulli(j) for j in range(m)) / (m + 1)
 
 
 def bernoulli_polynomial(k: int, a: Fraction) -> Fraction:
     """B_k(a) as an exact rational for rational a."""
-    return sum(Fraction(math.comb(k, j)) * _BERN[j] * a ** (k - j) for j in range(k + 1))
-
-
-def _hurwitz_nonpositive_integer(s_int: int, a: float) -> float:
-    """zeta_H(-m, a) = -B_{m+1}(a)/(m+1), evaluated by float Horner."""
-    k = 1 - s_int
-    coeffs = [float(Fraction(math.comb(k, j)) * _BERN[j]) for j in range(k + 1)]
-    acc = 0.0
-    for j, c in enumerate(coeffs):  # sum c_j a^{k-j}, Horner in a
-        acc = acc * a + c
-    return -acc / k
+    return sum(math.comb(k, j) * _bernoulli(j) * a ** (k - j) for j in range(k + 1))
 
 
 def _hurwitz_euler_maclaurin(s: float, a: float) -> float:
@@ -91,7 +73,7 @@ def _hurwitz_euler_maclaurin(s: float, a: float) -> float:
     power = b ** (-s - 1.0)
     corr = 0.0
     for j in range(1, _EM_BERNOULLI_TERMS + 1):
-        corr += float(_BERN[2 * j]) / math.factorial(2 * j) * poch * power
+        corr += float(_bernoulli(2 * j)) / math.factorial(2 * j) * poch * power
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         power *= b ** (-2.0)
     return total + corr
@@ -100,8 +82,8 @@ def _hurwitz_euler_maclaurin(s: float, a: float) -> float:
 def hurwitz_zeta(s: float, a: float) -> float:
     """Analytically continued Hurwitz zeta, float64 in and out.
 
-    Dispatch: exact Bernoulli polynomials at non-positive integer s;
-    Euler-Maclaurin for s >= -1.5; arbitrary-precision fallback below that
+    Dispatch: exact Bernoulli polynomials at non-positive integer s, rounded
+    once; Euler-Maclaurin for s >= -1.5; arbitrary-precision fallback below that
     (float64 Euler-Maclaurin loses digits to head/tail cancellation there).
     """
     if a <= 0:
@@ -109,7 +91,9 @@ def hurwitz_zeta(s: float, a: float) -> float:
     if abs(s - 1.0) < POLE_GUARD:
         raise ValueError(f"s={s} is within {POLE_GUARD} of the pole at s=1")
     if s == int(s) and s <= 0:
-        return _hurwitz_nonpositive_integer(int(s), a)
+        # zeta_H(-m, a) = -B_{m+1}(a)/(m+1), exact for the rational a, rounded once
+        m = -int(s)
+        return float(-bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1))
     if s >= -1.5:
         return _hurwitz_euler_maclaurin(s, a)
     with mpmath.workdps(_MPMATH_DPS):
@@ -158,33 +142,18 @@ def _squared_offsets(n: int) -> list[float]:
 def _tail_coefficient_polys(n: int, order: int) -> tuple[np.ndarray, ...]:
     """Polynomials a_k(sigma) in sigma = s-1 with lam^{1-s} = sum_k a_k x^{-2k}.
 
-    Each factor (1 - c x^{-2})^{-sigma} contributes binom(-sigma, j) (-c)^j at
-    x^{-2j}; the factors convolve.  Coefficient arrays are exact float
-    polynomials in sigma (constant term exactly 0 for k >= 1).
+    lam^{1-s} = x^{(n-2)(1-s)} prod_i (1 - c_i x^{-2})^{-sigma}, whose logarithm
+    is sigma sum_m p_m x^{-2m} / m with the power sums p_m = sum_i c_i^m; the
+    derivative of the exponential gives the recurrence
+    k a_k = sigma sum_{m=1..k} p_m a_{k-m}, a_0 = 1.  Coefficient arrays are
+    float polynomials in sigma (constant term exactly 0 for k >= 1).
     """
-    # per-factor: row j = polynomial (in sigma) multiplying x^{-2j}
-    polys = [np.zeros(order + 1) for _ in range(order + 1)]
-    polys[0][0] = 1.0
-    for c in _squared_offsets(n):
-        rows = [np.zeros(order + 1) for _ in range(order + 1)]
-        # binom(-sigma, j) = (-sigma)(-sigma-1)...(-sigma-j+1)/j!
-        binom = np.zeros(order + 2)
-        binom[0] = 1.0
-        factor_rows = []
-        for j in range(order + 1):
-            factor_rows.append(binom[: order + 1] * ((-c) ** j))
-            # multiply polynomial by (-sigma - j): new = -j*old - sigma*old
-            nxt = np.zeros_like(binom)
-            nxt += -j * binom
-            nxt[1:] += -binom[:-1]
-            binom = nxt / (j + 1.0)
-        for k in range(order + 1):
-            acc = np.zeros(order + 1)
-            for j in range(k + 1):
-                prod = np.convolve(polys[k - j], factor_rows[j])[: order + 1]
-                acc += prod
-            rows[k] = acc
-        polys = rows
+    offsets = np.array(_squared_offsets(n))
+    power_sums = [float(np.sum(offsets ** m)) for m in range(order + 1)]
+    polys = [np.eye(1, order + 1)[0]]  # a_0 = 1
+    for k in range(1, order + 1):
+        acc = sum(power_sums[m] * polys[k - m] for m in range(1, k + 1))
+        polys.append(np.concatenate(([0.0], acc[:-1])) / k)  # times sigma, over k
     return tuple(polys)
 
 
@@ -199,11 +168,6 @@ def _step_sum_value(w: float, x0: float, step: int) -> float:
     return step ** (-w) * hurwitz_zeta(w, x0 / step)
 
 
-def _stream_geometry(query: SpectrumQuery):
-    """(first x, step) of the x-lattice: projective space keeps even degrees."""
-    return (query.n - 1) / 2.0, 2 if query.space == "projective" else 1
-
-
 def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     """Evaluate the continued spectral series at real s away from its poles.
 
@@ -216,7 +180,7 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     if abs(s - 1.0) < POLE_GUARD:
         raise ValueError("use spectral_zeta_at_one for the expansion point s=1")
     sigma = s - 1.0
-    _, step = _stream_geometry(query)
+    step = query.step
     prefactor = 2.0 / math.factorial(n - 1)
 
     # exact head over degrees l with x = l + (n-1)/2 on the stream lattice
@@ -252,26 +216,25 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     return head + prefactor * tail
 
 
-def _finite_part_closed_form(n: int, x_first: float, step: int) -> float:
-    """Finite part at s=1 of the x-lattice series (head telescoped away).
+def rational_finite_part(n: int, first_degree: int = 0, step: int = 1) -> Fraction:
+    """Exact finite part at s=1 of the series over degrees first_degree + step j.
 
-    At s=1 every term is (2/(n-1)!) x, so the split point telescopes through
-    the Hurwitz recurrence and only two tail orders survive: the k=0 sum
-    continued to w=-1, and the k=1 pole whose residue meets a_1'(1) = sum c_i.
-    The k=1 factor step^{-w} zeta_H(w, x0/step), w = 1 + (n-2) sigma, has
-    residue 1/(step (n-2)) in s; its finite part (which holds psi) would enter
-    multiplied by a_1(1) = 0, so it is not evaluated (``hurwitz_laurent_at_1``
-    gives it).
+    At s=1 every term is (2/(n-1)!) x, so the head telescopes through the
+    Hurwitz recurrence and only two tail orders survive: the k=0 lattice sum
+    continued to w=-1, -step B_2(x_0/step)/2, and the k=1 pole, whose residue
+    1/(step (n-2)) in s meets a_1'(1) = sum_i c_i.  The k=1 constant term
+    (which holds psi) enters multiplied by a_1(1) = 0, so it is not evaluated
+    (``hurwitz_laurent_at_1`` gives it).
     """
-    prefactor = 2.0 / math.factorial(n - 1)
-    polys = _tail_coefficient_polys(n, 1)
-    a1_slope = polys[1][1]          # a_1'(1) = sum of squared offsets
-    a1_value = polys[1][0]
-    assert a1_value == 0.0          # exactly, by construction
+    x_first = Fraction(2 * first_degree + n - 1, 2)
+    head = -step * bernoulli_polynomial(2, x_first / step) / 2
+    pole = sum(map(Fraction, _squared_offsets(n))) / (step * (n - 2))
+    return Fraction(2, math.factorial(n - 1)) * (head + pole)
 
-    k0 = _step_sum_value(-1.0, x_first, step)
-    h_residue = 1.0 / (step * (n - 2))
-    return prefactor * (k0 + a1_slope * h_residue)
+
+def _finite_part(query: SpectrumQuery) -> float:
+    """The finite part of the query's series, correctly rounded."""
+    return float(rational_finite_part(query.n, step=query.step))
 
 
 def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:
@@ -281,9 +244,6 @@ def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:
     the full head+tail evaluator at s = 1 +/- delta, so the regularity of the
     series is observed rather than imposed.
     """
-    x_first, step = _stream_geometry(query)
-    fp = _finite_part_closed_form(query.n, x_first, step)
-
     def residue_estimate(delta: float) -> float:
         plus = spectral_zeta(query, 1.0 + delta)
         minus = spectral_zeta(query, 1.0 - delta)
@@ -292,20 +252,19 @@ def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:
     r1 = residue_estimate(_RESIDUE_DELTA)
     r2 = residue_estimate(2.0 * _RESIDUE_DELTA)
     residue = (4.0 * r1 - r2) / 3.0
-    return LaurentValue(residue=residue, finite_part=fp, at=1.0)
+    return LaurentValue(residue=residue, finite_part=_finite_part(query), at=1.0)
 
 
 def parity_finite_part(n: int, parity: str) -> float:
     """Finite part of the even- or odd-degree half of the sphere series.
 
-    Exposed so the step-2 machinery can be checked to recombine into the full
+    Exposed so the step-2 lattice can be checked to recombine into the full
     series: even + odd must reproduce the sphere finite part.
     """
     check_dimension(n)
     if parity not in PARITIES:
         raise ValueError(f"parity must be one of {PARITIES}")
-    x_first = (n - 1) / 2.0 + (1.0 if parity == "odd" else 0.0)
-    return _finite_part_closed_form(n, x_first, 2)
+    return float(rational_finite_part(n, first_degree=PARITIES.index(parity), step=2))
 
 
 @dataclass(frozen=True)
@@ -322,7 +281,7 @@ def homogeneous_mass(query: SpectrumQuery, params: DimensionParams) -> Homogeneo
     """
     if params.n != query.n:
         raise ValueError(f"params n={params.n} does not match query n={query.n}")
-    fp = spectral_zeta_at_one(query).finite_part
+    fp = _finite_part(query)
     vol = sphere_volume(query.n)
     if query.space == "projective":
         vol /= 2.0

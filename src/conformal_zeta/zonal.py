@@ -39,7 +39,9 @@ Each transform is split as follows:
   float64 because _TABLE_BITS + _VECTOR_BITS + log2(N) <= 52, and
   T_0 w + T_1 v, which is at most 2^-20 of |T| |v|, so its float64 roundoff
   stays below the longdouble roundoff of the whole product;
-* the two columns are added in longdouble, in O(N).
+* ``analyze`` adds the two columns in longdouble, in O(N); a synthesis
+  product (``synthesize_ld``, and the last step of ``apply_multiplier`` and
+  ``differentiate``) adds them in float64, since it returns float64 values.
 
 A stack of B fields on one grid, values of shape (B, N), goes through the same
 code as one field: every row gets its own exponent e, its own split and its own

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from conformal_zeta import laws, zonal
-from conformal_zeta.acceptance import (CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
-                                       rational_finite_part, run_suite)
+from conformal_zeta.acceptance import CHECK_NAMES, KNOWN_DISPUTED_CHECKS, run_suite
+from conformal_zeta.zeta import rational_finite_part
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
 
@@ -55,8 +55,8 @@ def test_disputed_projective_target_diagnosis():
     # The former registered +1/18 is what the rational oracle returns for the
     # lattice of degrees l = 0, 4, 8, ... (step-2 halving applied twice), while
     # the even-degree lattice of the actual projective stream gives +1/36.
-    assert rational_finite_part(4, parity="even") == Fraction(1, 36)
-    assert rational_finite_part(4, parity="even", step=4) == Fraction(1, 18)
+    assert rational_finite_part(4, step=2) == Fraction(1, 36)
+    assert rational_finite_part(4, step=4) == Fraction(1, 18)
 
 
 def test_covariance_subset_with_jobs_argument(suite_report):

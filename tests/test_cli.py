@@ -280,6 +280,9 @@ def test_floating_point_error_exit_code(capsys, monkeypatch):
     ("--epsilon", ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.05:0.3:5",
                    "--epsilon", "nan"]),
     ("--tol", ["optimize", "--n", "4", "--grid-n", "32", "--tol=-inf"]),
+    ("--alphas", ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.1:inf:3"]),
+    ("--alphas", ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "nan:1:3"]),
+    ("--alphas", ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.1:1e400:3"]),
 ])
 def test_non_finite_float_flag_is_usage_error(capsys, tmp_path, flag, argv):
     if argv[0] == "sweep":
@@ -306,6 +309,40 @@ def test_sweep_with_vanishing_bubble_names_its_cause(capsys, tmp_path):
     for part in ("--grid-n", "n=104", "alpha=0.05", "zero at every node"):
         assert part in captured.err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["functional", "--n", "4", "--grid-n", "32", "--profile", "{tiny}"],
+    ["functional", "--n", "4", "--grid-n", "32", "--profile", "{huge}"],
+    ["functional", "--n", "6", "--grid-n", "32", "--profile", "{tiny}"],
+    ["functional", "--n", "6", "--grid-n", "32", "--profile", "{huge}"],
+    ["sweep", "--n", "4", "--grid-n", "32", "--alphas", "1e-300:1e-299:2", "--out", "{csv}"],
+], ids=["functional_n4_tiny", "functional_n4_huge", "functional_n6_tiny",
+        "functional_n6_huge", "sweep_tiny"])
+def test_norm_outside_float_range_is_usage_error(capsys, tmp_path, argv):
+    # ||u||_p^2 underflows to 0 (or overflows) before any functional divides by it
+    grid = make_grid(int(argv[2]), 32)
+    write_field(tmp_path / "tiny.json", constant_field(grid, 1e-300))
+    write_field(tmp_path / "huge.json", constant_field(grid, 1e300))
+    argv = [a.format(tiny=tmp_path / "tiny.json", huge=tmp_path / "huge.json",
+                     csv=tmp_path / "s.csv") for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "norm" in captured.err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_trace_of_a_tiny_field_is_zero(capsys, tmp_path, small_grid):
+    # T is 2-homogeneous, so a field of 1e-300 has trace -0.0 in float64
+    field = tmp_path / "u.json"
+    write_field(field, constant_field(small_grid, 1e-300))
+    code, out = run_cli(capsys, "trace", "--n", "4", "--grid-n", "32", "--profile", str(field))
+    assert code == 0
+    assert json.loads(out) == {"trace": -0.0}
 
 
 def test_rates_overflow_names_flags_and_limit(capsys):
@@ -389,11 +426,14 @@ FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "-1"]
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, small_grid):
-    """n=4, N=32 profile and mass-field files, plus a directory for outputs."""
+    """n=4, N=32 profile files (one ordinary, two whose L^p norms leave the float
+    range) and a mass-field file, plus a directory for outputs."""
     from conformal_zeta.zonal import ZonalField
 
     root = tmp_path_factory.mktemp("fuzz")
     write_field(root / "profile.json", constant_field(small_grid, 1.0))
+    write_field(root / "tiny.json", constant_field(small_grid, 1e-300))
+    write_field(root / "huge.json", constant_field(small_grid, 1e300))
     write_field(root / "mnor.json",
                 ZonalField(small_grid, 0.02 * np.exp(-small_grid.theta**2 / 0.1)))
     return root
@@ -429,7 +469,8 @@ def cli_arguments(draw, root):
         if grid_n is not None:
             argv.append(f"--grid-n={grid_n}")
         if command in ("trace", "functional"):
-            argv += ["--profile", str(root / "profile.json")]
+            profile = draw(st.sampled_from(["profile.json", "tiny.json", "huge.json"]))
+            argv += ["--profile", str(root / profile)]
         if command != "trace":
             maybe("--mass-field", [root / "mnor.json"])
         if command == "optimize":
@@ -437,7 +478,9 @@ def cli_arguments(draw, root):
             maybe("--seed", [0, 3])
             maybe("--out", [root / "optimize.json"])
         if command == "sweep":
-            argv += ["--alphas", draw(st.sampled_from(["0.05:0.3:3", "0.3:0.05:3", "nope"])),
+            argv += ["--alphas", draw(st.sampled_from(
+                        ["0.05:0.3:3", "0.3:0.05:3", "nope", "0.1:inf:3", "nan:1:3",
+                         "0.1:1e400:3", "1e-300:1e-299:2"])),
                      "--out", str(root / "sweep.csv")]
             maybe("--epsilon", [*FUZZ_FLOATS, "0.3"])
     return argv
@@ -459,3 +502,7 @@ def test_fuzz_exit_codes_and_stdout(fuzz_files, data):
     if text:
         assert text.endswith("\n"), argv
         json.loads(text)  # exactly one complete document
+    if argv[0] == "sweep" and code == 0:
+        with open(fuzz_files / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(v)) for r in rows for v in r), argv

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conformal_zeta.params import dim_params, sphere_volume
+from conformal_zeta import zeta
+from conformal_zeta.params import MAX_DIMENSION, dim_params, sphere_volume
 from conformal_zeta.spectra import SpectrumQuery
-from conformal_zeta.zeta import (homogeneous_mass, hurwitz_laurent_at_1, hurwitz_zeta,
-                                 parity_finite_part, spectral_zeta, spectral_zeta_at_one)
+from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, homogeneous_mass,
+                                 hurwitz_laurent_at_1, hurwitz_zeta, parity_finite_part,
+                                 spectral_zeta, spectral_zeta_at_one)
 from oracles import (euler_gamma_limit, hurwitz_direct, rational_finite_part,
                      spectral_series_direct)
 
@@ -54,6 +58,15 @@ def test_recurrence(s, a):
     lhs = hurwitz_zeta(s, a) - hurwitz_zeta(s, a + 1.0)
     rhs = a ** (-s)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("m", [2, 10, 25, 30, 31, 40])
+def test_nonpositive_integers_are_correctly_rounded(m):
+    # zeta_H(-m, a) = -B_{m+1}(a)/(m+1), needing Bernoulli numbers past B_31 for m >= 31
+    for a in (0.75, 2.5, 51.5):
+        with mpmath.workdps(50):
+            want = float(mpmath.zeta(-m, a))
+        assert abs(hurwitz_zeta(-float(m), a) - want) <= math.ulp(want), a
 
 
 def test_pole_guard():
@@ -135,6 +148,21 @@ def test_finite_part_does_not_evaluate_psi(monkeypatch):
     assert projective.finite_part == pytest.approx(1 / 36, abs=1e-12)
 
 
+# residues of every supported series, measured on x86-64 with glibc's libm before
+# the tail coefficients moved from per-factor binomial convolutions to the
+# power-sum recurrence, which leaves every one of them bit for bit
+RESIDUES = json.loads(Path(__file__).with_name("zeta_residues.json").read_text())
+
+
+@pytest.mark.parametrize("space", ["sphere", "projective"])
+def test_finite_parts_are_correctly_rounded_and_residues_unchanged(space):
+    for n in range(4, MAX_DIMENSION + 1, 2):
+        lv = spectral_zeta_at_one(SpectrumQuery(space=space, n=n))
+        exact = rational_finite_part(n, "even" if space == "projective" else None)
+        assert lv.finite_part == float(exact), n
+        assert lv.residue == RESIDUES[space][str(n)], n
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 @pytest.mark.parametrize("space", ["sphere", "projective"])
 def test_residue_vanishes(n, space):
@@ -186,6 +214,29 @@ def test_parity_finite_part_rejects_bad_parity():
         parity_finite_part(4, "both")
 
 
+@pytest.mark.parametrize("n, s, reason", [(82, 0.6, "pole"), (64, 0.5, "tolerance")])
+def test_series_where_a_tail_exponent_is_a_large_negative_integer(n, s, reason):
+    # in both cases the k=0 tail term is a Hurwitz zeta at w = -1 + (n-2)(s-1) = -33.
+    # On S^82, s = 0.6 is a Weyl pole: w_17 = 1 and a_17(-0.4) != 0.  On S^64 the
+    # series is of order x^33 at the split point x ~ 1000, beyond the absolute
+    # tail tolerance.  Either way the refusal names its cause.
+    with pytest.raises(ValueError, match=reason):
+        spectral_zeta(SpectrumQuery(space="sphere", n=n), s)
+
+
+@pytest.mark.parametrize("n", [4, 6, 104])
+@pytest.mark.parametrize("sigma", [-0.3, 0.3, 1e-4])
+def test_tail_coefficients_expand_the_eigenvalue_power(n, sigma):
+    # sum_k a_k(sigma) x^{-2k} = prod_i (1 - c_i / x^2)^{-sigma}, c_i = (i + 1/2)^2
+    x = 200.0
+    series = math.fsum(float(np.polynomial.polynomial.polyval(sigma, a)) * x ** (-2 * k)
+                       for k, a in enumerate(_tail_coefficient_polys(n, MAX_TAIL_ORDER)))
+    with mpmath.workdps(40):
+        want = mpmath.fprod((1 - mpmath.mpf((i + 0.5) ** 2) / x**2) ** (-mpmath.mpf(sigma))
+                            for i in range((n - 4) // 2 + 1))
+        assert abs(series - want) <= 1e-14 * abs(want)
+
+
 def test_weyl_pole_rejected():
     # the continued n=4 series has a genuine pole at s=2
     with pytest.raises(ValueError):
@@ -214,6 +265,16 @@ def test_projective_mass_n4():
     cal = homogeneous_mass(SpectrumQuery(space="projective", n=4), dim_params(4, "calibrated"))
     assert cal.normalized_mass == pytest.approx(1 / (16 * math.pi**2), rel=1e-12)
     assert hm.normalized_mass > 0 and cal.normalized_mass > 0
+
+
+def test_homogeneous_mass_does_not_evaluate_the_series(monkeypatch):
+    # the mass needs the finite part only, not the residue measured from the series
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series was evaluated")
+
+    monkeypatch.setattr(zeta, "spectral_zeta", refuse)
+    hm = homogeneous_mass(SpectrumQuery(space="projective", n=4), dim_params(4, "paper"))
+    assert hm.normalized_mass == pytest.approx(1 / (24 * math.pi**2), rel=1e-14)
 
 
 def test_sphere_mass_calibrated_normalization():
