@@ -10,8 +10,8 @@ comparison with the round sphere.
 from .background import ConformalBackground, round_sphere_background
 from .params import DimensionParams, dim_params, sphere_volume
 from .spectra import SpectrumQuery, SpectrumTerm, spectrum_stream
-from .zeta import (HomogeneousMass, LaurentValue, homogeneous_mass, hurwitz_laurent_at_1,
-                   hurwitz_zeta, spectral_zeta, spectral_zeta_at_one)
+from .zeta import (HomogeneousMass, LaurentValue, homogeneous_mass, hurwitz_zeta,
+                   spectral_zeta, spectral_zeta_at_one)
 from .zonal import (ZonalField, ZonalGrid, constant_field, field_from_function, grad_sq,
                     integrate, laplacian, lp_norm, make_grid, random_zonal, synthesize)
 
@@ -19,7 +19,7 @@ __all__ = [
     "ConformalBackground", "DimensionParams", "HomogeneousMass", "LaurentValue",
     "SpectrumQuery", "SpectrumTerm", "ZonalField", "ZonalGrid",
     "constant_field", "dim_params", "field_from_function", "grad_sq",
-    "homogeneous_mass", "hurwitz_laurent_at_1", "hurwitz_zeta", "integrate",
+    "homogeneous_mass", "hurwitz_zeta", "integrate",
     "laplacian", "lp_norm", "make_grid", "random_zonal", "round_sphere_background",
     "spectral_zeta", "spectral_zeta_at_one", "spectrum_stream", "sphere_volume",
     "synthesize",

@@ -94,7 +94,11 @@ def conformal_trace(u: ZonalField, bg: ConformalBackground) -> float:
         raise ValueError("the closed-form trace applies to round-sphere backgrounds only")
     n = bg.params.n
     quad = inner(u, laplacian(u)) + n * (n - 2) / 4.0 * inner(u, u)
-    return -bg.params.c_n * quad
+    trace = -bg.params.c_n * quad
+    if not np.all(np.isfinite(trace)):
+        raise ValueError(f"the trace of the field is {trace!r}: "
+                         "its values are too large for float64")
+    return trace
 
 
 def sobolev_gap(u: ZonalField, bg: ConformalBackground):

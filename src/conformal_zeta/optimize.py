@@ -171,7 +171,8 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
         direction = grid.apply_multiplier(r, inv_sphere_op)
         improved = False
         for _ in range(60):
-            cand, pcand, m_cand = _project(u.values + step * direction, bg)
+            trial = u.values + step * direction
+            cand, pcand, m_cand = _project(trial, bg)
             if not math.isfinite(m_cand):
                 raise FloatingPointError("optimizer produced a non-finite value")
             if m_cand > m_val:
@@ -180,6 +181,8 @@ def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | Non
                 step *= 1.5
                 improved = True
                 break
+            if np.array_equal(trial, u.values):
+                break  # every smaller step rounds to this same rejected trial
             step *= 0.5
         iterations += 1
         if not improved:

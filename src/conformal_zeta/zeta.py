@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .params import DimensionParams, check_dimension, sphere_volume
@@ -96,6 +95,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
         return float(-bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1))
     if s >= -1.5:
         return _hurwitz_euler_maclaurin(s, a)
+    import mpmath  # here, so only this fallback pays for loading it
+
     with mpmath.workdps(_MPMATH_DPS):
         return float(mpmath.zeta(s, a))
 
@@ -107,18 +108,6 @@ class LaurentValue:
     residue: float
     finite_part: float
     at: float = 1.0
-
-
-def hurwitz_laurent_at_1(a: float) -> LaurentValue:
-    """Laurent data of zeta_H(s, a) at s=1: residue 1, constant term -psi(a).
-
-    psi(a) is evaluated at _MPMATH_DPS digits, so the float is correctly rounded.
-    """
-    if a <= 0:
-        raise ValueError(f"hurwitz_laurent_at_1 needs a > 0, got a={a}")
-    with mpmath.workdps(_MPMATH_DPS):
-        psi = float(mpmath.digamma(a))
-    return LaurentValue(residue=1.0, finite_part=-psi, at=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +212,7 @@ def rational_finite_part(n: int, first_degree: int = 0, step: int = 1) -> Fracti
     Hurwitz recurrence and only two tail orders survive: the k=0 lattice sum
     continued to w=-1, -step B_2(x_0/step)/2, and the k=1 pole, whose residue
     1/(step (n-2)) in s meets a_1'(1) = sum_i c_i.  The k=1 constant term
-    (which holds psi) enters multiplied by a_1(1) = 0, so it is not evaluated
-    (``hurwitz_laurent_at_1`` gives it).
+    (which holds psi) enters multiplied by a_1(1) = 0, so it is not evaluated.
     """
     x_first = Fraction(2 * first_degree + n - 1, 2)
     head = -step * bernoulli_polynomial(2, x_first / step) / 2

@@ -16,15 +16,19 @@ splitting (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).
 
 The nodes start from the Golub-Welsch eigenvalue problem (Golub and Welsch,
 Math. Comp. 23, 1969) in float64 and are then polished to longdouble accuracy
-by Newton steps on C_N^lam:
+by a Newton step on C_N^lam:
 
 * the symmetric Jacobi matrix of the weight (1-x^2)^a has a zero diagonal,
   so reordering its rows and columns even-then-odd turns it into
   [[0, B], [B^T, 0]]; its eigenvalues, the nodes, are +-sigma for the
   singular values sigma of the ceil(N/2) x floor(N/2) bidiagonal block B,
   plus 0 when N is odd.  The node set is exactly symmetric about 0;
-* four longdouble Newton steps, which evaluate only the top recurrence row,
-  take the float64 start to longdouble accuracy.
+* one longdouble Newton step takes the float64 start to longdouble accuracy.
+  Its single recurrence pass ends with C_{N-1} and C_N, and
+  (1-x^2) C_N' = (N+2 lam-1) C_{N-1} - N x C_N gives the derivative.
+
+The analysis and synthesis tables are built with the grid; the derivative
+table, which only ``differentiate`` reads, is built on its first use.
 
 Each transform is split as follows:
 
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +80,10 @@ _FILTER_K = 1024.0
 
 DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
-# The grid holds three N x N tables, each as two float64 halves: 48 N^2
-# bytes, 50 MB at N=1024 and 200 MB at N=2048; building them peaks near
-# 64 N^2 bytes.  Larger sizes are refused, and the bit budget below is sized
-# for this bound.
+# The grid holds up to three N x N tables (the derivative table from its first
+# use on), each as two float64 halves: 48 N^2 bytes, 50 MB at N=1024 and
+# 200 MB at N=2048; building them peaks near 64 N^2 bytes.  Larger sizes are
+# refused, and the bit budget below is sized for this bound.
 MAX_GRID_SIZE = 2048
 
 # Widths of the error-free leading parts: N <= MAX_GRID_SIZE products of a
@@ -120,9 +125,14 @@ def _gegenbauer_table(x: np.ndarray, lam, rows: int) -> np.ndarray:
     return out
 
 
-def _gegenbauer_top(x: np.ndarray, lam, rows: int) -> np.ndarray:
-    """C_{rows-1}^lam(x), the top row of the recurrence, without the table."""
-    return deque(_gegenbauer_rows(x, lam, rows), maxlen=1)[0]
+def _newton_step(x: np.ndarray, lam, size: int) -> np.ndarray:
+    """One Newton step toward the zeros of C_size^lam, from one recurrence pass.
+
+    The pass ends with C_{N-1} and C_N, and
+    (1-x^2) C_N' = (N+2 lam-1) C_{N-1} - N x C_N gives the derivative.
+    """
+    below, top = deque(_gegenbauer_rows(x, lam, size + 1), maxlen=2)
+    return x - top * (1 - x * x) / ((size + 2 * lam - 1) * below - size * x * top)
 
 
 def _jacobi_nodes(size: int, a: float) -> np.ndarray:
@@ -142,6 +152,13 @@ def _jacobi_nodes(size: int, a: float) -> np.ndarray:
     block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]
     sigma = np.linalg.svd(block, compute_uv=False)  # descending
     return np.concatenate([-sigma, np.zeros(size % 2), sigma[::-1]])
+
+
+def _gauss_nodes(n: int, size: int) -> np.ndarray:
+    """The grid's Gauss-Jacobi nodes in longdouble, ascending: the float64
+    Golub-Welsch start, polished by one Newton step."""
+    start = _jacobi_nodes(size, (n - 2) / 2.0).astype(_LD)
+    return _newton_step(start, _LD(n - 1) / 2, size)
 
 
 def _split_table(size: int, rows_of) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +210,7 @@ class ZonalGrid:
         self.n = n
         self.size = size
         lam = _LD(n - 1) / 2
-
-        x = _jacobi_nodes(size, (n - 2) / 2.0).astype(_LD)
-        # polish the float64 nodes to longdouble accuracy as zeros of C_N^lam;
-        # (d/dx) C_N^lam = 2 lam C_{N-1}^{lam+1}.
-        for _ in range(4):
-            val = _gegenbauer_top(x, lam, size + 1)
-            der = 2 * lam * _gegenbauer_top(x, lam + 1, size)
-            x = x - val / der
+        x = _gauss_nodes(n, size)
 
         # Quadrature weights via the Christoffel function of the orthonormal
         # system.  Norms are needed only up to an l-independent factor, which
@@ -217,22 +227,15 @@ class ZonalGrid:
         del pre
         w *= _LD(sphere_volume(n)) / w.sum()
 
-        # Orthonormal basis (rows l, cols i), then its three tables, split:
-        # analysis basis * w, synthesis basis^T and derivative dbasis^T, where
-        # dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||.
+        # Orthonormal basis (rows l, cols i), then its analysis table
+        # basis * w and synthesis table basis^T, split; the derivative table
+        # waits for its first use (``_derivative``).
         norms = np.sqrt((basis * basis) @ w)
         basis /= norms[:, None]
         self._analysis = _split_table(size, lambda a, b: basis[a:b] * w)
         self._synthesis = _split_table(size, lambda a, b: basis[:, a:b].T)
         del basis
-        dtab = _gegenbauer_table(x, lam + 1, size - 1)
-
-        def dbasis_rows(a, b):
-            rows = np.zeros((b - a, size), dtype=_LD)
-            rows[:, 1:] = (2 * lam * dtab[:, a:b] / norms[1:, None]).T
-            return rows
-
-        self._derivative = _split_table(size, dbasis_rows)
+        self._x, self._norms = x, norms
         self._eigs = (np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD)
 
         self.nodes = np.asarray(x, dtype=float)
@@ -254,6 +257,20 @@ class ZonalGrid:
         return f"ZonalGrid(n={self.n}, size={self.size})"
 
     # -- spectral kernel --------------------------------------------------------
+
+    @cached_property
+    def _derivative(self) -> tuple[np.ndarray, np.ndarray]:
+        """The derivative table dbasis^T, split, built on the first ``differentiate``;
+        dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||."""
+        size, lam = self.size, _LD(self.n - 1) / 2
+        dtab = _gegenbauer_table(self._x, lam + 1, size - 1)
+
+        def dbasis_rows(a, b):
+            rows = np.zeros((b - a, size), dtype=_LD)
+            rows[:, 1:] = (2 * lam * dtab[:, a:b] / self._norms[1:, None]).T
+            return rows
+
+        return _split_table(size, dbasis_rows)
 
     def _product(self, table: tuple[np.ndarray, np.ndarray], vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
@@ -417,9 +434,12 @@ def integrate(f: ZonalField):
 
 
 def inner(f: ZonalField, g: ZonalField):
+    """L^2 inner product (per field of a stack); inf where it leaves the float
+    range, for the caller to refuse."""
     if not f.grid.compatible(g.grid):
         raise GridMismatchError(f"{f.grid} vs {g.grid}")
-    return _per_field((f.values * g.values) @ f.grid.weights)
+    with np.errstate(over="ignore"):
+        return _per_field((f.values * g.values) @ f.grid.weights)
 
 
 def lp_norm(f: ZonalField, q: float):

@@ -2,13 +2,15 @@
 
 Everything here avoids the package's own computational paths: finite
 differences for the Laplacian, exact rational Bernoulli arithmetic for
-continued lattice sums, Beta-function moments for quadrature, and plain
-head-plus-integral summation for convergent Dirichlet series.
+continued lattice sums, Beta-function moments for quadrature, plain
+head-plus-integral summation for convergent Dirichlet series, and mpmath's
+digamma for the Laurent constant of the Hurwitz zeta.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -102,6 +104,17 @@ def spectral_series_direct(n: int, s: float, terms: int = 10**6,
     x_tail = x[-1] + step / 2.0
     tail = pref * x_tail ** (1.0 - w) / ((w - 1.0) * step)
     return head + tail
+
+
+def hurwitz_finite_part_at_1(a: float) -> float:
+    """Constant term -psi(a) of zeta_H(s, a) at its pole s=1 (residue 1).
+
+    psi(a) is evaluated at 40 digits, so the float is correctly rounded.
+    """
+    if a <= 0:
+        raise ValueError(f"the digamma oracle needs a > 0, got a={a}")
+    with mpmath.workdps(40):
+        return -float(mpmath.digamma(a))
 
 
 # -- flat-space moment oracles -------------------------------------------------

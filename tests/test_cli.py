@@ -345,6 +345,19 @@ def test_trace_of_a_tiny_field_is_zero(capsys, tmp_path, small_grid):
     assert json.loads(out) == {"trace": -0.0}
 
 
+def test_trace_of_a_huge_field_is_usage_error(capsys, tmp_path, small_grid):
+    # int u^2 of a field of 1e300 overflows, so the trace is refused by name
+    field = tmp_path / "u.json"
+    write_field(field, constant_field(small_grid, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["trace", "--n", "4", "--grid-n", "32", "--profile", str(field)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "trace" in captured.err
+
+
 def test_rates_overflow_names_flags_and_limit(capsys):
     code = main(["rates", "--n", "104", "--k", "0"])
     captured = capsys.readouterr()

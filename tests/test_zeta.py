@@ -13,10 +13,10 @@ from conformal_zeta import zeta
 from conformal_zeta.params import MAX_DIMENSION, dim_params, sphere_volume
 from conformal_zeta.spectra import SpectrumQuery
 from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, homogeneous_mass,
-                                 hurwitz_laurent_at_1, hurwitz_zeta, parity_finite_part,
-                                 spectral_zeta, spectral_zeta_at_one)
-from oracles import (euler_gamma_limit, hurwitz_direct, rational_finite_part,
-                     spectral_series_direct)
+                                 hurwitz_zeta, parity_finite_part, spectral_zeta,
+                                 spectral_zeta_at_one)
+from oracles import (euler_gamma_limit, hurwitz_direct, hurwitz_finite_part_at_1,
+                     rational_finite_part, spectral_series_direct)
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
@@ -77,14 +77,13 @@ def test_pole_guard():
 
 
 def test_laurent_at_one_values():
+    # the digamma oracle against the Euler-Maclaurin limit for gamma
     gamma = euler_gamma_limit()
-    assert hurwitz_laurent_at_1(1.0).finite_part == pytest.approx(gamma, abs=1e-11)
-    assert hurwitz_laurent_at_1(0.5).finite_part == pytest.approx(
-        gamma + 2 * math.log(2), abs=1e-11)
+    assert hurwitz_finite_part_at_1(1.0) == pytest.approx(gamma, abs=1e-11)
+    assert hurwitz_finite_part_at_1(0.5) == pytest.approx(gamma + 2 * math.log(2), abs=1e-11)
     # recurrence psi(a+1) = psi(a) + 1/a at a = 1/2
-    assert hurwitz_laurent_at_1(1.5).finite_part == pytest.approx(
+    assert hurwitz_finite_part_at_1(1.5) == pytest.approx(
         gamma + 2 * math.log(2) - 2.0, abs=1e-11)
-    assert hurwitz_laurent_at_1(1.0).residue == 1.0
 
 
 def _psi_closed_forms(shifts):
@@ -104,14 +103,15 @@ def _psi_closed_forms(shifts):
 
 
 def test_laurent_finite_part_is_correctly_rounded():
-    # covers every argument spectral_zeta_at_one and parity_finite_part use for n <= 104
+    # the oracle against psi from the Gauss closed forms, at the quarter-integer
+    # arguments x_0 / step of the spheres and projective spaces with n <= 104
     for a, psi in _psi_closed_forms(60).items():
-        assert hurwitz_laurent_at_1(a).finite_part == -psi, a
+        assert hurwitz_finite_part_at_1(a) == -psi, a
 
 
 def test_laurent_rejects_nonpositive():
     with pytest.raises(ValueError):
-        hurwitz_laurent_at_1(0.0)
+        hurwitz_finite_part_at_1(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from conformal_zeta import zonal
 from conformal_zeta.errors import GridMismatchError
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import (_FILTER_K, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
-                                  ZonalField, _gegenbauer_table, _jacobi_nodes, constant_field,
+                                  ZonalField, _gauss_nodes, _gegenbauer_table, _jacobi_nodes,
+                                  _newton_step, constant_field,
                                   field_from_function, grad_sq, integrate, inner, laplacian,
                                   lp_norm, make_grid, random_band_limited, random_zonal,
                                   synthesize)
@@ -38,6 +39,39 @@ def test_jacobi_nodes_match_scipy(n, size):
 def test_grid_nodes_are_antisymmetric(size):
     x = make_grid(4, size).nodes
     assert np.array_equal(x, -x[::-1])
+
+
+@pytest.mark.parametrize("n", [4, 6, 104])
+@pytest.mark.parametrize("size", [16, 97, 256, 2048])
+def test_one_newton_step_reaches_longdouble_accuracy(n, size, monkeypatch):
+    # C_N is summed from terms of order 1, so a node is good to an absolute,
+    # not a relative, longdouble unit; a further step must stay within one
+    monkeypatch.setattr(zonal, "_gegenbauer_table", functools.partial(pytest.fail, "table built"))
+    x = _gauss_nodes(n, size)
+    again = _newton_step(x, np.longdouble(n - 1) / 2, size)
+    assert x.dtype == np.longdouble
+    assert np.abs(again - x).max() <= np.finfo(np.longdouble).eps
+
+
+def test_derivative_table_is_built_on_first_differentiate(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _gegenbauer_table(*args)
+
+    monkeypatch.setattr(zonal, "_gegenbauer_table", counted)
+    grid = make_grid(4, 64)
+    assert len(calls) == 1
+    f = field_from_function(grid, np.cos)
+    grid.analyze(f.values)
+    laplacian(f)
+    grid.apply_multiplier(f.values, grid.laplacian_eigenvalues)
+    assert len(calls) == 1
+    first = grid.differentiate(f.values)
+    assert len(calls) == 2 and calls[1] == calls[0] + 1  # C^{lam+1}
+    assert np.array_equal(grid.differentiate(f.values), first)
+    assert len(calls) == 2
 
 
 def test_rejects_small_grid():
