@@ -12,7 +12,9 @@ rate-fitting helper detects from data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,9 +34,10 @@ SWEEP_EPSILON_DEFAULT = 0.3
 MIN_FIT_SAMPLES = 8
 MIN_FIT_DECADES = 2.0
 
-# relative tolerances of the adaptive radial quadratures
-_FLAT_MASS_REL_TOL = 1e-12
-_MOMENT_REL_TOL = 1e-10
+# nodes of the Gauss rules on [0, 1] behind the radial quadratures
+_JACOBI_NODES = 40
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -63,18 +66,19 @@ def bubble_profile(alpha: float, r, n: int):
 
 
 def flat_profile_lp_mass(alpha: float, n: int) -> float:
-    """int over R^n of u_alpha^p dx, by radial quadrature (equals 2^{-n} omega_n)."""
-    from scipy.integrate import quad  # here, so only the commands that integrate load scipy
+    """int over R^n of u_alpha^p dx, by radial quadrature (equals 2^{-n} omega_n).
 
-    surface = sphere_volume(n - 1)
+    The profile is sampled at r = alpha t, so the quadrature sees the scale;
+    with the Jacobian alpha^n of r^{n-1} dr, u_alpha(alpha t)^p alpha^n equals
+    (1+t^2)^{-n}, and the ratio of the two is the factor integrated against
+    t^{n-1} (1+t^2)^{-n}.
+    """
+    p = 2.0 * n / (n - 2.0)
 
-    def integrand(r):
-        return bubble_profile(alpha, r, n) ** (2.0 * n / (n - 2.0)) * r ** (n - 1)
+    def ratio(t):
+        return alpha ** n * bubble_profile(alpha, alpha * t, n) ** p * (1.0 + t * t) ** n
 
-    head, _ = quad(integrand, 0.0, 10.0 * alpha, epsabs=0.0, epsrel=_FLAT_MASS_REL_TOL, limit=400)
-    tail, _ = quad(integrand, 10.0 * alpha, np.inf, epsabs=0.0, epsrel=_FLAT_MASS_REL_TOL,
-                   limit=400)
-    return surface * (head + tail)
+    return sphere_volume(n - 1) * _radial_moment(n - 1.0, n, math.inf, ratio)
 
 
 def smooth_cutoff(epsilon: float, r):
@@ -112,31 +116,77 @@ def capped_bubble(params: ProfileParams, grid) -> ZonalField:
 
 
 def bubble_moment(alpha: float, epsilon: float, k: float, n: int) -> float:
-    """int_0^eps u_alpha(r)^2 r^{k+n-1} dr by adaptive quadrature.
+    """int_0^eps u_alpha(r)^2 r^{k+n-1} dr by Gauss quadrature.
 
     Computed in the self-similar variable r = alpha t, where the integrand
     t^{k+n-1} (1+t^2)^{2-n} is scale-free and the prefactor alpha^{k+2} is
     exact; this keeps the quadrature well conditioned across the whole
-    concentration range.
+    concentration range.  Raises OverflowError when t^{k+n-1} overflows a
+    float at the upper limit t = eps/alpha.
     """
-    from scipy.integrate import quad  # here, so only the commands that integrate load scipy
-
     check_dimension(n)
     if k <= -n:
         raise ValueError(f"need k > -n for convergence, got k={k}, n={n}")
     if alpha <= 0 or epsilon <= 0:
         raise ValueError("alpha and epsilon must be positive")
+    m = k + n - 1.0
+    top = float(epsilon) / float(alpha)
+    if top > 0.0 and m * math.log(top) > _LOG_FLOAT_MAX:  # eps/alpha may underflow to 0
+        raise OverflowError(f"t^{m:g} overflows at t = {top:g}")
+    return alpha ** (k + 2.0) * _radial_moment(m, n - 2.0, top)
 
-    def integrand(t):
-        return t ** (k + n - 1.0) * (1.0 + t * t) ** (2.0 - n)
 
-    top = epsilon / alpha
-    pieces = []
-    cut = min(top, 10.0)
-    pieces.append(quad(integrand, 0.0, cut, epsabs=0.0, epsrel=_MOMENT_REL_TOL, limit=400)[0])
-    if top > cut:
-        pieces.append(quad(integrand, cut, top, epsabs=0.0, epsrel=_MOMENT_REL_TOL, limit=400)[0])
-    return alpha ** (k + 2.0) * math.fsum(pieces)
+def _radial_moment(m: float, q: float, top: float, factor=np.ones_like) -> float:
+    """int_0^top t^m (1+t^2)^{-q} factor(t) dt, for m > -1 and a smooth factor.
+
+    * [0, min(top, 1)]: Gauss-Jacobi for the weight t^m.
+    * [1, top]: u = ln t, and Gauss-Legendre (the Gauss-Jacobi rule with
+      beta = 0) on unit panels in u.  The integrand
+      exp((m+1) u - q ln(1 + e^{2u})) is formed in log form, so t^{m+1} and
+      (1+t^2)^{-q} never overflow or underflow apart.
+    * [1, inf) when top is infinite: s = 1/t gives s^{2q-m-2} (1+s^2)^{-q} on
+      [0, 1], and Gauss-Jacobi for the weight s^{2q-m-2}.
+    """
+    head = min(top, 1.0)
+    x, w = _jacobi_rule(m)
+    t = head * x
+    total = head ** (m + 1.0) * float(w @ ((1.0 + t * t) ** -q * factor(t)))
+    if top == math.inf:
+        s, w = _jacobi_rule(2.0 * q - m - 2.0)
+        total += float(w @ ((1.0 + s * s) ** -q * factor(1.0 / s)))
+    elif top > 1.0:
+        y, w = _jacobi_rule(0.0)
+        edges = np.append(np.arange(0.0, math.log(top), 1.0), math.log(top))
+        width = np.diff(edges)[:, None]
+        u = edges[:-1, None] + width * y
+        integrand = np.exp((m + 1.0) * u - q * np.logaddexp(0.0, 2.0 * u)) * factor(np.exp(u))
+        total += float((width * w * integrand).sum())
+    return total
+
+
+@lru_cache(maxsize=128)
+def _jacobi_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule for int_0^1 x^beta g(x) dx, beta > -1.
+
+    Golub-Welsch (Math. Comp. 23, 1969) for the shifted Jacobi weight with
+    alpha = 0: the monic recurrence on [0, 1] has the diagonal
+    (1 + beta^2 / ((2k+beta)(2k+beta+2))) / 2, (beta+1)/(beta+2) at k = 0, and
+    the couplings k (k+beta) / ((2k+beta) sqrt((2k+beta+1)(2k+beta-1))).  The
+    nodes are the eigenvalues of that Jacobi matrix, and the weights are the
+    squared first eigenvector components times int_0^1 x^beta dx = 1/(beta+1).
+    """
+    if not beta > -1.0:
+        raise ValueError(f"int_0^1 x^beta dx diverges for beta={beta:g}")
+    k = np.arange(1, _JACOBI_NODES, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[(beta + 1.0) / (beta + 2.0)],
+                           (1.0 + beta * beta / (s * (s + 2.0))) / 2.0])
+    off = k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2 / (beta + 1.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def predicted_branch(n: int, k: float) -> str:

@@ -197,7 +197,7 @@ def run(argv=None) -> int:
         try:
             vals = [bubbles.bubble_moment(a, args.cap, args.k, args.n) for a in alphas]
         except OverflowError as exc:
-            top = args.cap / alphas[0]
+            top = args.cap / float(alphas[0])
             raise SchemaError(
                 f"the moment integrand t^(n+k-1) overflows at t = cap/alpha = {top:g} for "
                 f"n={args.n}, k={args.k:g}: (n + k - 1) ln({top:g}) must stay below "

@@ -99,9 +99,11 @@ def constant_mass_check(u: ZonalField, bg: ConformalBackground) -> tuple[float, 
 
 
 def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground) -> tuple[float, float]:
-    """Best dilation strength t and the sup-distance of p-normalized profiles."""
-    from scipy.optimize import minimize_scalar  # here, so only the suite loads scipy
+    """Best dilation strength t and the sup-distance of p-normalized profiles.
 
+    Golden-section search for the minimum of the gap over t in [-6, 6], down
+    to a bracket of width 1e-12 (about 60 gap evaluations).
+    """
     p = bg.params.p
     ref = u.values / lp_norm(u, p)
 
@@ -109,9 +111,20 @@ def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground) -> tuple[float, f
         cand = dilation_factor(t, u.grid)
         return float(np.abs(ref - cand.values / lp_norm(cand, p)).max())
 
-    best = minimize_scalar(gap, bounds=(-6.0, 6.0), method="bounded",
-                           options={"xatol": 1e-12})
-    return float(best.x), float(best.fun)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -6.0, 6.0
+    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    g_left, g_right = gap(left), gap(right)
+    while hi - lo > 1e-12:
+        if g_left < g_right:
+            hi, right, g_right = right, left, g_left
+            left = hi - shrink * (hi - lo)
+            g_left = gap(left)
+        else:
+            lo, left, g_left = left, right, g_right
+            right = lo + shrink * (hi - lo)
+            g_right = gap(right)
+    return (left, g_left) if g_left < g_right else (right, g_right)
 
 
 def _project(vals: np.ndarray, bg: ConformalBackground):

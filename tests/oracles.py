@@ -2,7 +2,8 @@
 
 Everything here avoids the package's own computational paths: finite
 differences for the Laplacian, exact rational Bernoulli arithmetic for
-continued lattice sums, Beta-function moments for quadrature, plain
+continued lattice sums, Beta-function moments for quadrature (complete, in
+exact rational form, and incomplete, as mpmath's hypergeometric series), plain
 head-plus-integral summation for convergent Dirichlet series, and mpmath's
 digamma for the Laurent constant of the Hurwitz zeta.
 """
@@ -124,3 +125,43 @@ def zonal_moment(n: int, j: int) -> float:
     if j % 2 == 1:
         return 0.0
     return math.gamma((j + 1) / 2) * math.gamma(n / 2) / math.gamma((j + n + 1) / 2)
+
+
+def radial_moment_to_infinity(m: float, q: float) -> float:
+    """int_0^inf t^m (1+t^2)^{-q} dt = B((m+1)/2, q-(m+1)/2)/2, for m > -1, 2q > m+1.
+
+    For integer m and q the Beta value is an exact rational, times pi when
+    (m+1)/2 is a half-integer, and the float is rounded once from it; other
+    exponents go through math.lgamma.
+    """
+    a = Fraction(m + 1, 2) if float(m).is_integer() else (m + 1) / 2
+    b = q - a
+    if not (a > 0 and b > 0):
+        raise ValueError(f"the integral diverges for m={m}, q={q}")
+    if not (float(m).is_integer() and float(q).is_integer()):
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / 2
+    if a.denominator == 1:  # B(a, b) = (a-1)! (b-1)! / (a+b-1)!
+        a, b = int(a), int(b)
+        return float(Fraction(math.factorial(a - 1) * math.factorial(b - 1),
+                              2 * math.factorial(a + b - 1)))
+    # Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!), and a + b is an integer
+    ja, jb = int(a - Fraction(1, 2)), int(b - Fraction(1, 2))
+    rational = Fraction(math.factorial(2 * ja) * math.factorial(2 * jb),
+                        4 ** (ja + jb) * math.factorial(ja) * math.factorial(jb)
+                        * math.factorial(ja + jb))
+    return float(rational / 2) * math.pi
+
+
+def radial_moment_reference(m: float, q: float, top: float) -> float:
+    """int_0^top t^m (1+t^2)^{-q} dt at 30 digits, without quadrature.
+
+    w = t^2/(1+t^2) turns the integral into B(w_top; (m+1)/2, q-(m+1)/2)/2, an
+    incomplete Beta function that mpmath sums as a hypergeometric series.
+    Quadrature of t^m itself is unreliable here: for k near -n the t^m
+    endpoint singularity spreads the mass over many decades, and for large m
+    the mass sits in a narrow peak.
+    """
+    with mpmath.workdps(30):
+        m, q, top = mpmath.mpf(m), mpmath.mpf(q), mpmath.mpf(top)
+        a = (m + 1) / 2
+        return float(mpmath.betainc(a, q - a, 0, top * top / (1 + top * top)) / 2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conformal_zeta import bubbles
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile,
                                     capped_bubble, concentration_sweep, fit_decay_rate,
@@ -12,6 +13,8 @@ from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile
                                     profile_norm_defect, smooth_cutoff)
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import ZonalField
+
+from oracles import radial_moment_reference, radial_moment_to_infinity
 
 
 def test_profile_at_origin():
@@ -101,6 +104,55 @@ def test_moment_monotone_in_cap():
 def test_moment_rejects_bad_k():
     with pytest.raises(ValueError):
         bubble_moment(0.1, 0.5, -4, 4)
+
+
+# bubble_moment integrands t^{k+n-1} (1+t^2)^{2-n} with (n, k) = (20, 12), (4, -3.99),
+# (8, 0.3), (8, 0), (10, 2), and flat-norm integrands t^{n-1} (1+t^2)^{-n} with
+# n = 4, 5, 6, 20 (odd n takes the half-integer branch of the oracle)
+@pytest.mark.parametrize("m,q", [(31, 18), (-0.99, 2), (7.3, 6), (7, 6), (11, 8),
+                                 (3, 4), (4, 5), (5, 6), (19, 20)])
+def test_radial_moment_to_infinity_matches_beta(m, q):
+    got = bubbles._radial_moment(float(m), float(q), math.inf)
+    assert got == pytest.approx(radial_moment_to_infinity(m, q), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 104])
+@pytest.mark.parametrize("k", [0, 2, 0.3, "-n+0.01"])
+@pytest.mark.parametrize("top", [25.0, 0.5, 0.02])
+def test_moment_matches_incomplete_beta(n, k, top):
+    # alpha = 1 makes the prefactor alpha^{k+2} exactly 1, so this is the
+    # radial quadrature alone; top < 1 uses the Gauss-Jacobi head only
+    k = -n + 0.01 if k == "-n+0.01" else k
+    want = radial_moment_reference(k + n - 1, n - 2, top)
+    assert bubble_moment(1.0, top, k, n) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def test_moment_over_many_panels():
+    # ln(5e5) = 13.1: fourteen panels, the last one short
+    want = radial_moment_reference(3, 2, 5e5)
+    assert bubble_moment(1.0, 5e5, 0, 4) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def test_rate_sweep_reuses_the_cached_rules():
+    bubbles._jacobi_rule.cache_clear()
+    for a in np.logspace(-3, -1, 25):
+        bubble_moment(a, 2.5, 0, 6)
+    info = bubbles._jacobi_rule.cache_info()
+    # one Gauss-Jacobi rule for t^{n+k-1}, one Gauss-Legendre rule for the panels
+    assert (info.misses, info.hits) == (2, 48)
+
+
+def test_moment_refuses_overflow_at_the_upper_limit():
+    # t^{n+k-1} = t^103 at t = eps/alpha: ln(max float)/103 = 6.891
+    assert bubble_moment(1.0, math.exp(6.89), 0, 104) > 0
+    with pytest.raises(OverflowError):
+        bubble_moment(1.0, math.exp(6.9), 0, 104)
+    with pytest.raises(OverflowError):
+        bubble_moment(1e-3, 1e306, 0, 4)  # eps/alpha is not a float
+
+
+def test_moment_over_an_underflowing_cap_is_zero():
+    assert bubble_moment(1e10, 1e-320, 0, 4) == 0.0  # eps/alpha underflows to 0
 
 
 @pytest.mark.parametrize("n,k", [(6, 0), (8, 0), (8, 2), (4, 0), (6, 2)])

@@ -1,6 +1,6 @@
-"""The grid and zeta commands must not load scipy or mpmath: their imports
-cost more than most of the commands compute.  Only ``rates`` and ``suite``
-need scipy, and only the Hurwitz zeta fallback for s < -1.5 needs mpmath."""
+"""No command loads scipy or mpmath: their imports cost more than most of the
+commands compute.  scipy is a test-only dependency, and only the Hurwitz zeta
+fallback for s < -1.5 needs mpmath."""
 
 import json
 import os
@@ -28,6 +28,8 @@ commands = [
     ["functional", *grid, "--profile", ones, "--mass-field", ones],
     ["sweep", *grid, "--alphas", "0.05:0.3:3", "--out", "sweep.csv"],
     ["optimize", *grid, "--out", "optimize.json"],
+    ["rates", "--n", "6", "--k", "0"],
+    ["suite", "--checks", "rate_*", "optimizer_*", "flat_*"],
 ]
 codes = [cli.main(argv) for argv in commands]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
@@ -41,5 +43,5 @@ def test_cli_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 9
     assert result["loaded"] == []

@@ -44,6 +44,13 @@ def test_perturbed_start_recovers_orbit(grid4, sphere4):
     assert gap < 1e-4
 
 
+@pytest.mark.parametrize("t0", [-2.0, 0.3, 1.7])
+def test_orbit_fit_recovers_a_dilation(grid4, sphere4, t0):
+    t_hat, gap = fit_dilation_orbit(dilation_factor(t0, grid4), sphere4)
+    assert abs(t_hat - t0) <= 1e-8
+    assert gap <= 1e-12
+
+
 def test_seed_independence(sphere4):
     values = [maximize_mass_functional(sphere4, OptimizerConfig(seed=s)).value
               for s in range(3)]
