@@ -42,6 +42,8 @@ from .spectra import SpectrumQuery, subcritical_eigenvalue
 # ---------------------------------------------------------------------------
 
 POLE_GUARD = 1e-6
+_EPS = float(np.finfo(float).eps)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _EM_BERNOULLI_TERMS = 14
 _MPMATH_DPS = 40
 
@@ -57,6 +59,42 @@ def _bernoulli(m: int) -> Fraction:
 def bernoulli_polynomial(k: int, a: Fraction) -> Fraction:
     """B_k(a) as an exact rational for rational a."""
     return sum(math.comb(k, j) * _bernoulli(j) * a ** (k - j) for j in range(k + 1))
+
+
+def _log_gap(big: float, small: float) -> float:
+    """A lower bound on log(X - Y) from log X and log Y: log X - log 2 when
+    X >= 2Y, else -inf."""
+    return big - math.log(2.0) if big - small >= math.log(2.0) else -math.inf
+
+
+def _overflows(m: int, a: float) -> bool:
+    """True when |zeta_H(-m, a)| = |B_{m+1}(a)| / (m+1) is certainly beyond float64.
+
+    With k = m+1 >= 2 and a = f + j (j = floor(a)), B_k(a) = B_k(f) +
+    k sum_{i<j} (f+i)^{k-1}, where the sum lies between (a-1)^{k-1} and
+    j (a-1)^{k-1}.  The Fourier series of B_k on [0, 1] bounds the periodic
+    part: with c = |cos(2 pi f)| for even k and |sin(2 pi f)| for odd k,
+    |B_k(f)| lies within 2 k!/(2 pi)^k (c +- 3 2^-k).  All in logs.
+    """
+    k = m + 1
+    j = math.floor(a)
+    f = a - j
+    scale = math.log(2.0) + math.lgamma(k + 1) - k * math.log(2.0 * math.pi)
+    c = abs(math.cos(2.0 * math.pi * f) if k % 2 == 0 else math.sin(2.0 * math.pi * f))
+    if (4.0 * f).is_integer() and c < 0.5:
+        # c is exactly 0 at these f (B_k(f) = 0 or 2^-k (1 - 2^(1-k)) |B_k|)
+        periodic_lo, periodic_hi = -math.inf, scale + math.log(3.0) - k * math.log(2.0)
+    else:
+        rest = 3.0 * 2.0**-k + 1e-14  # the other terms, and rounding in c
+        periodic_lo = scale + math.log(c - rest) if c > rest else -math.inf
+        periodic_hi = scale + math.log(c + rest)
+    if a > 1.0:
+        shift_lo = math.log(k) + (k - 1) * math.log(a - 1.0)
+        shift_hi = shift_lo + math.log(j)
+    else:
+        shift_lo = shift_hi = -math.inf
+    magnitude = max(_log_gap(shift_lo, periodic_hi), _log_gap(periodic_lo, shift_hi))
+    return magnitude - math.log(k) > _LOG_FLOAT_MAX + 1e-6
 
 
 def _hurwitz_euler_maclaurin(s: float, a: float) -> float:
@@ -90,8 +128,11 @@ def hurwitz_zeta(s: float, a: float) -> float:
     if abs(s - 1.0) < POLE_GUARD:
         raise ValueError(f"s={s} is within {POLE_GUARD} of the pole at s=1")
     if s == int(s) and s <= 0:
-        # zeta_H(-m, a) = -B_{m+1}(a)/(m+1), exact for the rational a, rounded once
+        # zeta_H(-m, a) = -B_{m+1}(a)/(m+1), exact for the rational a, rounded
+        # once; refused before the O(m^2) exact work where it cannot fit a float
         m = -int(s)
+        if m >= 1 and _overflows(m, a):
+            raise OverflowError(f"zeta_H({s:g}, {a:g}) exceeds the float64 range")
         return float(-bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1))
     if s >= -1.5:
         return _hurwitz_euler_maclaurin(s, a)
@@ -162,8 +203,8 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
 
     Head: exact termwise summation up to degree ``HEAD_SIZE``.  Tail: the
     x^{-2k} expansion, each term a (possibly step-2) Hurwitz zeta, truncated
-    once a rigorous bound on the remainder drops below 1e-13 (error if that
-    cannot be met within order 20).
+    once a rigorous bound on the remainder drops below 1e-13, or below half an
+    ulp of the running tail sum (error if neither is met within order 20).
     """
     n = query.n
     if abs(s - 1.0) < POLE_GUARD:
@@ -200,7 +241,9 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
         if w_next > 1.5:
             a_bound = float(np.abs(polys[nxt]) @ np.abs(sigma) ** np.arange(len(polys[nxt])))
             zeta_bound = x_tail ** (1.0 - w_next) / (w_next - 1.0) + x_tail ** (-w_next)
-            if 2.0 * a_bound * zeta_bound < TAIL_TOLERANCE:
+            # below half an ulp of the running tail, no later term can
+            # change it; the tail can be far above 1 where head and tail cancel
+            if 2.0 * a_bound * zeta_bound < max(TAIL_TOLERANCE, 0.25 * _EPS * abs(tail)):
                 break
     return head + prefactor * tail
 

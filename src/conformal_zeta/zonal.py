@@ -27,30 +27,54 @@ by a Newton step on C_N^lam:
   Its single recurrence pass ends with C_{N-1} and C_N, and
   (1-x^2) C_N' = (N+2 lam-1) C_{N-1} - N x C_N gives the derivative.
 
-The analysis and synthesis tables are built with the grid; the derivative
-table, which only ``differentiate`` reads, is built on its first use.
+The grid is mirror-symmetric: the nodes come in pairs +-y_j, the weights of a
+pair are equal, and C_l(-x) = (-1)^l C_l(x).  So every table is two
+K x K blocks, K = ceil(N/2), one for the even and one for the odd degrees, on
+the nonnegative nodes y_j alone (the equatorial fold of fast spherical
+harmonic transforms; Schaeffer, G^3 14, 2013).  With v_P and v_M a field's
+values at y_j and at -y_j:
+
+* analysis: the even degrees see v_P + v_M, the odd ones v_P - v_M.  The
+  centre node of an odd N is its own mirror, so its column carries half its
+  weight;
+* synthesis: with E and O the sums over the even and the odd degrees at y_j,
+  the field is E + O at y_j and E - O at -y_j.  The derivative table turns
+  the parities round (the derivative of an even function is odd): O + E at
+  y_j, O - E at -y_j.
+
+The recurrence, the weights, the norms and the splits all run on the K
+nonnegative nodes; ``nodes`` and ``weights`` are mirrored copies.  The analysis
+and synthesis tables are built with the grid; the derivative table, which
+only ``differentiate`` reads, is built on its first use.
 
 Each transform is split as follows:
 
-* at build time each table T is scaled by powers of two, per column, and each
-  row of the scaled table is split as T = T_0 + T_1: T_0 holds integers of at
-  most _TABLE_BITS bits on a grid set by the row's largest entry, T_1 the
-  float64 remainder, below 2^-_TABLE_BITS of that entry;
+* at build time each table T is scaled by powers of two, per input (a node
+  pair or a degree), and split per output as T = T_0 + T_1: T_0 holds
+  integers of at most _TABLE_BITS bits on a grid set by the output's largest
+  entry, T_1 the float64 remainder, below 2^-_TABLE_BITS of that entry.  A
+  node pair has one scale (as an input) or one grid (as an output) in both
+  blocks;
 * each input vector v, scaled to max |v| < 1, is split as v = d + w the same
   way: d holds integers of at most _VECTOR_BITS bits on the grid
-  2^-_VECTOR_BITS, w the remainder;
-* one GEMM of [T_0 | T_1] with [[d, w], [0, v]] gives T_0 d, which is exact in
-  float64 because _TABLE_BITS + _VECTOR_BITS + log2(N) <= 52, and
-  T_0 w + T_1 v, which is at most 2^-20 of |T| |v|, so its float64 roundoff
-  stays below the longdouble roundoff of the whole product;
+  2^-_VECTOR_BITS, w the remainder.  The analysis then folds d, w and v over
+  the node pairs; d_P +- d_M stays exact, an integer of _VECTOR_BITS + 1 bits
+  on the same grid;
+* one batched GEMM of each block's [T_0 | T_1] with [[d, w], [0, v]] gives
+  T_0 d, which is exact in float64 because
+  _TABLE_BITS + _VECTOR_BITS + 1 + log2(N/2) <= 52, and T_0 w + T_1 v, which
+  is at most 2^-20 of |T| |v|, so its float64 roundoff stays below the
+  longdouble roundoff of the whole product.  A synthesis adds the two
+  blocks' leads at each node pair, which is exact too: both lie on the
+  pair's grid, at most 2^51 units each;
 * ``analyze`` adds the two columns in longdouble, in O(N); a synthesis
   product (``synthesize_ld``, and the last step of ``apply_multiplier`` and
   ``differentiate``) adds them in float64, since it returns float64 values.
 
 A stack of B fields on one grid, values of shape (B, N), goes through the same
 code as one field: every row gets its own exponent e, its own split and its own
-filter floor, and the B rows become the columns of one GEMM,
-[d_0..d_{B-1} | w_0..w_{B-1}].  A single field is the B = 1 case, with the same
+filter floor, and the B rows become the rows of the GEMM of each block,
+[d_0..d_{B-1} ; w_0..w_{B-1}].  A single field is the B = 1 case, with the same
 GEMM and arithmetic as a lone vector.  The leading products are exact either
 way, but BLAS may sum the remainder column in another order inside a wider
 GEMM, so a stacked result agrees with the per-field one within float64
@@ -64,6 +88,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,19 +105,19 @@ _FILTER_K = 1024.0
 
 DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
-# The grid holds up to three N x N tables (the derivative table from its first
-# use on), each as two float64 halves: 48 N^2 bytes, 50 MB at N=1024 and
-# 200 MB at N=2048; building them peaks near 64 N^2 bytes.  Larger sizes are
+# The grid holds up to three tables (the derivative table from its first use
+# on), each as two parity blocks of two K x K float64 halves, K = ceil(N/2):
+# 24 N^2 bytes, 25 MB at N=1024 and 100 MB at N=2048.  Building the grid peaks
+# near 32 N^2 bytes, the derivative table near 48 N^2.  Larger sizes are
 # refused, and the bit budget below is sized for this bound.
 MAX_GRID_SIZE = 2048
 
-# Widths of the error-free leading parts: N <= MAX_GRID_SIZE products of a
-# _TABLE_BITS-bit and a _VECTOR_BITS-bit integer sum exactly in float64, since
-# _TABLE_BITS + _VECTOR_BITS + ceil(log2(MAX_GRID_SIZE)) <= 52.
+# Widths of the error-free leading parts: the N/2 <= MAX_GRID_SIZE/2 products of
+# a _TABLE_BITS-bit integer and a folded (_VECTOR_BITS + 1)-bit one sum
+# exactly in float64, since
+# _TABLE_BITS + _VECTOR_BITS + 1 + ceil(log2(MAX_GRID_SIZE / 2)) <= 52.
 _TABLE_BITS = 21
 _VECTOR_BITS = 20
-# rows of a longdouble table split per block, so temporaries stay small
-_SPLIT_BLOCK = 64
 
 
 def _gegenbauer_rows(x: np.ndarray, lam, rows: int):
@@ -155,39 +180,71 @@ def _jacobi_nodes(size: int, a: float) -> np.ndarray:
 
 
 def _gauss_nodes(n: int, size: int) -> np.ndarray:
-    """The grid's Gauss-Jacobi nodes in longdouble, ascending: the float64
-    Golub-Welsch start, polished by one Newton step."""
-    start = _jacobi_nodes(size, (n - 2) / 2.0).astype(_LD)
+    """The grid's ceil(N/2) nonnegative Gauss-Jacobi nodes in longdouble,
+    ascending: the float64 Golub-Welsch start, polished by one Newton step."""
+    start = _jacobi_nodes(size, (n - 2) / 2.0)[size // 2:].astype(_LD)
     return _newton_step(start, _LD(n - 1) / 2, size)
 
 
-def _split_table(size: int, rows_of) -> tuple[np.ndarray, np.ndarray]:
-    """Split a size x size longdouble table, whose rows a:b are ``rows_of(a, b)``.
+def _mirror(half: np.ndarray, size: int, sign: int = 1) -> np.ndarray:
+    """A node-order array of length ``size`` from its values on the nonnegative
+    nodes: ``sign`` times the values at the mirrored nodes, then the values."""
+    return np.concatenate([sign * half[::-1][: size - half.shape[0]], half])
 
-    Returns ``(halves, col_scale)``: ``halves`` is [T_0 | T_1], and
-    table ~= (T_0 + T_1) * col_scale.  ``col_scale`` holds the powers of two
-    that bring each column's largest entry to [1/2, 1).  Row r of T_0 is the
-    scaled row rounded to the grid 2^(E_r - _TABLE_BITS), max |row| <= 2^E_r;
-    T_1 is the rest, good to 2^(E_r - 74).  The rows go through their exact
-    float64 pairs hi + lo, so that the split runs in float64, in place.
+
+def _parity_blocks(rows: np.ndarray) -> np.ndarray:
+    """The rows of degrees 0..N-1 of a (N, K) table as two (K, K) blocks, the
+    even degrees then the odd ones; an odd N pads the odd block with a zero row."""
+    half = rows.shape[1]
+    blocks = np.zeros((2, half, half), dtype=rows.dtype)
+    blocks[0] = rows[0::2]
+    blocks[1, : rows.shape[0] // 2] = rows[1::2]
+    return blocks
+
+
+class _Table(NamedTuple):
+    """A spectral table in parity blocks, split for the kernel (``_split_table``)."""
+
+    halves: np.ndarray  # (2, 2K, K): block p is [T_0 ; T_1], input-major
+    col_scale: np.ndarray  # (N,) the inputs' powers of two, in input order
+    nodes_in: bool  # inputs are nodes (analysis), else degrees (synthesis)
+    odd: bool = False  # even degrees give odd functions (the derivative)
+
+
+def _split_table(blocks: np.ndarray, size: int, nodes_in: bool, odd: bool = False) -> _Table:
+    """Split a longdouble table given as parity blocks, input-major: entry
+    [p, i, o] of ``blocks`` carries input i to output o in block p.
+
+    Each input is scaled by the power of two that brings its largest entry to
+    [1/2, 1).  Output o of T_0 is the scaled entries rounded to the grid
+    2^(E_o - _TABLE_BITS), where max |entry| <= 2^E_o; T_1 is the rest, good
+    to 2^(E_o - 74).  A node pair has one scale (as an input) or one grid (as
+    an output) across both blocks, which keeps the fold exact; each degree has
+    its own.  The entries go through their exact float64 pairs hi + lo, so the
+    split runs in float64.
     """
-    halves = np.empty((size, 2 * size))
-    hi, lo = halves[:, :size], halves[:, size:]
-    blocks = [slice(a, min(a + _SPLIT_BLOCK, size)) for a in range(0, size, _SPLIT_BLOCK)]
-    for blk in blocks:
-        rows = rows_of(blk.start, blk.stop)
-        hi[blk] = rows
-        lo[blk] = rows - hi[blk]
-    _, col_exp = np.frexp(np.maximum(hi.max(axis=0), -hi.min(axis=0)))
-    col_scale = np.ldexp(1.0, col_exp)
-    for blk in blocks:
-        h, l = hi[blk] / col_scale, lo[blk] / col_scale
-        _, exp = np.frexp(np.maximum(h.max(axis=1), -h.min(axis=1)))
-        unit = np.ldexp(1.0, exp - _TABLE_BITS)[:, None]
-        hi[blk] = np.rint(h / unit) * unit
-        # h - hi is exact (both lie on h's grid); l lies below h's last bit
-        lo[blk] = (h - hi[blk]) + l
-    return halves, col_scale
+    hi = blocks.astype(float)
+    lo = (blocks - hi).astype(float)
+    in_axes, out_axes = ((0, 2), 1) if nodes_in else (2, (0, 1))
+    _, exp = np.frexp(np.maximum(hi.max(axis=in_axes, keepdims=True),
+                                 -hi.min(axis=in_axes, keepdims=True)))
+    scale = np.ldexp(1.0, exp)
+    hi /= scale
+    lo /= scale
+    _, exp = np.frexp(np.maximum(hi.max(axis=out_axes, keepdims=True),
+                                 -hi.min(axis=out_axes, keepdims=True)))
+    unit = np.ldexp(1.0, exp - _TABLE_BITS)
+    half = blocks.shape[-1]
+    halves = np.empty((2, 2 * half, half))
+    t0, t1 = halves[:, :half], halves[:, half:]
+    np.rint(np.divide(hi, unit, out=t0), out=t0)
+    t0 *= unit
+    # hi - t0 is exact (both lie on hi's grid); lo lies below hi's last bit
+    np.subtract(hi, t0, out=t1)
+    t1 += lo
+    # the inputs' scales in node order (mirrored) or degree order (interleaved)
+    scale = _mirror(scale.ravel(), size) if nodes_in else scale[..., 0].T.ravel()[:size]
+    return _Table(halves, scale, nodes_in, odd)
 
 
 class ZonalGrid:
@@ -210,7 +267,9 @@ class ZonalGrid:
         self.n = n
         self.size = size
         lam = _LD(n - 1) / 2
-        x = _gauss_nodes(n, size)
+        # everything is built on the ceil(N/2) nonnegative nodes y; the nodes
+        # and weights at the mirrored nodes are copies (module docstring)
+        y = _gauss_nodes(n, size)
 
         # Quadrature weights via the Christoffel function of the orthonormal
         # system.  Norms are needed only up to an l-independent factor, which
@@ -221,25 +280,33 @@ class ZonalGrid:
         for j in range(1, n - 1):
             q *= ells + j
         q /= ells + lam
-        basis = _gegenbauer_table(x, lam, size)
-        pre = basis / np.sqrt(q)[:, None]
-        w = 1.0 / np.square(pre).sum(axis=0)
-        del pre
-        w *= _LD(sphere_volume(n)) / w.sum()
+        basis = _gegenbauer_table(y, lam, size)
+        work = basis / np.sqrt(q)[:, None]
+        w = 1.0 / np.square(work, out=work).sum(axis=0)
+        w *= _LD(sphere_volume(n)) / _mirror(w, size).sum()
+        # the weight of each node pair's column: the centre node of an odd
+        # grid is its own mirror, so its column counts it once, at half weight
+        pair_w = w.copy()
+        if size % 2:
+            pair_w[0] /= 2
 
-        # Orthonormal basis (rows l, cols i), then its analysis table
-        # basis * w and synthesis table basis^T, split; the derivative table
-        # waits for its first use (``_derivative``).
-        norms = np.sqrt((basis * basis) @ w)
+        # Orthonormal basis (rows l, cols y_j), then its synthesis table
+        # basis^T and analysis table basis * w as parity blocks, split; the
+        # derivative table waits for its first use (``_derivative``).
+        norms = np.sqrt(2 * (np.multiply(basis, basis, out=work) @ pair_w))
+        del work
         basis /= norms[:, None]
-        self._analysis = _split_table(size, lambda a, b: basis[a:b] * w)
-        self._synthesis = _split_table(size, lambda a, b: basis[:, a:b].T)
+        blocks = _parity_blocks(basis)
         del basis
-        self._x, self._norms = x, norms
+        self._synthesis = _split_table(blocks, size, nodes_in=False)
+        blocks *= pair_w
+        self._analysis = _split_table(blocks.transpose(0, 2, 1), size, nodes_in=True)
+        del blocks
+        self._y, self._norms = y, norms
         self._eigs = (np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD)
 
-        self.nodes = np.asarray(x, dtype=float)
-        self.weights = np.asarray(w, dtype=float)
+        self.nodes = _mirror(y, size, -1).astype(float)
+        self.weights = _mirror(w, size).astype(float)
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
@@ -259,53 +326,69 @@ class ZonalGrid:
     # -- spectral kernel --------------------------------------------------------
 
     @cached_property
-    def _derivative(self) -> tuple[np.ndarray, np.ndarray]:
+    def _derivative(self) -> _Table:
         """The derivative table dbasis^T, split, built on the first ``differentiate``;
-        dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||."""
+        dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||, odd for even l."""
         size, lam = self.size, _LD(self.n - 1) / 2
-        dtab = _gegenbauer_table(self._x, lam + 1, size - 1)
+        rows = np.zeros((size, self._y.shape[0]), dtype=_LD)
+        rows[1:] = 2 * lam * _gegenbauer_table(self._y, lam + 1, size - 1) / self._norms[1:, None]
+        return _split_table(_parity_blocks(rows), size, nodes_in=False, odd=True)
 
-        def dbasis_rows(a, b):
-            rows = np.zeros((b - a, size), dtype=_LD)
-            rows[:, 1:] = (2 * lam * dtab[:, a:b] / self._norms[1:, None]).T
-            return rows
-
-        return _split_table(size, dbasis_rows)
-
-    def _product(self, table: tuple[np.ndarray, np.ndarray], vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _product(self, table: _Table, vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
-        float64 product of the parts at most 2^-20 of |T| |vec| (module docstring).
+        float64 product of the parts, at most 2^-20 of |T| |vec| (module docstring).
 
         ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble;
-        each row enters as its exact float64 pair, scaled by the table's column
+        each row enters as its exact float64 pair, scaled by the table's input
         powers of two and then by its own 2^-e.  ``lead`` and ``rest`` have
-        the shape of ``vec``; ``e`` broadcasts against them.
-        A stack is one GEMM whose columns are [d_0..d_{B-1} | w_0..w_{B-1}].
+        the shape of ``vec``; ``e`` broadcasts against them.  Both parity
+        blocks go through one batched GEMM, whose rows in block p are the
+        fields' [d_p | 0] and then their [w_p | hi_p].
         """
-        halves, col_scale = table
+        halves, col_scale, nodes_in, odd = table
         vec = np.asarray(vec)
-        n = self.size
-        b = vec.size // n
-        hi = vec.astype(float)
+        n, k = self.size, halves.shape[-1]
+        rows = vec.reshape(-1, n)
+        b = rows.shape[0]
+        hi = rows.astype(float)
         # the low half of the pair; zero, and skipped, for float64 input
-        lo = (vec - hi).astype(float) if vec.dtype != hi.dtype else None
+        lo = (rows - hi).astype(float) if rows.dtype != hi.dtype else None
         hi *= col_scale
-        # a scalar exponent for one vector, a (B, 1) column for a stack
-        e = np.frexp(np.abs(hi).max(axis=-1, keepdims=vec.ndim > 1))[1]
-        hi = np.ldexp(hi, -e)
-        parts = np.zeros((2 * n, 2 * b))
-        # views of the blocks shaped like vec: row j of each is column j of parts
-        d = parts[:n, :b].T.reshape(vec.shape)
-        w = parts[:n, b:].T.reshape(vec.shape)
-        # d: hi on the grid 2^-_VECTOR_BITS (exact); w: the rest
-        np.divide(np.rint(hi * 2.0**_VECTOR_BITS), 2.0**_VECTOR_BITS, out=d)
-        np.subtract(hi, d, out=w)
+        e = np.frexp(np.abs(hi).max(axis=-1, keepdims=True))[1]
+        # per field, the rows [d | 0] and [w | hi] over the inputs, padded to
+        # 2K so that the degrees pair up
+        x = np.zeros((2, b, 2, 2 * k))
+        d, w, h = x[0, :, 0, :n], x[1, :, 0, :n], x[1, :, 1, :n]
+        np.ldexp(hi, -e, out=h)
+        # d: h on the grid 2^-_VECTOR_BITS (exact); w: the rest
+        np.divide(np.rint(h * 2.0**_VECTOR_BITS), 2.0**_VECTOR_BITS, out=d)
+        np.subtract(h, d, out=w)
         if lo is not None:
             lo *= col_scale
             w += np.ldexp(lo, -e)
-        parts[n:, b:].T.reshape(vec.shape)[...] = hi
-        out = np.ascontiguousarray((halves @ parts).T)
-        return out[:b].reshape(vec.shape), out[b:].reshape(vec.shape), e
+        if nodes_in:
+            # node y_j and its mirror share a scale, so d_P +- d_M is exact
+            pos, neg = x[..., n - k:n], x[..., k - 1::-1]
+            parts = np.empty((2,) + pos.shape)
+            np.add(pos, neg, out=parts[0])
+            np.subtract(pos, neg, out=parts[1])
+        else:
+            parts = np.moveaxis(x.reshape(2, b, 2, k, 2), -1, 0)
+        out = (parts.reshape(2, 2 * b, 2 * k) @ halves).reshape(2, 2, b, k)
+        if nodes_in:
+            # block p holds the degrees of parity p: interleave them
+            res = out.transpose(1, 2, 3, 0).reshape(2, b, 2 * k)[..., :n]
+        else:
+            # the blocks give the even and the odd part of the output (the
+            # other way round for the derivative): their sum at y_j, their
+            # difference at -y_j.  Both leads lie on the node's grid, so
+            # these sums are exact
+            even_fn, odd_fn = out[::-1] if odd else out
+            res = np.empty((2, b, n))
+            np.subtract(even_fn, odd_fn, out=res[..., k - 1::-1])
+            np.add(even_fn, odd_fn, out=res[..., n - k:])
+        lead, rest = res.reshape((2,) + vec.shape)
+        return lead, rest, e.reshape(vec.shape[:-1] + (1,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).

@@ -107,6 +107,35 @@ def spectral_series_direct(n: int, s: float, terms: int = 10**6,
     return head + tail
 
 
+def continued_sphere_zeta(n: int, s: Fraction, split: int = 400, order: int = 60,
+                          dps: int = 160) -> float:
+    """The continued S^n series at rational s, in mpmath at ``dps`` digits.
+
+    Head: the terms (2/(n-1)!) x lam(x)^{1-s} for l < ``split``, lam(x) =
+    prod_i (x^2 - (i+1/2)^2).  Tail: lam^{1-s} = x^{(n-2)(1-s)}
+    sum_k a_k x^{-2k} with exact rational a_k (k a_k = (s-1) sum_m p_m a_{k-m},
+    p_m the power sums of the (i+1/2)^2), each order an mpmath Hurwitz zeta.
+    """
+    sigma = Fraction(s) - 1
+    offsets = [Fraction(2 * i + 1, 2) ** 2 for i in range((n - 4) // 2 + 1)]
+    power_sums = [sum(c**m for c in offsets) for m in range(order + 1)]
+    coeffs = [Fraction(1)]
+    for k in range(1, order + 1):
+        coeffs.append(sigma * sum(power_sums[m] * coeffs[k - m] for m in range(1, k + 1)) / k)
+
+    def mp(q: Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(dps):
+        head = mpmath.fsum(
+            mp(x) * mpmath.fprod(mp(x * x - c) for c in offsets) ** (-mp(sigma))
+            for x in (Fraction(2 * l + n - 1, 2) for l in range(split)))
+        x_split = mp(Fraction(2 * split + n - 1, 2))
+        tail = mpmath.fsum(mp(a) * mpmath.zeta(mp(2 * k - 1 + (n - 2) * sigma), x_split)
+                           for k, a in enumerate(coeffs))
+        return float(2 * (head + tail) / mpmath.factorial(n - 1))
+
+
 def hurwitz_finite_part_at_1(a: float) -> float:
     """Constant term -psi(a) of zeta_H(s, a) at its pole s=1 (residue 1).
 

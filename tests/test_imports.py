@@ -1,12 +1,15 @@
 """No command loads scipy or mpmath: their imports cost more than most of the
 commands compute.  scipy is a test-only dependency, and only the Hurwitz zeta
-fallback for s < -1.5 needs mpmath."""
+fallback for s < -1.5 needs mpmath.  Only ``suite`` loads the acceptance
+registry."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,17 +34,30 @@ commands = [
     ["rates", "--n", "6", "--k", "0"],
     ["suite", "--checks", "rate_*", "optimizer_*", "flat_*"],
 ]
-codes = [cli.main(argv) for argv in commands]
+codes = [cli.main(argv) for argv in commands[:-1]]
+before_suite = "conformal_zeta.acceptance" in sys.modules
+codes.append(cli.main(commands[-1]))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath"))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes, "loaded": loaded, "acceptance_before_suite": before_suite,
+                  "acceptance_after_suite": "conformal_zeta.acceptance" in sys.modules}))
 """
 
 
-def test_cli_commands_load_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path_factory.mktemp("cli"),
+                         env=env, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 9
-    assert result["loaded"] == []
+    return result
+
+
+def test_cli_commands_load_no_scipy(cli_run):
+    assert cli_run["loaded"] == []
+
+
+def test_only_suite_loads_acceptance(cli_run):
+    assert not cli_run["acceptance_before_suite"]
+    assert cli_run["acceptance_after_suite"]

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from conformal_zeta import zeta
 from conformal_zeta.params import MAX_DIMENSION, dim_params, sphere_volume
 from conformal_zeta.spectra import SpectrumQuery
-from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, homogeneous_mass,
-                                 hurwitz_zeta, parity_finite_part, spectral_zeta,
+from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, bernoulli_polynomial,
+                                 homogeneous_mass, hurwitz_zeta, parity_finite_part, spectral_zeta,
                                  spectral_zeta_at_one)
-from oracles import (euler_gamma_limit, hurwitz_direct, hurwitz_finite_part_at_1,
-                     rational_finite_part, spectral_series_direct)
+from oracles import (continued_sphere_zeta, euler_gamma_limit, hurwitz_direct,
+                     hurwitz_finite_part_at_1, rational_finite_part, spectral_series_direct)
 
 # ---------------------------------------------------------------------------
 # Hurwitz zeta
@@ -67,6 +68,28 @@ def test_nonpositive_integers_are_correctly_rounded(m):
         with mpmath.workdps(50):
             want = float(mpmath.zeta(-m, a))
         assert abs(hurwitz_zeta(-float(m), a) - want) <= math.ulp(want), a
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.75, 1.0, 2.5, 51.5, 1052.5])
+def test_nonpositive_integer_overflow_is_refused_only_beyond_the_float_range(a):
+    # the cheap bound refuses some of these; every refusal must be an overflow
+    for m in (150, 300):
+        exact = -bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1)
+        try:
+            want = float(exact)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                hurwitz_zeta(-float(m), a)
+        else:
+            assert hurwitz_zeta(-float(m), a) == want
+
+
+@pytest.mark.parametrize("a", [0.75, 51.5, 1052.5])
+def test_large_negative_integer_is_refused_before_the_exact_recurrence(a, monkeypatch):
+    # the exact path for m = 1000 takes seconds; the bound refuses at once
+    monkeypatch.setattr(zeta, "bernoulli_polynomial", functools.partial(pytest.fail, "exact path"))
+    with pytest.raises(OverflowError, match="float64 range"):
+        hurwitz_zeta(-1000.0, a)
 
 
 def test_pole_guard():
@@ -214,14 +237,23 @@ def test_parity_finite_part_rejects_bad_parity():
         parity_finite_part(4, "both")
 
 
-@pytest.mark.parametrize("n, s, reason", [(82, 0.6, "pole"), (64, 0.5, "tolerance")])
+@pytest.mark.parametrize("n, s, reason", [(82, 0.6, "pole")])
 def test_series_where_a_tail_exponent_is_a_large_negative_integer(n, s, reason):
-    # in both cases the k=0 tail term is a Hurwitz zeta at w = -1 + (n-2)(s-1) = -33.
-    # On S^82, s = 0.6 is a Weyl pole: w_17 = 1 and a_17(-0.4) != 0.  On S^64 the
-    # series is of order x^33 at the split point x ~ 1000, beyond the absolute
-    # tail tolerance.  Either way the refusal names its cause.
+    # the k=0 tail term is a Hurwitz zeta at w = -1 + (n-2)(s-1) = -33.  On S^82,
+    # s = 0.6 is a Weyl pole: w_17 = 1 and a_17(-0.4) != 0.  The refusal names it.
     with pytest.raises(ValueError, match=reason):
         spectral_zeta(SpectrumQuery(space="sphere", n=n), s)
+
+
+def test_series_beyond_the_absolute_tail_tolerance():
+    # On S^64 at s = 0.5 the k=0 tail term is a Hurwitz zeta at w = -33, of order
+    # x^33 ~ 1e97 at the split point x ~ 1000, so no absolute remainder bound is
+    # met; the tail stops once the remainder is below half an ulp of the tail.
+    # Head and tail, about 8.6e10 each after the prefactor, cancel to the
+    # continued value -4.8e-45, which float64 keeps to a few ulps of the head.
+    value = spectral_zeta(SpectrumQuery(space="sphere", n=64), 0.5)
+    want = continued_sphere_zeta(64, Fraction(1, 2))
+    assert abs(value - want) <= 8 * np.finfo(float).eps * 8.6e10
 
 
 @pytest.mark.parametrize("n", [4, 6, 104])

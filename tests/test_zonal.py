@@ -270,9 +270,7 @@ def _within(got, want, scale, k=8.0):
     return bool(np.all(err <= k * EPS_LD * np.max(scale) + rounding))
 
 
-@pytest.mark.parametrize("n", [4, 104])
-def test_kernel_matches_longdouble_reference(n):
-    size = 256
+def _check_kernel_against_reference(n, size):
     grid = make_grid(n, size)
     analysis, synthesis, derivative = _reference_tables(n, size)
     eigs = grid.laplacian_eigenvalues
@@ -292,17 +290,44 @@ def test_kernel_matches_longdouble_reference(n):
                        np.abs(derivative) @ (np.abs(coeffs) + c_scale))
 
 
+@pytest.mark.parametrize("n", [4, 104])
+def test_kernel_matches_longdouble_reference(n):
+    # the odd grid has a centre node, its own mirror in the fold
+    for size in (256, 97):
+        _check_kernel_against_reference(n, size)
+
+
 def test_slice_bit_budget_makes_leading_products_exact():
-    assert _TABLE_BITS + _VECTOR_BITS + math.ceil(math.log2(MAX_GRID_SIZE)) <= 52
+    # the analysis folds each node pair, d_P + d_M, into one integer of
+    # _VECTOR_BITS + 1 bits, and sums MAX_GRID_SIZE / 2 products of them
+    half = MAX_GRID_SIZE // 2
+    assert _TABLE_BITS + (_VECTOR_BITS + 1) + math.ceil(math.log2(half)) <= 52
     rng = np.random.default_rng(3)
     # worst case: every entry at its largest magnitude, signs random
-    row = rng.choice([-1, 1], MAX_GRID_SIZE) * 2**_TABLE_BITS
-    for vec in (row // 2**(_TABLE_BITS - _VECTOR_BITS),  # every product positive
-                rng.choice([-1, 1], MAX_GRID_SIZE) * 2**_VECTOR_BITS):
+    row = rng.choice([-1, 1], half) * 2**_TABLE_BITS
+    for vec in (row // 2**(_TABLE_BITS - _VECTOR_BITS - 1),  # every product positive
+                rng.choice([-1, 1], half) * 2**(_VECTOR_BITS + 1)):
         exact = sum(int(a) * int(b) for a, b in zip(row, vec))
         # on their grids, as the kernel holds them
         got = np.ldexp(row, -40).astype(float) @ np.ldexp(vec, -_VECTOR_BITS).astype(float)
         assert np.ldexp(got, 40 + _VECTOR_BITS) == exact
+    # a synthesis adds the two blocks' leads, each of half products with
+    # unfolded _VECTOR_BITS-bit slices, on the shared grid of a node pair
+    for sign in (1, -1):
+        rows = np.stack([row, sign * row])
+        vecs = np.stack([row // 2**(_TABLE_BITS - _VECTOR_BITS)] * 2)
+        exact = sum(int(a) * int(b) for a, b in zip(rows.ravel(), vecs.ravel()))
+        leads = np.einsum("ij,ij->i", np.ldexp(rows, -40), np.ldexp(vecs, -_VECTOR_BITS))
+        assert np.ldexp(leads[0] + leads[1], 40 + _VECTOR_BITS) == exact
+
+
+@pytest.mark.parametrize("size", [97, 256])
+def test_tables_take_24_n_squared_bytes(size):
+    grid = make_grid(4, size)
+    grid.differentiate(np.ones(size))  # builds the derivative table too
+    tables = (grid._analysis, grid._synthesis, grid._derivative)
+    used = sum(t.halves.nbytes + t.col_scale.nbytes for t in tables)
+    assert used <= 24 * size**2 + 128 * size
 
 
 @pytest.mark.parametrize("n", [4, 104])
@@ -339,8 +364,8 @@ _SMOOTH = (lambda th: np.exp(np.cos(th)), lambda th: 1.0 / (1.05 - np.cos(th)))
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_and_tables(n):
-    return make_grid(n, 256), _reference_tables(n, 256)
+def _grid_and_tables(n, size=256):
+    return make_grid(n, size), _reference_tables(n, size)
 
 
 def _stack(grid, count):
@@ -362,7 +387,12 @@ def _transforms(grid):
 @pytest.mark.parametrize("n", [4, 104])
 @pytest.mark.parametrize("count", [1, 3, 100])
 def test_stacked_transforms_match_row_by_row(n, count):
-    grid, (analysis, synthesis, derivative) = _grid_and_tables(n)
+    for size in (256, 97):  # the odd grid has a centre node
+        _check_stack_row_by_row(n, size, count)
+
+
+def _check_stack_row_by_row(n, size, count):
+    grid, (analysis, synthesis, derivative) = _grid_and_tables(n, size)
     values = _stack(grid, count)
     coeffs = grid.analyze(values)
     mult = grid.laplacian_eigenvalues.astype(LD)
@@ -379,7 +409,7 @@ def test_stacked_transforms_match_row_by_row(n, count):
         }
         for name, fn in _transforms(grid).items():
             row = fn(c if name == "synthesize" else values[r])
-            assert _within(stacked[name][r], row, scales[name]), (name, r)
+            assert _within(stacked[name][r], row, scales[name]), (size, name, r)
         # each row is filtered against its own floor, as it would be alone
         assert np.array_equal(coeffs[r] == 0, grid.analyze(values[r]) == 0)
 
