@@ -266,27 +266,27 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
 
     Per alpha: M(psi_alpha), the sphere orbit value -b_n * Y(S^n), their
     margin, and mu = min of the normalized-mass data over the support cap.
+    The bubbles go through the mass functional as one stack.
     """
     n = bg.params.n
     sphere_value = -bg.params.b_n * bg.params.yamabe_sphere
     cap = bg.grid.theta <= 2.0 * epsilon
     mu = float(bg.mnor.values[cap].min()) if np.any(cap) else float("nan")
-    rows = []
-    for alpha in np.asarray(alphas, dtype=float):
+    alphas = np.asarray(alphas, dtype=float)
+    if not alphas.size:
+        return []
+    fields = []
+    for alpha in alphas:
         psi = capped_bubble(ProfileParams(alpha=float(alpha), epsilon=epsilon, n=n), bg.grid)
         if not np.any(psi.values):
             raise ZeroFieldError(
                 f"the capped bubble for n={n}, alpha={alpha:g} is zero at every node of the "
                 f"{bg.grid.size}-node grid: no node lies inside its cap, or the profile underflows")
-        m_psi = mass_functional(psi, bg)
-        rows.append(SweepRow(
-            alpha=float(alpha),
-            m_psi=m_psi,
-            sphere_value=sphere_value,
-            margin=m_psi - sphere_value,
-            mu=mu,
-        ))
-    return rows
+        fields.append(psi.values)
+    m_psi = mass_functional(ZonalField(bg.grid, np.stack(fields)), bg).tolist()
+    return [SweepRow(alpha=float(alpha), m_psi=m, sphere_value=sphere_value,
+                     margin=m - sphere_value, mu=mu)
+            for alpha, m in zip(alphas, m_psi)]
 
 
 def profile_norm_defect(alpha: float, epsilon: float, bg: ConformalBackground) -> float:

@@ -124,6 +124,9 @@ def result_document(res: OptimizerResult) -> dict:
         "mass_mean": res.mass_mean,
         "mass_reldev": res.mass_reldev,
         "iterations": res.iterations,
+        "ascent_steps": res.ascent_steps,
+        "backtracks": res.backtracks,
+        "polish_steps": res.polish_steps,
         "converged": res.converged,
         "stop_reason": res.stop_reason,
         "u_star": field_document(res.u_star),

@@ -59,12 +59,13 @@ def yamabe_functional(u: ZonalField, bg: ConformalBackground) -> float:
     return inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * norm_sq)
 
 
-def mass_functional(u: ZonalField, bg: ConformalBackground) -> float:
+def mass_functional(u: ZonalField, bg: ConformalBackground):
     """M(u), cross-checked through both decomposition forms.
 
     The P form applies the mass-transport operator, the Y form the conformal
     Laplacian plus the normalized-mass term; a disagreement beyond
-    FORM_AGREEMENT_TOL raises ConsistencyError.
+    FORM_AGREEMENT_TOL, in any field of a stack, raises ConsistencyError.
+    For a stack of fields, an array of their values.
     """
     _check_nonzero(u)
     _check_grid(u, bg)
@@ -74,8 +75,8 @@ def mass_functional(u: ZonalField, bg: ConformalBackground) -> float:
     y_form = mnor_term - bg.params.b_n * (
         inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * norm_sq)
     )
-    scale = max(1.0, abs(p_form))
-    if abs(p_form - y_form) > FORM_AGREEMENT_TOL * scale:
+    scale = np.maximum(1.0, np.abs(p_form))
+    if np.any(np.abs(p_form - y_form) > FORM_AGREEMENT_TOL * scale):
         raise ConsistencyError(
             f"mass-functional forms disagree: {p_form!r} vs {y_form!r}"
         )

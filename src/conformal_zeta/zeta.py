@@ -74,7 +74,9 @@ def _overflows(m: int, a: float) -> bool:
     k sum_{i<j} (f+i)^{k-1}, where the sum lies between (a-1)^{k-1} and
     j (a-1)^{k-1}.  The Fourier series of B_k on [0, 1] bounds the periodic
     part: with c = |cos(2 pi f)| for even k and |sin(2 pi f)| for odd k,
-    |B_k(f)| lies within 2 k!/(2 pi)^k (c +- 3 2^-k).  All in logs.
+    |B_k(f)| lies within 2 k!/(2 pi)^k (c +- 3 2^-k).  Where c is 0 (f a
+    multiple of 1/4) that bound says nothing below, and the exact value of
+    B_k(f) is used instead.  All in logs.
     """
     k = m + 1
     j = math.floor(a)
@@ -82,8 +84,14 @@ def _overflows(m: int, a: float) -> bool:
     scale = math.log(2.0) + math.lgamma(k + 1) - k * math.log(2.0 * math.pi)
     c = abs(math.cos(2.0 * math.pi * f) if k % 2 == 0 else math.sin(2.0 * math.pi * f))
     if (4.0 * f).is_integer() and c < 0.5:
-        # c is exactly 0 at these f (B_k(f) = 0 or 2^-k (1 - 2^(1-k)) |B_k|)
-        periodic_lo, periodic_hi = -math.inf, scale + math.log(3.0) - k * math.log(2.0)
+        # c is exactly 0 at these f, where B_k(f) is known: 0 at f = 0, 1/2
+        # (odd k), and -2^-k (1 - 2^(1-k)) B_k at f = 1/4, 3/4 (even k), with
+        # |B_k| = 2 k! zeta(k) / (2 pi)^k and 1 <= zeta(k) < 2
+        if k % 2:
+            periodic_lo = periodic_hi = -math.inf
+        else:
+            periodic_lo = scale - k * math.log(2.0) + math.log1p(-(2.0 ** (1 - k)))
+            periodic_hi = periodic_lo + math.log(2.0)
     else:
         rest = 3.0 * 2.0**-k + 1e-14  # the other terms, and rounding in c
         periodic_lo = scale + math.log(c - rest) if c > rest else -math.inf

@@ -119,3 +119,19 @@ def test_seeded_loops_run_as_stacks(monkeypatch):
     report = run_suite(names=["sobolev_*", "covariance_*", "mass_transport_ode"])
     assert len(report.checks) == 7 and report.overall_pass
     assert len(calls) <= 300
+
+
+def test_optimizer_seeds_run_as_one_stack(monkeypatch):
+    # the 10 sphere seeds take 1,118 kernel products one field at a time; as
+    # one lockstep stack with a stacked certificate, under 250
+    product = zonal.ZonalGrid._product
+    calls = []
+
+    def counted(self, table, vec):
+        calls.append(vec.shape)
+        return product(self, table, vec)
+
+    monkeypatch.setattr(zonal.ZonalGrid, "_product", counted)
+    report = run_suite(names=["optimizer_*"])
+    assert len(report.checks) == 3 and report.overall_pass
+    assert len(calls) <= 250

@@ -123,7 +123,9 @@ def test_result_document_keys(grid):
     res = maximize_mass_functional(bg, OptimizerConfig(), start=constant_field(grid, 1.0))
     doc = result_document(res)
     assert set(doc) == {"value", "lambda", "residual", "mass_mean", "mass_reldev",
-                        "iterations", "converged", "stop_reason", "u_star"}
+                        "iterations", "ascent_steps", "backtracks", "polish_steps",
+                        "converged", "stop_reason", "u_star"}
+    assert doc["iterations"] == doc["ascent_steps"] + doc["polish_steps"]
     assert doc["converged"] is True
     assert doc["stop_reason"] == "tolerance_met"
     json.dumps(doc, allow_nan=False)  # serializable without NaN escapes

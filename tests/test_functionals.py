@@ -64,6 +64,23 @@ def test_form_disagreement_raises(grid4, sphere4, monkeypatch):
         fmod.mass_functional(constant_field(grid4, 1.0), sphere4)
 
 
+def test_form_disagreement_in_one_field_of_a_stack_raises(grid4, sphere4, monkeypatch):
+    import conformal_zeta.functionals as fmod
+
+    yamabe_apply = fmod.yamabe_apply
+
+    def broken(u, bg):
+        vals = yamabe_apply(u, bg).values.copy()
+        vals[1] = 0.0  # the Y form of the middle field only
+        return ZonalField(u.grid, vals)
+
+    stack = ZonalField(grid4, np.ones((3, grid4.size)))
+    assert mass_functional(stack, sphere4).shape == (3,)
+    monkeypatch.setattr(fmod, "yamabe_apply", broken)
+    with pytest.raises(ConsistencyError):
+        fmod.mass_functional(stack, sphere4)
+
+
 def test_yamabe_functional_sphere_value(grid4, sphere4):
     got = yamabe_functional(constant_field(grid4, 1.0), sphere4)
     assert got == pytest.approx(12.0 * math.sqrt(sphere_volume(4)), rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from conformal_zeta.background import round_sphere_background
 from conformal_zeta.functionals import dilation_factor, mass_functional
 from conformal_zeta.optimize import (OptimizerConfig, constant_mass_check,
                                      euler_lagrange_residual, fit_dilation_orbit,
-                                     maximize_mass_functional)
+                                     maximize_mass_functional, maximize_stack)
 from conformal_zeta.zonal import ZonalField, constant_field, random_zonal
 
 
@@ -146,3 +147,97 @@ def test_optimum_solves_critical_equation(grid4, bump4):
     assert lam == pytest.approx(res.lam, rel=1e-10)
     # the achieved value beats the start and matches the functional recomputed
     assert res.value == pytest.approx(mass_functional(res.u_star, bump4), rel=1e-12)
+
+
+def _scalars(res):
+    """Every field of a result but the optimum itself, which is an array."""
+    return dataclasses.replace(res, u_star=None)
+
+
+def test_one_row_stack_is_the_single_run(grid4, bump4):
+    start = optimize.seeded_start(grid4, 5)
+    single = maximize_mass_functional(bump4, start=start)
+    (row,) = maximize_stack(bump4, ZonalField(grid4, start.values[None]))
+    assert _scalars(row) == _scalars(single)
+    assert np.array_equal(row.u_star.values, single.u_star.values)
+    assert single.iterations == single.ascent_steps + single.polish_steps
+    assert single.ascent_steps > 0 and single.backtracks > 0
+
+
+def test_stack_rows_keep_their_own_stage(grid4, sphere4, monkeypatch):
+    # the constant start is exact; alone, the mild start converges in 4 ascent
+    # steps and the steep one in 19, so the steep one runs into the ascent cap
+    # and, with no polish steps allowed, stops there
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 10)
+    monkeypatch.setattr(optimize, "_MAX_POLISH", 0)
+    x = grid4.nodes
+    starts = np.stack([np.ones(grid4.size), 1.0 + 1e-6 * x * x, 1.0 + 0.3 * x])
+    const, mild, steep = maximize_stack(sphere4, ZonalField(grid4, starts))
+    assert const.stop_reason == "tolerance_met" and const.iterations <= 1
+    assert mild.stop_reason == "tolerance_met" and 1 <= mild.ascent_steps < 10
+    assert steep.stop_reason == "max_polish"
+    assert (steep.ascent_steps, steep.polish_steps) == (10, 0)
+    assert const.converged and mild.converged and not steep.converged
+    for res in (const, mild, steep):
+        assert res.iterations == res.ascent_steps + res.polish_steps
+        assert len(res.history) == res.ascent_steps + 1  # every line search found an increase
+        assert np.all(np.diff(res.history) >= 0)
+        assert res.converged == (res.residual <= 1e-8)
+
+
+def test_stack_rows_meet_their_tolerance(grid4, sphere4):
+    results = maximize_stack(sphere4, optimize.seeded_start(grid4, np.arange(4)))
+    for res, seed in zip(results, range(4)):
+        assert res.converged and res.stop_reason == "tolerance_met"
+        assert res.residual < 1e-8
+        assert res.value == pytest.approx(sphere_value(sphere4), rel=1e-6)
+        single = maximize_mass_functional(sphere4, OptimizerConfig(seed=seed))
+        assert res.value == pytest.approx(single.value, rel=1e-12)
+
+
+def test_stack_rejects_a_nonpositive_row(grid4, sphere4):
+    starts = np.stack([np.ones(grid4.size), grid4.nodes])
+    with pytest.raises(ValueError):
+        maximize_stack(sphere4, ZonalField(grid4, starts))
+
+
+def test_orbit_fit_on_a_stack(grid4, sphere4):
+    t0 = np.array([-2.0, 0.3, 1.7])
+    t_hat, gap = fit_dilation_orbit(dilation_factor(t0[:, None], grid4), sphere4)
+    assert t_hat.shape == gap.shape == (3,)
+    assert np.all(np.abs(t_hat - t0) <= 1e-8)
+    assert np.all(gap <= 1e-12)
+
+
+def test_certificates_on_a_stack_match_row_by_row(grid4, bump4):
+    stack = random_zonal(grid4, np.arange(60, 63), 10, 1.0, 0.3)
+    rows = [ZonalField(grid4, v) for v in stack.values]
+    for check in (euler_lagrange_residual, constant_mass_check):
+        stacked = check(stack, bump4)
+        singles = [check(u, bump4) for u in rows]
+        for got, want in zip(stacked, zip(*singles)):
+            assert got.shape == (3,)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(mass_functional(stack, bump4),
+                               [mass_functional(u, bump4) for u in rows], rtol=1e-12)
+
+
+def test_certificates_refuse_a_stack_with_one_bad_row(grid4, bump4):
+    stack = random_zonal(grid4, np.arange(60, 63), 10, 1.0, 0.3).values.copy()
+    stack[1, 7] = 0.0
+    for check in (euler_lagrange_residual, constant_mass_check):
+        with pytest.raises(ValueError):
+            check(ZonalField(grid4, stack), bump4)
+    stack[1] = 0.0
+    with pytest.raises(ValueError):
+        mass_functional(ZonalField(grid4, stack), bump4)
+
+
+def test_rejected_first_trials_back_off(grid4, sphere4, monkeypatch):
+    # a first step far too long: the opening line search backtracks before
+    # any row has accepted a step
+    monkeypatch.setattr(optimize, "_STEP0", 1e6)
+    start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
+    res = maximize_mass_functional(sphere4, start=start)
+    assert res.converged and res.backtracks >= 10
+    assert res.value == pytest.approx(sphere_value(sphere4), rel=1e-6)

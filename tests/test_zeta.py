@@ -70,10 +70,11 @@ def test_nonpositive_integers_are_correctly_rounded(m):
         assert abs(hurwitz_zeta(-float(m), a) - want) <= math.ulp(want), a
 
 
-@pytest.mark.parametrize("a", [0.1, 0.5, 0.75, 1.0, 2.5, 51.5, 1052.5])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.75, 1.0, 2.5, 51.5, 1052.5])
 def test_nonpositive_integer_overflow_is_refused_only_beyond_the_float_range(a):
-    # the cheap bound refuses some of these; every refusal must be an overflow
-    for m in (150, 300):
+    # the cheap bound refuses some of these; every refusal must be an overflow.
+    # At a = 1/4, m = 317 fits and m = 319 does not
+    for m in (150, 300) + ((317, 319) if a == 0.25 else ()):
         exact = -bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1)
         try:
             want = float(exact)
@@ -90,6 +91,16 @@ def test_large_negative_integer_is_refused_before_the_exact_recurrence(a, monkey
     monkeypatch.setattr(zeta, "bernoulli_polynomial", functools.partial(pytest.fail, "exact path"))
     with pytest.raises(OverflowError, match="float64 range"):
         hurwitz_zeta(-1000.0, a)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75])
+@pytest.mark.parametrize("m", [319, 401, 1001])
+def test_quarter_point_overflow_is_refused_before_the_exact_recurrence(m, a, monkeypatch):
+    # at a = 1/4 and 3/4 the leading Fourier term of B_{m+1} vanishes for odd m;
+    # the exact magnitude 2^-k (1 - 2^(1-k)) |B_k| still decides the overflow
+    monkeypatch.setattr(zeta, "bernoulli_polynomial", functools.partial(pytest.fail, "exact path"))
+    with pytest.raises(OverflowError, match="float64 range"):
+        hurwitz_zeta(-float(m), a)
 
 
 def test_pole_guard():
