@@ -8,10 +8,28 @@ For u != 0 and p = 2n/(n-2):
 * sphere trace      T(u) = -c_n (int u D u + n(n-2)/4 int u^2)
 * Sobolev gap       int u D u + n(n-2)/4 int u^2 - n(n-2)/4 omega_n^{2/n} ||u||_p^2
 
+The sphere quadratic forms are diagonal in the orthonormal Gegenbauer basis:
+with c = analyze(u),
+
+    int u (D + s) u = sum_l (l(l+n-1) + s) c_l^2,
+
+one analysis, with no spectral multiplier and no synthesis.  On the Gauss
+grid this is the grid form u^T W (D + s) u exactly, not an approximation of
+it: the discrete transform is orthonormal (B W B^T = I), so
+sum_l c_l^2 = u^T W u and sum_l l(l+n-1) c_l^2 = u^T W D u, and the two
+evaluations differ only by rounding (and by the coefficients the analysis
+filters as quadrature roundoff).  ``sobolev_gap``, ``conformal_trace`` and
+``yamabe_functional`` use it; the Yamabe functional adds the pointwise
+a_n int scal u^2 on the grid.
+
 M is evaluated through BOTH displayed forms and the two must agree; this is a
 live guard on the b_n = a_n c_n coupling and the background's mass bookkeeping,
-not an optimization.  The trace of the conformally changed metric relates to M
-by T = M * vol^{(n-2)/n} with vol = ||u||_p^p (conformal volume; the conformal
+not an optimization.  So ``mass_functional`` keeps its two operator forms,
+each applying its operator (``p_operator_apply``, ``yamabe_apply``) and so
+its own Laplacian: the guard checks the operator layer itself, and the
+benchmark's tracer (``perfbench/tracing.py``) counts those two Laplacians.
+The trace of the conformally changed metric relates to M by
+T = M * vol^{(n-2)/n} with vol = ||u||_p^p (conformal volume; the conformal
 metric is never re-gridded).
 """
 
@@ -24,7 +42,7 @@ import numpy as np
 from .background import ConformalBackground
 from .errors import ConsistencyError, GridMismatchError
 from .laws import p_operator_apply, yamabe_apply
-from .zonal import ZonalField, ZonalGrid, inner, laplacian, lp_norm
+from .zonal import ZonalField, ZonalGrid, inner, lp_norm
 
 FORM_AGREEMENT_TOL = 1e-10
 
@@ -52,11 +70,25 @@ def _norm_sq(u: ZonalField, bg: ConformalBackground):
     return norm_sq
 
 
-def yamabe_functional(u: ZonalField, bg: ConformalBackground) -> float:
+def _spectral_form(u: ZonalField, shift: float):
+    """int u (D + shift) u from the Gegenbauer coefficients of u (module
+    docstring), per field of a stack; inf where it leaves the float range, for
+    the caller to refuse."""
+    grid = u.grid
+    c = grid.analyze(u.values)
+    with np.errstate(over="ignore"):
+        form = np.asarray((c * c) @ (grid.laplacian_eigenvalues + shift), dtype=float)
+    return float(form) if form.ndim == 0 else form
+
+
+def yamabe_functional(u: ZonalField, bg: ConformalBackground):
+    """Y(u); for a stack of fields, an array of their values."""
     _check_nonzero(u)
     _check_grid(u, bg)
     norm_sq = _norm_sq(u, bg)
-    return inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * norm_sq)
+    a_n = bg.params.a_n
+    quad = _spectral_form(u, 0.0) + a_n * inner(ZonalField(u.grid, u.values * u.values), bg.scal)
+    return quad / (a_n * norm_sq)
 
 
 def mass_functional(u: ZonalField, bg: ConformalBackground):
@@ -94,8 +126,7 @@ def conformal_trace(u: ZonalField, bg: ConformalBackground) -> float:
     if not bg.is_round_sphere():
         raise ValueError("the closed-form trace applies to round-sphere backgrounds only")
     n = bg.params.n
-    quad = inner(u, laplacian(u)) + n * (n - 2) / 4.0 * inner(u, u)
-    trace = -bg.params.c_n * quad
+    trace = -bg.params.c_n * _spectral_form(u, n * (n - 2) / 4.0)
     if not np.all(np.isfinite(trace)):
         raise ValueError(f"the trace of the field is {trace!r}: "
                          "its values are too large for float64")
@@ -111,7 +142,7 @@ def sobolev_gap(u: ZonalField, bg: ConformalBackground):
     _check_grid(u, bg)
     n = bg.params.n
     const = n * (n - 2) / 4.0
-    lhs = inner(u, laplacian(u)) + const * inner(u, u)
+    lhs = _spectral_form(u, const)
     return lhs - const * bg.params.omega_n ** (2.0 / n) * lp_norm(u, bg.params.p) ** 2
 
 

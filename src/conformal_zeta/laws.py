@@ -113,6 +113,10 @@ def mass_transport_ode(bg: ConformalBackground, phi: ZonalField) -> ZonalField:
     the calibrated pointwise coupling; the march therefore lands on the
     closed-form pushforward exactly when the background carries calibrated
     constants (see ``params.infinitesimal_transport_coefficient``).
+
+    The source term (n-2) Q_t phi does not depend on m, so it is evaluated once
+    per distinct t: the stages k2 and k3 share t + h/2, and k4 shares its t + h
+    with the next step's k1.
     """
     n = bg.params.n
     c_n = infinitesimal_transport_coefficient(n)
@@ -120,18 +124,24 @@ def mass_transport_ode(bg: ConformalBackground, phi: ZonalField) -> ZonalField:
     grad2 = gradient_pairing(phi, phi).values
     pvals = phi.values
 
-    def rate(t, m):
+    def source(t):
         q_phi = -c_n * np.exp(-2.0 * t * pvals) * (lap_phi - (n - 2) * t * grad2)
-        return -2.0 * pvals * m + (n - 2) * q_phi
+        return (n - 2) * q_phi
+
+    def rate(m, q):
+        return -2.0 * pvals * m + q
 
     m = bg.mass_field().values.copy()
     h = 1.0 / _TRANSPORT_STEPS
     t = 0.0
+    q_start = source(t)
     for _ in range(_TRANSPORT_STEPS):
-        k1 = rate(t, m)
-        k2 = rate(t + h / 2, m + h / 2 * k1)
-        k3 = rate(t + h / 2, m + h / 2 * k2)
-        k4 = rate(t + h, m + h * k3)
+        q_mid, q_end = source(t + h / 2), source(t + h)
+        k1 = rate(m, q_start)
+        k2 = rate(m + h / 2 * k1, q_mid)
+        k3 = rate(m + h / 2 * k2, q_mid)
+        k4 = rate(m + h * k3, q_end)
         m = m + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
+        q_start = q_end
     return ZonalField(phi.grid, m)

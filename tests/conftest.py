@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -38,3 +39,20 @@ def refuse_grid_build(monkeypatch):
 
     monkeypatch.setattr(zonal, "_jacobi_nodes", refuse)
     monkeypatch.setattr(zonal, "_gegenbauer_table", refuse)
+
+
+@pytest.fixture()
+def kernel_products(monkeypatch):
+    """The input shape of every ``ZonalGrid._product`` call made from here on,
+    one entry per kernel product."""
+    import conformal_zeta.zonal as zonal
+
+    product = zonal.ZonalGrid._product
+    calls = []
+
+    def counted(self, table, vec):
+        calls.append(np.shape(vec))
+        return product(self, table, vec)
+
+    monkeypatch.setattr(zonal.ZonalGrid, "_product", counted)
+    return calls

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conformal_zeta import laws, zonal
+from conformal_zeta import laws
 from conformal_zeta.acceptance import CHECK_NAMES, KNOWN_DISPUTED_CHECKS, run_suite
 from conformal_zeta.zeta import rational_finite_part
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
@@ -105,33 +105,25 @@ def test_covariance_filter_skips_transport_march(monkeypatch, suite_report):
     assert len(report.checks) == 3
 
 
-def test_seeded_loops_run_as_stacks(monkeypatch):
+def test_seeded_loops_run_as_stacks(kernel_products):
     # 2 x 1000 Sobolev fields, 100 covariance pairs and 20 transport seeds
     # take 8,896 kernel products one field at a time; as stacks, under 300
-    product = zonal.ZonalGrid._product
-    calls = []
-
-    def counted(self, table, vec):
-        calls.append(vec.shape)
-        return product(self, table, vec)
-
-    monkeypatch.setattr(zonal.ZonalGrid, "_product", counted)
     report = run_suite(names=["sobolev_*", "covariance_*", "mass_transport_ode"])
     assert len(report.checks) == 7 and report.overall_pass
-    assert len(calls) <= 300
+    assert len(kernel_products) <= 300
 
 
-def test_optimizer_seeds_run_as_one_stack(monkeypatch):
+def test_sobolev_checks_analyze_each_stack_once(kernel_products):
+    # each Sobolev stack is synthesized once and analyzed once (88 products);
+    # through a Laplacian and two grid inner products it took 136
+    report = run_suite(names=["sobolev_*"])
+    assert len(report.checks) == 3 and report.overall_pass
+    assert len(kernel_products) <= 90
+
+
+def test_optimizer_seeds_run_as_one_stack(kernel_products):
     # the 10 sphere seeds take 1,118 kernel products one field at a time; as
     # one lockstep stack with a stacked certificate, under 250
-    product = zonal.ZonalGrid._product
-    calls = []
-
-    def counted(self, table, vec):
-        calls.append(vec.shape)
-        return product(self, table, vec)
-
-    monkeypatch.setattr(zonal.ZonalGrid, "_product", counted)
     report = run_suite(names=["optimizer_*"])
     assert len(report.checks) == 3 and report.overall_pass
-    assert len(calls) <= 250
+    assert len(kernel_products) <= 250

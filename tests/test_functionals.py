@@ -5,10 +5,12 @@ import pytest
 
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.errors import ConsistencyError
-from conformal_zeta.functionals import (conformal_trace, dilation_factor, functional_report,
-                                        mass_functional, sobolev_gap, yamabe_functional)
+from conformal_zeta.functionals import (_spectral_form, conformal_trace, dilation_factor,
+                                        functional_report, mass_functional, sobolev_gap,
+                                        yamabe_functional)
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import ZonalField, constant_field, lp_norm, random_zonal
+from conformal_zeta.zonal import (ZonalField, constant_field, inner, laplacian, lp_norm,
+                                  make_grid, random_zonal)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,47 @@ def test_sobolev_gap_of_a_stack_matches_per_field(n, grid4, grid6, sphere4, sphe
     for gap, seed in zip(gaps, seeds):
         one = sobolev_gap(random_zonal(grid, int(seed), 32, 1.0, 0.05), bg)
         assert gap == pytest.approx(one, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [97, 256])
+@pytest.mark.parametrize("n", [4, 6, 104])
+def test_coefficient_form_is_the_grid_form(n, size):
+    # B W B^T = I on the Gauss grid, so sum_l (l(l+n-1) + s) c_l^2 is
+    # u^T W (D + s) u and the two differ by rounding alone.  The bound is
+    # relative to sum_i w_i |u_i ((D + s) u)_i|, the rounding scale of the
+    # grid form; the worst measured was 2.0 eps (n = 6, N = 256).  Relative to
+    # the value, n = 4 and 6 agree to 4.5e-15, but n = 104 only to 2.6e-3: its
+    # fields reach 1e33 at the poles, their degree-0 part swamps the rest, and
+    # against the exact sum of the drawn coefficients both forms are off by
+    # that much.
+    grid = make_grid(n, size)
+    stack = random_zonal(grid, 2600 + np.arange(20), 32, 1.0, 0.05)
+    fields = [stack] + [ZonalField(grid, row) for row in stack.values[:3]]
+    for shift in (0.0, n * (n - 2) / 4.0):
+        for u in fields:
+            lu = laplacian(u)
+            want = inner(u, lu) + shift * inner(u, u)
+            scale = np.abs(u.values * (lu.values + shift * u.values)) @ grid.weights
+            got = _spectral_form(u, shift)
+            assert np.shape(got) == np.shape(want)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("functional", [sobolev_gap, conformal_trace, yamabe_functional])
+def test_quadratic_forms_take_one_kernel_product(functional, grid4, sphere4, kernel_products):
+    # one analysis per call, for one field and for a stack alike
+    stack = random_zonal(grid4, np.arange(5), 16, 1.0, 0.1)
+    for u in (ZonalField(grid4, stack.values[0]), stack):
+        kernel_products.clear()
+        functional(u, sphere4)
+        assert kernel_products == [u.values.shape]
+
+
+def test_report_takes_two_laplacians_and_three_analyses(grid4, sphere4, kernel_products):
+    u = random_zonal(grid4, 77, 12, 0.6, 0.2)
+    kernel_products.clear()
+    functional_report(u, sphere4)
+    assert len(kernel_products) == 2 * 2 + 3
 
 
 def test_zero_guard_holds_per_row(grid4, sphere4):

@@ -5,15 +5,16 @@ import pytest
 
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.errors import GridMismatchError
-from conformal_zeta.laws import (mass_pushforward, mass_transport_ode,
+from conformal_zeta.laws import (_TRANSPORT_STEPS, mass_pushforward, mass_transport_ode,
                                  normalized_mass_pushforward, p_operator_apply,
                                  transform_background, transformed_laplacian,
                                  transformed_scalar_curvature, yamabe_apply)
-from conformal_zeta.params import dim_params
+from conformal_zeta.params import dim_params, infinitesimal_transport_coefficient
 from conformal_zeta.spectra import SpectrumQuery
 from conformal_zeta.zeta import homogeneous_mass
-from conformal_zeta.zonal import (ZonalField, constant_field, inner, laplacian, lp_norm,
-                                  make_grid, random_band_limited, random_zonal)
+from conformal_zeta.zonal import (ZonalField, constant_field, gradient_pairing, inner,
+                                  laplacian, lp_norm, make_grid, random_band_limited,
+                                  random_zonal)
 
 LAW_FIELDS = dict(l_max=16)
 
@@ -125,6 +126,34 @@ def test_transport_ode_matches_closed_form(grid4, bg4):
         marched = mass_transport_ode(bg4, phi)
         worst = max(worst, np.abs(closed.values - marched.values).max())
     assert worst < 1e-6
+
+
+def test_transport_march_is_the_plain_runge_kutta(grid4, bg4):
+    # the march evaluates its source term once per distinct t; the textbook
+    # RK4 below evaluates it at every stage, and the results must not differ
+    # in a single bit
+    phi = smooth(grid4, 21000 + np.arange(4), 0.3)
+    n = bg4.params.n
+    c_n = infinitesimal_transport_coefficient(n)
+    lap_phi = laplacian(phi).values
+    grad2 = gradient_pairing(phi, phi).values
+    pvals = phi.values
+
+    def rate(t, m):
+        q_phi = -c_n * np.exp(-2.0 * t * pvals) * (lap_phi - (n - 2) * t * grad2)
+        return -2.0 * pvals * m + (n - 2) * q_phi
+
+    m = bg4.mass_field().values.copy()
+    h = 1.0 / _TRANSPORT_STEPS
+    t = 0.0
+    for _ in range(_TRANSPORT_STEPS):
+        k1 = rate(t, m)
+        k2 = rate(t + h / 2, m + h / 2 * k1)
+        k3 = rate(t + h / 2, m + h / 2 * k2)
+        k4 = rate(t + h, m + h * k3)
+        m = m + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    assert np.array_equal(mass_transport_ode(bg4, phi).values, m)
 
 
 def test_normalized_mass_pushforward_trivial_cases(grid4):
