@@ -6,18 +6,22 @@ step the Euler-Lagrange residual field
     r = -(P u - Lambda |u|^{p-2} u),   Lambda = int u P u / int |u|^p,
 
 is mapped through the inverse of the positive sphere operator
-c_n (D + n(n-2)/4) -- a Sobolev-metric gradient, diagonal in the Gegenbauer
-basis -- and a backtracking line search accepts only M-increases, after which
-the iterate is clipped at the positivity floor and renormalized to
+A = c_n (D + n(n-2)/4) -- a Sobolev-metric gradient, diagonal in the
+Gegenbauer basis -- and a backtracking line search accepts only M-increases,
+after which the iterate is clipped at the positivity floor and renormalized to
 ||u||_p = 1.  The Sobolev direction converges in tens of steps; the plain L2
 gradient has the same fixed points but needs ~10^5 iterations at these grid
 resolutions.
 
-Once M stops improving at working precision, a short Picard polish
-(u <- A^{-1}[Lambda |u|^{p-2} u + (m_g + shift) u], A = c_n D + shift) drives
-the residual itself to tolerance; polish steps are accepted only while the
-residual decreases.  The ascent is needed first: the polish alone stalls far
-from the optimum on a background with mass data.
+Each rejected trial halves the step.  To first order a step s along
+A^{-1} r raises M by 2 s <r, A^{-1} r>_w; once that predicted gain of the
+next trial is below eps |M|, no trial can raise M at working precision, and
+the line search stalls (_MAX_TRIALS trials is the backstop).  ``backtracks``
+counts the rejected trials, the stalling one included.  On a stall a short
+Picard polish (u <- A^{-1}[Lambda |u|^{p-2} u + (m_g + shift) u],
+shift = c_n n(n-2)/4) drives the residual itself to tolerance; polish steps
+are accepted only while the residual decreases.  The ascent is needed first:
+the polish alone stalls far from the optimum on a background with mass data.
 
 ``OptimizerResult.stop_reason`` says what ended the run: ``tolerance_met``
 (the residual fell below tolerance in either stage), ``polish_stalled`` (the
@@ -68,6 +72,7 @@ _POSITIVITY_FLOOR = 1e-8  # iterates are clipped here before renormalizing
 _MAX_ITERS = 2000  # ascent steps
 _MAX_POLISH = 200  # Picard polish steps
 _MAX_TRIALS = 60  # line-search trials per ascent step
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class OptimizerResult:
     converged: bool
     stop_reason: str  # tolerance_met | polish_stalled | max_iters | max_polish (module docstring)
     ascent_steps: int  # line searches, a final one that found no increase included
-    backtracks: int  # rejected line-search trials
+    backtracks: int  # rejected line-search trials, a stalling one included
     polish_steps: int  # accepted polish steps
     # accepted functional values of the ascent, nondecreasing
     history: tuple[float, ...] = field(repr=False, default=())
@@ -253,6 +258,7 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     m_val, residual = m_start.tolist(), [math.inf for _ in rows]
     step = [_STEP0 for _ in rows]
     trials = [0 for _ in rows]  # of the current line search
+    gain_rate = [0.0 for _ in rows]  # predicted gain of the line search's unit step
     ascent_steps, backtracks, polish_steps = ([0 for _ in rows] for _ in range(3))
     stop = ["max_iters" for _ in rows]  # until a stage ends otherwise
     history = [[v] for v in m_val]
@@ -296,8 +302,13 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
         if fresh or polish:
             mapped = grid.apply_multiplier(sources, inv_sphere_op)
             direction[fresh] = mapped[: len(fresh)]
-        for i in fresh:
-            trials[i] = 0
+        if fresh:
+            # a new line search: the first-order gain of its unit step is
+            # 2 <r, A^{-1} r>_w
+            rates = 2.0 * _row_dot(grad * w, mapped[: len(fresh)])
+            for i, rate in zip(fresh, rates.tolist()):
+                trials[i] = 0
+                gain_rate[i] = rate
         # one projection for the line-search trials and the polish candidates
         search = sorted(fresh + search_on)
         trial = (_rows(u, search) + np.array([step[i] for i in search])[:, None]
@@ -328,12 +339,10 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
                 continue
             backtracks[i] += 1
             trials[i] += 1
-            if np.array_equal(trial[j], u[i]):
-                stalled = True  # every smaller step rounds to this same trial
-            else:
-                step[i] *= 0.5
-                stalled = trials[i] >= _MAX_TRIALS
-            if stalled:
+            step[i] *= 0.5
+            # the next trial's predicted gain below the rounding of M: no
+            # trial from here on can raise M at working precision
+            if step[i] * gain_rate[i] < _EPS * abs(m_val[i]) or trials[i] >= _MAX_TRIALS:
                 # M at its working-precision plateau: hand over to the polish
                 ascent_steps[i] += 1
                 stop[i] = "polish_stalled"

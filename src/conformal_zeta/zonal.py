@@ -81,13 +81,21 @@ GEMM, so a stacked result agrees with the per-field one within float64
 rounding, not bit for bit.
 
 Field values exposed to callers are plain float64.
+
+A grid depends on (n, N) alone, so ``make_grid`` builds each one once per
+process and hands the same object to every later request for that (n, N),
+the derivative table included once it exists.  The memo keeps the
+_GRID_MEMO_SIZE most recently used grids of at most _GRID_MEMO_MAX_NODES
+nodes and has no setting; a larger grid is built on every call.  Since
+callers share a grid, its nodes, weights and tables are read-only.
+``ZonalGrid(n, N)`` builds a fresh grid outside the memo.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +119,14 @@ MIN_GRID_SIZE = 16
 # near 32 N^2 bytes, the derivative table near 48 N^2.  Larger sizes are
 # refused, and the bit budget below is sized for this bound.
 MAX_GRID_SIZE = 2048
+# ``make_grid`` keeps the grids of this many (n, N), the least recently used
+# evicted first: a suite run needs two, a CLI command one.  Grids of more than
+# _GRID_MEMO_MAX_NODES nodes are built afresh on each call, since a kept grid
+# holds on to its 16-24 N^2 bytes of tables and, with glibc's allocator, to
+# the freed build temporaries beneath them: one N = 1024 grid keeps 34 MB
+# resident for 16 MB of tables.
+_GRID_MEMO_SIZE = 4
+_GRID_MEMO_MAX_NODES = 512
 
 # Widths of the error-free leading parts: the N/2 <= MAX_GRID_SIZE/2 products of
 # a _TABLE_BITS-bit integer and a folded (_VECTOR_BITS + 1)-bit one sum
@@ -211,6 +227,12 @@ class _Table(NamedTuple):
     odd: bool = False  # even degrees give odd functions (the derivative)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a memoized grid is shared by all its callers."""
+    array.flags.writeable = False
+    return array
+
+
 def _split_table(blocks: np.ndarray, size: int, nodes_in: bool, odd: bool = False) -> _Table:
     """Split a longdouble table given as parity blocks, input-major: entry
     [p, i, o] of ``blocks`` carries input i to output o in block p.
@@ -244,7 +266,7 @@ def _split_table(blocks: np.ndarray, size: int, nodes_in: bool, odd: bool = Fals
     t1 += lo
     # the inputs' scales in node order (mirrored) or degree order (interleaved)
     scale = _mirror(scale.ravel(), size) if nodes_in else scale[..., 0].T.ravel()[:size]
-    return _Table(halves, scale, nodes_in, odd)
+    return _Table(_read_only(halves), _read_only(scale), nodes_in, odd)
 
 
 class ZonalGrid:
@@ -302,13 +324,11 @@ class ZonalGrid:
         blocks *= pair_w
         self._analysis = _split_table(blocks.transpose(0, 2, 1), size, nodes_in=True)
         del blocks
-        self._y, self._norms = y, norms
-        self._eigs = (np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD)
+        self._y, self._norms = _read_only(y), _read_only(norms)
+        self._eigs = _read_only((np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD))
 
-        self.nodes = _mirror(y, size, -1).astype(float)
-        self.weights = _mirror(w, size).astype(float)
-        self.nodes.flags.writeable = False
-        self.weights.flags.writeable = False
+        self.nodes = _read_only(_mirror(y, size, -1).astype(float))
+        self.weights = _read_only(_mirror(w, size).astype(float))
 
     # -- representation helpers -------------------------------------------------
 
@@ -480,8 +500,18 @@ class ZonalField:
         return np.asarray(self.grid.analyze(self.values), dtype=float)
 
 
-def make_grid(n: int, size: int = DEFAULT_GRID_SIZE) -> ZonalGrid:
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _memo_grid(n: int, size: int) -> ZonalGrid:
     return ZonalGrid(n, size)
+
+
+def make_grid(n: int, size: int = DEFAULT_GRID_SIZE) -> ZonalGrid:
+    """The grid of (n, size), built on the first request of a process and
+    shared after that, up to _GRID_MEMO_MAX_NODES nodes (module docstring);
+    ``ZonalGrid(n, size)`` builds a fresh one."""
+    if size > _GRID_MEMO_MAX_NODES:
+        return ZonalGrid(n, size)
+    return _memo_grid(n, size)
 
 
 def constant_field(grid: ZonalGrid, value: float) -> ZonalField:
@@ -529,7 +559,9 @@ def lp_norm(f: ZonalField, q: float):
     """(integral of |f|^q)^{1/q}, per field of a stack."""
     if q < 1.0:
         raise ValueError(f"lp_norm needs q >= 1, got q={q}")
-    return _per_field((np.abs(f.values) ** q @ f.grid.weights) ** (1.0 / q))
+    # np.power, not **: for one field the sum is a numpy scalar, whose ** can
+    # differ from the ufunc a stack goes through in the last bit
+    return _per_field(np.power(np.abs(f.values) ** q @ f.grid.weights, 1.0 / q))
 
 
 def laplacian(f: ZonalField) -> ZonalField:
@@ -560,23 +592,33 @@ def _normals(seed, count: int) -> np.ndarray:
     return np.reshape(rows, np.shape(seed) + (count,))
 
 
-def random_zonal(grid: ZonalGrid, seed, l_max: int, amplitude: float, floor: float) -> ZonalField:
-    """Seeded random band-limited field bounded below by ``floor``.
+def random_zonal_coefficients(seed, l_max: int) -> np.ndarray:
+    """The coefficients of ``random_zonal``: degrees 0..``l_max`` drawn with a
+    mild (1+l)^-1 decay, one row per seed of an array of seeds.  They depend on
+    no grid, so one draw can be synthesized on several (``floored_field``)."""
+    return _normals(seed, l_max + 1) / (1.0 + np.arange(l_max + 1))
 
-    Coefficients up to degree ``l_max`` are drawn with a mild (1+l)^-1 decay;
-    the synthesized field is shifted so its minimum sits exactly at ``floor``
-    (a constant shift only moves the degree-0 coefficient, so the band limit
-    survives; clipping would not preserve it).  An array of seeds gives the
-    stack of the per-seed fields, synthesized together.
-    """
+
+def floored_field(grid: ZonalGrid, coeffs, amplitude: float, floor: float) -> ZonalField:
+    """The field of ``coeffs``, scaled by ``amplitude`` and shifted so its
+    minimum sits exactly at ``floor`` (a constant shift only moves the degree-0
+    coefficient, so the band limit survives; clipping would not preserve it).
+    A (B, L) stack of coefficients gives the stack of fields."""
     if floor <= 0:
         raise ValueError("floor must be positive")
-    if l_max >= grid.size:
-        raise ValueError(f"l_max={l_max} exceeds grid resolution {grid.size - 1}")
-    coeffs = _normals(seed, l_max + 1) / (1.0 + np.arange(l_max + 1))
     rough = synthesize(grid, coeffs).values
     shifted = floor + amplitude * (rough - rough.min(axis=-1, keepdims=True))
     return ZonalField(grid, shifted)
+
+
+def random_zonal(grid: ZonalGrid, seed, l_max: int, amplitude: float, floor: float) -> ZonalField:
+    """Seeded random band-limited field bounded below by ``floor``: the
+    ``floored_field`` of ``random_zonal_coefficients(seed, l_max)``.  An array
+    of seeds gives the stack of the per-seed fields, synthesized together.
+    """
+    if l_max >= grid.size:
+        raise ValueError(f"l_max={l_max} exceeds grid resolution {grid.size - 1}")
+    return floored_field(grid, random_zonal_coefficients(seed, l_max), amplitude, floor)
 
 
 def random_band_limited(grid: ZonalGrid, seed, l_max: int, amplitude: float) -> ZonalField:

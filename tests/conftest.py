@@ -30,6 +30,14 @@ def grid4_small():
 
 
 @pytest.fixture()
+def fresh_grid_memo():
+    """Empty ``make_grid``'s memo, so the test's first ``make_grid`` builds its grid."""
+    import conformal_zeta.zonal as zonal
+
+    zonal._memo_grid.cache_clear()
+
+
+@pytest.fixture()
 def refuse_grid_build(monkeypatch):
     """Fail the test if any grid's nodes or basis tables get built."""
     import conformal_zeta.zonal as zonal

@@ -123,7 +123,30 @@ def test_sobolev_checks_analyze_each_stack_once(kernel_products):
 
 def test_optimizer_seeds_run_as_one_stack(kernel_products):
     # the 10 sphere seeds take 1,118 kernel products one field at a time; as
-    # one lockstep stack with a stacked certificate, under 250
+    # one lockstep stack with a stacked certificate 171, and with the line
+    # search stopped at working precision 91
     report = run_suite(names=["optimizer_*"])
     assert len(report.checks) == 3 and report.overall_pass
-    assert len(kernel_products) <= 250
+    assert len(kernel_products) <= 100
+
+
+def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
+    # make_grid's memo keeps both grids, and their derivative tables, from one
+    # run to the next
+    run_suite()
+    request.getfixturevalue("refuse_grid_build")
+    kernel_products.clear()
+    report = run_suite()
+    assert report.checks == suite_report.checks
+    assert len(kernel_products) <= 480  # 465; 607 before the working-precision stop
+
+
+def test_bump_values_survive_the_working_precision_stop(suite_report):
+    # the values the line search gave when it halved until a trial rounded to
+    # the iterate itself
+    values = {c.name: c.value for c in suite_report.checks if c.name.startswith("positive_bump_")}
+    assert values == {
+        "positive_bump_constant_mass_reldev": 7.1856404130073516e-09,
+        "positive_bump_optimizer_margin": 0.002963361301489038,
+        "positive_bump_sweep_margin": 0.0004118939768526699,
+    }

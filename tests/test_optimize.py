@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import conformal_zeta.optimize as optimize
+from conformal_zeta.acceptance import SUITE_SEED
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.functionals import dilation_factor, mass_functional
 from conformal_zeta.optimize import (OptimizerConfig, constant_mass_check,
@@ -241,3 +242,29 @@ def test_rejected_first_trials_back_off(grid4, sphere4, monkeypatch):
     res = maximize_mass_functional(sphere4, start=start)
     assert res.converged and res.backtracks >= 10
     assert res.value == pytest.approx(sphere_value(sphere4), rel=1e-6)
+
+
+def test_sphere_seeds_stop_at_working_precision(grid4, sphere4):
+    # the suite's 10 seeds: halving until a trial rounded to the iterate took
+    # 256 rejected trials, stopping once the next trial's predicted gain is
+    # below eps |M| takes 78
+    results = maximize_stack(sphere4, optimize.seeded_start(grid4, SUITE_SEED + np.arange(10)))
+    assert all(res.stop_reason == "tolerance_met" for res in results)
+    assert sum(res.backtracks for res in results) <= 100
+
+
+def test_bump_run_hands_over_to_the_polish_sooner(bump4):
+    # the suite's bump run: 52 rejected trials before the working-precision
+    # stop, 21 with it
+    res = maximize_mass_functional(bump4, OptimizerConfig(seed=SUITE_SEED))
+    assert res.stop_reason == "tolerance_met" and res.polish_steps >= 1
+    assert res.backtracks <= 30
+
+
+def test_stall_rule_reads_the_predicted_gain(grid4, sphere4, monkeypatch):
+    # with eps far above the gain of any step, the first rejected trial stalls
+    # its line search and hands the row to the polish
+    monkeypatch.setattr(optimize, "_EPS", 1e3)
+    start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
+    res = maximize_mass_functional(sphere4, start=start)
+    assert res.backtracks == 1
