@@ -12,14 +12,13 @@ from .params import DimensionParams, dim_params, sphere_volume
 from .spectra import SpectrumQuery, SpectrumTerm, spectrum_stream
 from .zeta import (HomogeneousMass, LaurentValue, homogeneous_mass, hurwitz_zeta,
                    spectral_zeta, spectral_zeta_at_one)
-from .zonal import (ZonalField, ZonalGrid, constant_field, field_from_function, grad_sq,
-                    integrate, laplacian, lp_norm, make_grid, random_zonal, synthesize)
+from .zonal import (ZonalField, ZonalGrid, constant_field, integrate, laplacian, lp_norm,
+                    make_grid, random_zonal, synthesize)
 
 __all__ = [
     "ConformalBackground", "DimensionParams", "HomogeneousMass", "LaurentValue",
     "SpectrumQuery", "SpectrumTerm", "ZonalField", "ZonalGrid",
-    "constant_field", "dim_params", "field_from_function", "grad_sq",
-    "homogeneous_mass", "hurwitz_zeta", "integrate",
+    "constant_field", "dim_params", "homogeneous_mass", "hurwitz_zeta", "integrate",
     "laplacian", "lp_norm", "make_grid", "random_zonal", "round_sphere_background",
     "spectral_zeta", "spectral_zeta_at_one", "spectrum_stream", "sphere_volume",
     "synthesize",

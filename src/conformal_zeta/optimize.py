@@ -18,10 +18,14 @@ A^{-1} r raises M by 2 s <r, A^{-1} r>_w; once that predicted gain of the
 next trial is below eps |M|, no trial can raise M at working precision, and
 the line search stalls (_MAX_TRIALS trials is the backstop).  ``backtracks``
 counts the rejected trials, the stalling one included.  On a stall a short
-Picard polish (u <- A^{-1}[Lambda |u|^{p-2} u + (m_g + shift) u],
-shift = c_n n(n-2)/4) drives the residual itself to tolerance; polish steps
-are accepted only while the residual decreases.  The ascent is needed first:
-the polish alone stalls far from the optimum on a background with mass data.
+Picard polish drives the residual itself to tolerance.  A polish step is the
+ascent's own step at unit length, u <- u + A^{-1} r, accepted only while the
+residual decreases.  Since P = A - (m_g + c_n n(n-2)/4), at ||u||_p = 1
+
+    u + A^{-1} r = A^{-1}[Lambda |u|^{p-2} u + (m_g + c_n n(n-2)/4) u],
+
+which is the Picard map.  The ascent is needed first: the polish alone stalls
+far from the optimum on a background with mass data.
 
 ``OptimizerResult.stop_reason`` says what ended the run: ``tolerance_met``
 (the residual fell below tolerance in either stage), ``polish_stalled`` (the
@@ -33,16 +37,17 @@ One engine runs a (B, N) stack of starts in lockstep (``maximize_stack``); a
 single start (``maximize_mass_functional``) is the B = 1 case.  Each row keeps
 its own step, line-search count, stage, residual, history and stop reason, and
 follows the one-field algorithm above step for step, with the same caps, read
-at call time.  In each round every unfinished row makes one line-search trial
-or one polish step: the rows that need a new Sobolev direction and the rows
-that need a polish right-hand side share one ``apply_multiplier``, and all
-trials and polish candidates share one projection (clip, per-row L^p
-normalization, one application of P).  A row that finishes leaves the stack
-and costs no further transforms.  The certificate (residual, constant mass,
-functional value) then runs once on the whole stack.  The rows' scalar state
-lives in Python lists and the fields in (B, N) arrays: for the few rows of a
-stack, list updates cost less than numpy calls on arrays of B scalars, which
-would make a lone start noticeably slower.
+at call time.  In each round every unfinished row makes one trial: a
+line-search trial or a polish step.  A row that moved in the last round needs
+a new direction, and these rows share one ``apply_multiplier``; a row whose
+trial was rejected keeps the direction it holds at u, so a stalled line search
+hands its direction to the first polish step.  All trials share one projection
+(clip, per-row L^p normalization, one application of P).  A row that finishes
+leaves the stack and costs no further transforms.  The certificate (residual,
+constant mass, functional value) then runs once on the whole stack.  The rows'
+scalar state lives in Python lists and the fields in (B, N) arrays: for the
+few rows of a stack, list updates cost less than numpy calls on arrays of B
+scalars, which would make a lone start noticeably slower.
 
 A stacked row agrees with the same start run alone within float64 rounding,
 not bit for bit: the kernel sums the remainder column of a wider GEMM in
@@ -244,9 +249,8 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     grid = bg.grid
     w = grid.weights
     n, c_n = bg.params.n, bg.params.c_n
-    # (c_n D + shift)^{-1}, diagonal in the Gegenbauer basis
+    # A^{-1} = (c_n D + shift)^{-1}, diagonal in the Gegenbauer basis
     inv_sphere_op = 1.0 / (c_n * (grid.laplacian_eigenvalues + n * (n - 2) / 4.0))
-    mass_shift = bg.mass_field().values + c_n * (n * (n - 2) / 4.0)
     # read at call time: tests lower the caps
     tol, max_iters, max_polish = cfg.tol_residual, _MAX_ITERS, _MAX_POLISH
 
@@ -257,116 +261,102 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     rows = range(m_start.shape[0])
     m_val, residual = m_start.tolist(), [math.inf for _ in rows]
     step = [_STEP0 for _ in rows]
+    polish = [False for _ in rows]  # the row's steps are polish steps, at step 1
     trials = [0 for _ in rows]  # of the current line search
     gain_rate = [0.0 for _ in rows]  # predicted gain of the line search's unit step
     ascent_steps, backtracks, polish_steps = ([0 for _ in rows] for _ in range(3))
     stop = ["max_iters" for _ in rows]  # until a stage ends otherwise
     history = [[v] for v in m_val]
-    # the round's work: rows that need a new Sobolev direction (their residual
-    # fields are the rows of ``grad``), rows whose line search goes on, rows in
-    # the polish
-    fresh, search_on, polish = [], [], []
 
     def to_polish(i):
+        """Move row i to the polish; True if its cap allows another step."""
+        polish[i], step[i] = True, 1.0
         if polish_steps[i] < max_polish:
-            polish.append(i)
-        else:
-            stop[i] = "max_polish"
+            return True
+        stop[i] = "max_polish"
+        return False
 
-    def ascent_step(i, res):
-        """Start row i's next ascent step at residual ``res``; True if it needs
-        a direction."""
-        if ascent_steps[i] >= max_iters:
-            to_polish(i)
-            return False
+    def accepted(i, res):
+        """Row i now stands at a point of residual ``res``; True if it steps on
+        from there."""
         if not math.isfinite(res):
             raise FloatingPointError("optimizer produced a non-finite residual")
         residual[i] = res
         if res < tol:
             stop[i] = "tolerance_met"
             return False
-        fresh.append(i)
+        if polish[i] or ascent_steps[i] >= max_iters:
+            return to_polish(i)
         return True
 
-    for i, res in zip(rows, res_start.tolist()):
-        ascent_step(i, res)
+    # the round's work: rows that need a new direction A^{-1} r at u (their
+    # residual fields are the rows of ``grad``), and rows that step on along
+    # the direction they hold
+    fresh = [i for i, res in zip(rows, res_start.tolist()) if accepted(i, res)]
+    going = []
     grad = grad[fresh]
-    while fresh or search_on or polish:
-        # one multiplier for the new directions and the polish right-hand sides
-        sources = grad
-        if polish:
-            uv = _rows(u, polish)
-            lam = -np.array([m_val[i] for i in polish]) / ((np.abs(uv) ** p) @ w)
-            rhs = lam[:, None] * np.abs(uv) ** (p - 2.0) * uv + mass_shift * uv
-            sources = np.concatenate([grad, rhs])
-        if fresh or polish:
-            mapped = grid.apply_multiplier(sources, inv_sphere_op)
-            direction[fresh] = mapped[: len(fresh)]
+    while fresh or going:
         if fresh:
-            # a new line search: the first-order gain of its unit step is
-            # 2 <r, A^{-1} r>_w
-            rates = 2.0 * _row_dot(grad * w, mapped[: len(fresh)])
+            # one multiplier for every new direction; a line search's
+            # first-order gain at unit step is 2 <r, A^{-1} r>_w
+            mapped = grid.apply_multiplier(grad, inv_sphere_op)
+            direction[fresh] = mapped
+            rates = 2.0 * _row_dot(grad * w, mapped)
             for i, rate in zip(fresh, rates.tolist()):
                 trials[i] = 0
                 gain_rate[i] = rate
-        # one projection for the line-search trials and the polish candidates
-        search = sorted(fresh + search_on)
-        trial = (_rows(u, search) + np.array([step[i] for i in search])[:, None]
-                 * _rows(direction, search))
-        cand, pcand, m_cand = _project(
-            np.concatenate([trial, mapped[len(fresh):]]) if polish else trial, bg)
+        # one projection for every row's trial
+        active = sorted(fresh + going)
+        trial = (_rows(u, active) + np.array([step[i] for i in active])[:, None]
+                 * _rows(direction, active))
+        cand, pcand, m_cand = _project(trial, bg)
         m_list = m_cand.tolist()
-        if not all(map(math.isfinite, m_list[: len(search)])):
+        if not all(map(math.isfinite, m_list)):
             raise FloatingPointError("optimizer produced a non-finite value")
-        up = [m_list[j] > m_val[i] for j, i in enumerate(search)]
-        if polish or any(up):
+        up = [m_list[j] > m_val[i] for j, i in enumerate(active)]
+        if any(up) or any(polish[i] for i in active):
             cand_grad, cand_res = _residual(cand, pcand, m_cand, p, w)
             res_list = cand_res.tolist()
 
-        moved, taken = [], []  # rows that take a candidate, and its position
-        polishing, fresh, search_on, polish = polish, [], [], []
-        fresh_at = []  # candidate positions of the rows in ``fresh``
-        for j, i in enumerate(search):
-            if up[j]:
-                moved.append(i)
-                taken.append(j)
-                m_val[i] = m_list[j]
+        moved, taken = [], []  # rows that take their trial, and its position
+        fresh, going = [], []
+        fresh_at = []  # trial positions of the rows in ``fresh``
+        for j, i in enumerate(active):
+            if polish[i]:
+                # a polish step must lower the residual, else the row is done
+                if res_list[j] >= residual[i]:
+                    continue
+                polish_steps[i] += 1
+            elif up[j]:
                 history[i].append(m_list[j])
                 step[i] *= 1.5
                 ascent_steps[i] += 1
-                if ascent_step(i, res_list[j]):
-                    fresh_at.append(j)
-                continue
-            backtracks[i] += 1
-            trials[i] += 1
-            step[i] *= 0.5
-            # the next trial's predicted gain below the rounding of M: no
-            # trial from here on can raise M at working precision
-            if step[i] * gain_rate[i] < _EPS * abs(m_val[i]) or trials[i] >= _MAX_TRIALS:
-                # M at its working-precision plateau: hand over to the polish
-                ascent_steps[i] += 1
-                stop[i] = "polish_stalled"
-                to_polish(i)
             else:
-                search_on.append(i)
-        for j, i in enumerate(polishing, len(search)):
-            if not math.isfinite(res_list[j]):
-                raise FloatingPointError("polish produced a non-finite residual")
-            if res_list[j] >= residual[i]:
-                continue  # the polish stalled: the row is done
+                backtracks[i] += 1
+                trials[i] += 1
+                step[i] *= 0.5
+                # the next trial's predicted gain below the rounding of M: no
+                # trial from here on can raise M at working precision
+                if step[i] * gain_rate[i] < _EPS * abs(m_val[i]) or trials[i] >= _MAX_TRIALS:
+                    # M at its working-precision plateau: the polish steps on
+                    # along the direction the row holds at u
+                    ascent_steps[i] += 1
+                    stop[i] = "polish_stalled"
+                    if to_polish(i):
+                        going.append(i)
+                else:
+                    going.append(i)
+                continue
             moved.append(i)
             taken.append(j)
-            m_val[i], residual[i] = m_list[j], res_list[j]
-            polish_steps[i] += 1
-            if residual[i] < tol:
-                stop[i] = "tolerance_met"
-            else:
-                to_polish(i)
+            m_val[i] = m_list[j]
+            if accepted(i, res_list[j]):
+                fresh.append(i)
+                fresh_at.append(j)
         if moved == taken == list(rows):
             u, pu = cand, pcand
         else:
             u[moved], pu[moved] = cand[taken], pcand[taken]
-        polish.sort()
         grad = cand_grad[fresh_at] if fresh_at else np.empty((0, grid.size))
 
     final = ZonalField(grid, u)

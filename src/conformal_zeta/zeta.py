@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DimensionParams, check_dimension, sphere_volume
+from .params import DimensionParams, sphere_volume
 from .spectra import SpectrumQuery, subcritical_eigenvalue
 
 # ---------------------------------------------------------------------------
@@ -168,8 +168,6 @@ MAX_TAIL_ORDER = 20
 TAIL_TOLERANCE = 1e-13
 _RESIDUE_DELTA = 1e-4
 
-PARITIES = ("even", "odd")
-
 
 def _squared_offsets(n: int) -> list[float]:
     """The c_i = (i+1/2)^2 with eig = prod_i (x^2 - c_i)."""
@@ -292,18 +290,6 @@ def spectral_zeta_at_one(query: SpectrumQuery) -> LaurentValue:
     r2 = residue_estimate(2.0 * _RESIDUE_DELTA)
     residue = (4.0 * r1 - r2) / 3.0
     return LaurentValue(residue=residue, finite_part=_finite_part(query), at=1.0)
-
-
-def parity_finite_part(n: int, parity: str) -> float:
-    """Finite part of the even- or odd-degree half of the sphere series.
-
-    Exposed so the step-2 lattice can be checked to recombine into the full
-    series: even + odd must reproduce the sphere finite part.
-    """
-    check_dimension(n)
-    if parity not in PARITIES:
-        raise ValueError(f"parity must be one of {PARITIES}")
-    return float(rational_finite_part(n, first_degree=PARITIES.index(parity), step=2))
 
 
 @dataclass(frozen=True)

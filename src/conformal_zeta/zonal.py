@@ -104,12 +104,13 @@ from .errors import GridMismatchError
 from .params import check_dimension, sphere_volume
 
 _LD = np.longdouble
-_EPS_LD = float(np.finfo(np.longdouble).eps)
 
-# Analysis coefficients with |c_l| below _FILTER_K * eps_ld * ||c||_2 are
+# Analysis coefficients with |c_l| at or below _FILTER_FLOOR * ||c||_2 are
 # discarded before any spectral multiplier is applied; they are quadrature
-# roundoff, and the multiplier l(l+n-1) would otherwise amplify them.
-_FILTER_K = 1024.0
+# roundoff, and the multiplier l(l+n-1) would otherwise amplify them.  The
+# floor is 1024 eps of an 80-bit long double, fixed so that it does not
+# depend on the platform's long double.
+_FILTER_FLOOR = 2.0**-53
 
 DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
@@ -414,7 +415,7 @@ class ZonalGrid:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
 
         ``values`` is one field (N,) or a stack (B, N).  Coefficients at the
-        quadrature-roundoff level of their own row are zeroed (see _FILTER_K).
+        quadrature-roundoff level of their own row are zeroed (see _FILTER_FLOOR).
         """
         lead, rest, e = self._product(self._analysis, values)
         coeffs = lead.astype(_LD)
@@ -426,7 +427,7 @@ class ZonalGrid:
         # order and move filter decisions)
         scaled = lead + rest
         norms = np.sqrt(scaled[..., None, :] @ scaled[..., None]).reshape(np.shape(e))
-        coeffs[np.abs(scaled) <= _FILTER_K * _EPS_LD * norms] = 0.0
+        coeffs[np.abs(scaled) <= _FILTER_FLOOR * norms] = 0.0
         return coeffs
 
     def _synthesize(self, table, coeffs) -> np.ndarray:
@@ -518,11 +519,6 @@ def constant_field(grid: ZonalGrid, value: float) -> ZonalField:
     return ZonalField(grid, np.full(grid.size, float(value)))
 
 
-def field_from_function(grid: ZonalGrid, fn) -> ZonalField:
-    """Sample ``fn(theta)`` at the grid's polar angles."""
-    return ZonalField(grid, np.asarray(fn(grid.theta), dtype=float))
-
-
 def synthesize(grid: ZonalGrid, coeffs) -> ZonalField:
     """Field with the given orthonormal Gegenbauer coefficients (zero-padded).
 
@@ -576,13 +572,8 @@ def gradient_pairing(f: ZonalField, g: ZonalField) -> ZonalField:
         raise GridMismatchError(f"{f.grid} vs {g.grid}")
     grid = f.grid
     df = grid.differentiate(f.values)
-    dg = grid.differentiate(g.values)
+    dg = df if g is f else grid.differentiate(g.values)
     return ZonalField(grid, (1.0 - grid.nodes**2) * df * dg)
-
-
-def grad_sq(f: ZonalField) -> ZonalField:
-    """Pointwise squared gradient |df|^2."""
-    return gradient_pairing(f, f)
 
 
 def _normals(seed, count: int) -> np.ndarray:

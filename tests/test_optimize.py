@@ -268,3 +268,17 @@ def test_stall_rule_reads_the_predicted_gain(grid4, sphere4, monkeypatch):
     start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
     res = maximize_mass_functional(sphere4, start=start)
     assert res.backtracks == 1
+
+
+def test_capped_ascent_hands_its_residual_to_the_polish(grid4, bump4, monkeypatch):
+    # after the last ascent step the cap allows, a polish step is taken only
+    # if it lowers the residual of the point that step accepted
+    monkeypatch.setattr(optimize, "_MAX_ITERS", 2)
+    cfg = OptimizerConfig(tol_residual=1e-30)
+    start = optimize.seeded_start(grid4, SUITE_SEED)
+    monkeypatch.setattr(optimize, "_MAX_POLISH", 0)
+    capped = maximize_mass_functional(bump4, cfg, start=start)
+    monkeypatch.setattr(optimize, "_MAX_POLISH", 1)
+    res = maximize_mass_functional(bump4, cfg, start=start)
+    assert capped.ascent_steps == res.ascent_steps == 2
+    assert res.polish_steps == 0 or res.residual < capped.residual

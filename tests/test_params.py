@@ -6,7 +6,7 @@ from conformal_zeta.bubbles import ProfileParams, bubble_moment
 from conformal_zeta.params import (MAX_DIMENSION, dim_params,
                                    infinitesimal_transport_coefficient, sphere_volume)
 from conformal_zeta.spectra import SpectrumQuery
-from conformal_zeta.zeta import parity_finite_part, spectral_zeta_at_one
+from conformal_zeta.zeta import spectral_zeta_at_one
 from conformal_zeta.zonal import make_grid
 
 
@@ -55,10 +55,9 @@ def test_rejects_bad_dimensions(bad):
     lambda n: SpectrumQuery(space="sphere", n=n),
     lambda n: make_grid(n, 16),
     lambda n: ProfileParams(alpha=0.1, epsilon=0.3, n=n),
-    lambda n: parity_finite_part(n, "even"),
     lambda n: bubble_moment(0.1, 2.5, 0, n),
 ], ids=["dim_params", "transport_coefficient", "spectrum_query", "zonal_grid",
-        "profile_params", "parity_finite_part", "bubble_moment"])
+        "profile_params", "bubble_moment"])
 def test_dimension_rule_is_shared(build, refuse_grid_build):
     for bad in (3, 2, MAX_DIMENSION + 2, 20000):
         with pytest.raises(ValueError, match=f"4..{MAX_DIMENSION}, got n={bad}"):

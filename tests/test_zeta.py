@@ -14,7 +14,7 @@ from conformal_zeta import zeta
 from conformal_zeta.params import MAX_DIMENSION, dim_params, sphere_volume
 from conformal_zeta.spectra import SpectrumQuery
 from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, bernoulli_polynomial,
-                                 homogeneous_mass, hurwitz_zeta, parity_finite_part, spectral_zeta,
+                                 homogeneous_mass, hurwitz_zeta, spectral_zeta,
                                  spectral_zeta_at_one)
 from oracles import (continued_sphere_zeta, euler_gamma_limit, hurwitz_direct,
                      hurwitz_finite_part_at_1, rational_finite_part, spectral_series_direct)
@@ -207,8 +207,7 @@ def test_residue_vanishes(n, space):
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_parity_recombination(n):
     full = spectral_zeta_at_one(SpectrumQuery(space="sphere", n=n)).finite_part
-    even = parity_finite_part(n, "even")
-    odd = parity_finite_part(n, "odd")
+    even, odd = (float(zeta.rational_finite_part(n, first_degree=k, step=2)) for k in (0, 1))
     assert abs(even + odd - full) < 1e-10
     # and the rational oracle recombines exactly
     assert rational_finite_part(n, "even") + rational_finite_part(n, "odd") \
@@ -241,11 +240,6 @@ def test_finite_part_agrees_with_symmetric_evaluation():
             sym2 = 0.5 * (spectral_zeta(q, 1 + delta / 2) + spectral_zeta(q, 1 - delta / 2))
             richardson = (4 * sym2 - sym) / 3.0
             assert lv.finite_part == pytest.approx(richardson, abs=1e-9)
-
-
-def test_parity_finite_part_rejects_bad_parity():
-    with pytest.raises(ValueError):
-        parity_finite_part(4, "both")
 
 
 @pytest.mark.parametrize("n, s, reason", [(82, 0.6, "pole")])

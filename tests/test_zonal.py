@@ -11,12 +11,11 @@ from scipy.special import roots_jacobi
 from conformal_zeta import zonal
 from conformal_zeta.errors import GridMismatchError
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import (_FILTER_K, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
+from conformal_zeta.zonal import (_FILTER_FLOOR, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
                                   ZonalField, _gauss_nodes, _gegenbauer_table, _jacobi_nodes,
-                                  _newton_step, constant_field,
-                                  field_from_function, grad_sq, integrate, inner, laplacian,
-                                  lp_norm, make_grid, random_band_limited, random_zonal,
-                                  synthesize)
+                                  _newton_step, constant_field, gradient_pairing, integrate,
+                                  inner, laplacian, lp_norm, make_grid, random_band_limited,
+                                  random_zonal, synthesize)
 from oracles import fd_laplacian, zonal_moment
 
 
@@ -63,7 +62,7 @@ def test_derivative_table_is_built_on_first_differentiate(monkeypatch, fresh_gri
     monkeypatch.setattr(zonal, "_gegenbauer_table", counted)
     grid = make_grid(4, 64)
     assert len(calls) == 1
-    f = field_from_function(grid, np.cos)
+    f = ZonalField(grid, np.cos(grid.theta))
     grid.analyze(f.values)
     laplacian(f)
     grid.apply_multiplier(f.values, grid.laplacian_eigenvalues)
@@ -139,7 +138,7 @@ def test_integrate_converged_in_resolution():
     vals = []
     for size in (64, 128):
         grid = make_grid(6, size)
-        vals.append(integrate(field_from_function(grid, lambda th: np.exp(np.cos(th)))))
+        vals.append(integrate(ZonalField(grid, np.exp(np.cos(grid.theta)))))
     assert abs(vals[0] - vals[1]) < 1e-12
 
 
@@ -216,7 +215,7 @@ def test_laplacian_degree_two_eigenvalue_n6(grid6):
 
 def test_laplacian_matches_finite_differences(grid4):
     fn = lambda th: np.exp(np.cos(th)) * np.cos(th)
-    field = field_from_function(grid4, fn)
+    field = ZonalField(grid4, fn(grid4.theta))
     spectral = laplacian(field)
     # compare at the grid's own interior nodes so no interpolation error enters
     keep = np.abs(grid4.nodes) < 0.95
@@ -231,19 +230,36 @@ def test_laplacian_matches_finite_differences(grid4):
 
 
 def test_grad_sq_constant_is_zero(grid4):
-    assert np.abs(grad_sq(constant_field(grid4, 2.0)).values).max() < 1e-14
+    f = constant_field(grid4, 2.0)
+    assert np.abs(gradient_pairing(f, f).values).max() < 1e-14
 
 
 def test_grad_sq_cos_theta(grid4):
     f = ZonalField(grid4, grid4.nodes.copy())
     want = 1.0 - grid4.nodes**2  # symbolic: |d cos|^2 = sin^2
-    assert np.abs(grad_sq(f).values - want).max() < 1e-12
+    assert np.abs(gradient_pairing(f, f).values - want).max() < 1e-12
+
+
+def test_gradient_pairing_of_a_field_with_itself_differentiates_once(grid4, monkeypatch):
+    f = synthesize(grid4, np.random.default_rng(3).standard_normal((2, 30)))
+    twice = gradient_pairing(f, ZonalField(grid4, f.values))
+    calls = []
+    differentiate = zonal.ZonalGrid.differentiate
+
+    def counted(self, values):
+        calls.append(values)
+        return differentiate(self, values)
+
+    monkeypatch.setattr(zonal.ZonalGrid, "differentiate", counted)
+    once = gradient_pairing(f, f)
+    assert len(calls) == 1
+    assert np.array_equal(once.values, twice.values)
 
 
 def test_integration_by_parts(grid4):
     rng = np.random.default_rng(5)
     f = synthesize(grid4, rng.standard_normal(40) / (1 + np.arange(40.0)))
-    lhs = integrate(grad_sq(f))
+    lhs = integrate(gradient_pairing(f, f))
     rhs = inner(f, laplacian(f))
     assert abs(lhs - rhs) < 1e-10
 
@@ -314,8 +330,14 @@ def _reference_tables(n, size):
 
 
 def _filtered(coeffs):
-    floor = _FILTER_K * EPS_LD * float(np.sqrt(float((coeffs * coeffs).sum())))
+    floor = _FILTER_FLOOR * float(np.sqrt(float((coeffs * coeffs).sum())))
     return np.where(np.abs(coeffs) <= floor, LD(0), coeffs)
+
+
+@pytest.mark.skipif(np.finfo(LD).nmant != 63, reason="long double has no 64-bit significand")
+def test_filter_floor_is_1024_eps_of_the_80_bit_long_double():
+    # a platform-free constant, equal to 1024 eps of the x86 long double
+    assert _FILTER_FLOOR == 1024 * np.finfo(np.longdouble).eps
 
 
 def _within(got, want, scale, k=8.0):
