@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from conformal_zeta.acceptance import run_suite
+from conformal_zeta.fieldio import write_text
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
 
@@ -33,8 +34,7 @@ def main():
 
     # serialize in full first, so a non-finite value leaves no truncated file
     text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    write_text(args.out, text)
     print(f"report written to {args.out}")
     return 0 if report.overall_pass else 1
 

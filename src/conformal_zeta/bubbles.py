@@ -29,6 +29,9 @@ from .zonal import ZonalField, integrate
 # stays small over the fitted decade window.  Sweep caps on the sphere are a
 # separate, geometric parameter.
 RATE_CAP_DEFAULT = 2.5
+# concentration scales of the rate experiment (``decay_rate``)
+RATE_ALPHAS = np.logspace(-3, -1, 25)
+RATE_ALPHAS.setflags(write=False)
 SWEEP_EPSILON_DEFAULT = 0.3
 
 MIN_FIT_SAMPLES = 8
@@ -250,6 +253,14 @@ def fit_decay_rate(alphas, values, n: int, k: float) -> RateFit:
         r2=float(r2),
         predicted=predicted_branch(n, k),
     )
+
+
+def decay_rate(n: int, k: float, cap: float = RATE_CAP_DEFAULT) -> RateFit:
+    """The rate experiment: ``bubble_moment`` up to ``cap`` at every scale of
+    RATE_ALPHAS, fitted by ``fit_decay_rate``.  Raises OverflowError as
+    ``bubble_moment`` does."""
+    values = [bubble_moment(a, cap, k, n) for a in RATE_ALPHAS]
+    return fit_decay_rate(RATE_ALPHAS, values, n, k)
 
 
 @dataclass(frozen=True)

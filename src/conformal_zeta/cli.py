@@ -16,8 +16,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -34,28 +34,13 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_file(path, text):
-    """Write ``text`` to ``path`` via a temporary file in the same directory and a
-    rename, so a failed write never leaves ``path`` half-written or changed."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(doc, path=None, indent=None):
     """Write ``doc`` as JSON to ``path`` or stdout, serializing it in full first."""
     text = json.dumps(doc, allow_nan=False, indent=indent) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
-    _write_file(path, text)
+    fieldio.write_text(path, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,17 +126,11 @@ def run(argv=None) -> int:
             raise SchemaError("expected a finite number", f"--{flag}")
 
     if args.command == "constants":
-        params = dim_params(args.n, args.variant)
-        _emit({
-            "n": params.n, "m": params.m, "p": params.p, "a_n": params.a_n,
-            "c_n": params.c_n, "b_n": params.b_n, "omega_n": params.omega_n,
-            "yamabe_sphere": params.yamabe_sphere, "variant": params.variant,
-        })
+        _emit(asdict(dim_params(args.n, args.variant)))
         return EXIT_OK
 
     if args.command == "zeta":
-        lv = zeta.spectral_zeta_at_one(SpectrumQuery(space=args.space, n=args.n))
-        _emit({"residue": lv.residue, "finite_part": lv.finite_part, "at": lv.at})
+        _emit(asdict(zeta.spectral_zeta_at_one(SpectrumQuery(space=args.space, n=args.n))))
         return EXIT_OK
 
     if args.command == "trace":
@@ -163,12 +142,7 @@ def run(argv=None) -> int:
     if args.command == "functional":
         bg = _background(args)
         u = fieldio.read_field(args.profile, bg.grid)
-        rep = functionals.functional_report(u, bg)
-        _emit({
-            "mass_functional": rep.mass_functional,
-            "yamabe_functional": rep.yamabe_functional,
-            "trace": rep.trace, "volume": rep.volume, "sobolev_gap": rep.sobolev_gap,
-        })
+        _emit(asdict(functionals.functional_report(u, bg)))
         return EXIT_OK
 
     if args.command == "optimize":
@@ -188,26 +162,20 @@ def run(argv=None) -> int:
         writer = csv.writer(text)
         writer.writerow(["alpha", "M_psi", "sphere_value", "margin", "mu"])
         for r in rows:
-            writer.writerow([repr(v) for v in (r.alpha, r.m_psi, r.sphere_value, r.margin, r.mu)])
-        _write_file(args.out, text.getvalue())
+            writer.writerow([repr(v) for v in astuple(r)])
+        fieldio.write_text(args.out, text.getvalue())
         return EXIT_OK
 
     if args.command == "rates":
-        alphas = np.logspace(-3, -1, 25)
         try:
-            vals = [bubbles.bubble_moment(a, args.cap, args.k, args.n) for a in alphas]
+            fit = bubbles.decay_rate(args.n, args.k, args.cap)
         except OverflowError as exc:
-            top = args.cap / float(alphas[0])
+            top = args.cap / float(bubbles.RATE_ALPHAS[0])
             raise SchemaError(
                 f"the moment integrand t^(n+k-1) overflows at t = cap/alpha = {top:g} for "
                 f"n={args.n}, k={args.k:g}: (n + k - 1) ln({top:g}) must stay below "
                 f"{math.log(sys.float_info.max):.1f}", "--n/--k") from exc
-        fit = bubbles.fit_decay_rate(alphas, vals, args.n, args.k)
-        _emit({
-            "n": args.n, "k": fit.k, "exponent_fit": fit.exponent_fit,
-            "log_factor_detected": fit.log_factor_detected, "r2": fit.r2,
-            "predicted": fit.predicted,
-        })
+        _emit({"n": args.n, **asdict(fit)})
         return EXIT_OK
 
     if args.command == "suite":

@@ -109,10 +109,23 @@ def read_field(path: str | os.PathLike, grid: ZonalGrid | None = None) -> ZonalF
     return parse_field(doc, grid)
 
 
+def write_text(path: str | os.PathLike, text: str):
+    """Write ``text`` to ``path`` via a temporary file in the same directory and a
+    rename, so a failed write never leaves ``path`` half-written or changed."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_field(path: str | os.PathLike, f: ZonalField):
-    with open(path, "w") as fh:
-        json.dump(field_document(f), fh, allow_nan=False)
-        fh.write("\n")
+    write_text(path, json.dumps(field_document(f), allow_nan=False) + "\n")
 
 
 def result_document(res: OptimizerResult) -> dict:

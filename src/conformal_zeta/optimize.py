@@ -38,16 +38,19 @@ single start (``maximize_mass_functional``) is the B = 1 case.  Each row keeps
 its own step, line-search count, stage, residual, history and stop reason, and
 follows the one-field algorithm above step for step, with the same caps, read
 at call time.  In each round every unfinished row makes one trial: a
-line-search trial or a polish step.  A row that moved in the last round needs
-a new direction, and these rows share one ``apply_multiplier``; a row whose
-trial was rejected keeps the direction it holds at u, so a stalled line search
-hands its direction to the first polish step.  All trials share one projection
-(clip, per-row L^p normalization, one application of P).  A row that finishes
-leaves the stack and costs no further transforms.  The certificate (residual,
-constant mass, functional value) then runs once on the whole stack.  The rows'
-scalar state lives in Python lists and the fields in (B, N) arrays: for the
-few rows of a stack, list updates cost less than numpy calls on arrays of B
-scalars, which would make a lone start noticeably slower.
+line-search trial or a polish step.  All trials share one projection (clip,
+per-row L^p normalization, one application of P, the residual fields r).  The
+iterates u, their residual fields r and the directions are (B, N) stacks
+indexed by row; a row that takes its trial copies the candidate's rows into u
+and r.  A row that moved needs a new direction, and these rows share one
+``apply_multiplier`` on their rows of r; a row whose trial was rejected keeps
+its direction, so a stalled line search hands it to the first polish step.  A
+finished row leaves the round and costs no further transforms; the
+certificate (residual, constant mass, functional value) then runs once on the
+whole stack.  Row scalars live in Python lists: numpy masks and index arrays
+gave the same results bit for bit but were slower, 18-25 ms against 13-17 ms
+for the suite's lone bump start and 20-21 ms against 17-18 ms for its 10-seed
+stack (N = 256, 2-vCPU x86-64, minimum of 30 calls).
 
 A stacked row agrees with the same start run alone within float64 rounding,
 not bit for bit: the kernel sums the remainder column of a wider GEMM in
@@ -186,27 +189,21 @@ def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground):
     return _per_field(np.where(best, left, right)), _per_field(np.where(best, g_left, g_right))
 
 
-def _rows(stack: np.ndarray, rows: list[int]) -> np.ndarray:
-    """The given rows (ascending) of a stack; the stack itself when they are all of them."""
-    return stack if len(rows) == len(stack) else stack[rows]
-
-
 def _project(vals: np.ndarray, bg: ConformalBackground):
     """Clip a (B, N) stack at the positivity floor, renormalize each row to
     ||u||_p = 1 and apply P.
 
-    Returns (u, P u, M(u)); with ||u||_p = 1 the functional is -int u P u.
+    Returns (u, M(u), r, |r|): with ||u||_p = 1 the functional is -int u P u
+    and Lambda = -M(u), so the Euler-Lagrange residual field is
+    r = -(P u + M(u) |u|^{p-2} u); |r| is its L2 size relative to ||P u||.
     """
+    p, w = bg.params.p, bg.grid.weights
     u = np.clip(vals, _POSITIVITY_FLOOR, None)
-    u /= lp_norm(ZonalField(bg.grid, u), bg.params.p)[:, None]
+    u /= lp_norm(ZonalField(bg.grid, u), p)[:, None]
     pu = p_operator_apply(ZonalField(bg.grid, u), bg).values
-    return u, pu, -((u * pu) @ bg.grid.weights)
-
-
-def _residual(u: np.ndarray, pu: np.ndarray, m_val: np.ndarray, p: float, w: np.ndarray):
-    """Euler-Lagrange residual fields of a stack and their L2 sizes relative to ||P u||."""
+    m_val = -((u * pu) @ w)
     r = -(pu + m_val[:, None] * np.abs(u) ** (p - 2.0) * u)
-    return r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
+    return u, m_val, r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
 
 
 def seeded_start(grid: ZonalGrid, seed) -> ZonalField:
@@ -254,9 +251,9 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     # read at call time: tests lower the caps
     tol, max_iters, max_polish = cfg.tol_residual, _MAX_ITERS, _MAX_POLISH
 
-    # The fields are (B, N) stacks; each row's scalar state is a list entry.
-    u, pu, m_start = _project(starts.values.reshape(-1, grid.size), bg)
-    grad, res_start = _residual(u, pu, m_start, p, w)
+    # (B, N) stacks indexed by row: u, the residual fields ``grad`` at u, and
+    # the directions; each row's scalar state is a list entry
+    u, m_start, grad, res_start = _project(starts.values.reshape(-1, grid.size), bg)
     direction = np.empty_like(u)
     rows = range(m_start.shape[0])
     m_val, residual = m_start.tolist(), [math.inf for _ in rows]
@@ -289,45 +286,37 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
             return to_polish(i)
         return True
 
-    # the round's work: rows that need a new direction A^{-1} r at u (their
-    # residual fields are the rows of ``grad``), and rows that step on along
-    # the direction they hold
+    # the round's work: rows that need a new direction A^{-1} r at u, and rows
+    # that step on along the direction they hold
     fresh = [i for i, res in zip(rows, res_start.tolist()) if accepted(i, res)]
     going = []
-    grad = grad[fresh]
     while fresh or going:
         if fresh:
             # one multiplier for every new direction; a line search's
             # first-order gain at unit step is 2 <r, A^{-1} r>_w
-            mapped = grid.apply_multiplier(grad, inv_sphere_op)
+            r = grad[fresh]
+            mapped = grid.apply_multiplier(r, inv_sphere_op)
             direction[fresh] = mapped
-            rates = 2.0 * _row_dot(grad * w, mapped)
+            rates = 2.0 * _row_dot(r * w, mapped)
             for i, rate in zip(fresh, rates.tolist()):
                 trials[i] = 0
                 gain_rate[i] = rate
         # one projection for every row's trial
         active = sorted(fresh + going)
-        trial = (_rows(u, active) + np.array([step[i] for i in active])[:, None]
-                 * _rows(direction, active))
-        cand, pcand, m_cand = _project(trial, bg)
-        m_list = m_cand.tolist()
+        trial = u[active] + np.array([step[i] for i in active])[:, None] * direction[active]
+        cand, m_cand, cand_grad, cand_res = _project(trial, bg)
+        m_list, res_list = m_cand.tolist(), cand_res.tolist()
         if not all(map(math.isfinite, m_list)):
             raise FloatingPointError("optimizer produced a non-finite value")
-        up = [m_list[j] > m_val[i] for j, i in enumerate(active)]
-        if any(up) or any(polish[i] for i in active):
-            cand_grad, cand_res = _residual(cand, pcand, m_cand, p, w)
-            res_list = cand_res.tolist()
 
-        moved, taken = [], []  # rows that take their trial, and its position
         fresh, going = [], []
-        fresh_at = []  # trial positions of the rows in ``fresh``
         for j, i in enumerate(active):
             if polish[i]:
                 # a polish step must lower the residual, else the row is done
                 if res_list[j] >= residual[i]:
                     continue
                 polish_steps[i] += 1
-            elif up[j]:
+            elif m_list[j] > m_val[i]:
                 history[i].append(m_list[j])
                 step[i] *= 1.5
                 ascent_steps[i] += 1
@@ -347,17 +336,11 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
                 else:
                     going.append(i)
                 continue
-            moved.append(i)
-            taken.append(j)
+            # the row takes its trial
+            u[i], grad[i] = cand[j], cand_grad[j]
             m_val[i] = m_list[j]
             if accepted(i, res_list[j]):
                 fresh.append(i)
-                fresh_at.append(j)
-        if moved == taken == list(rows):
-            u, pu = cand, pcand
-        else:
-            u[moved], pu[moved] = cand[taken], pcand[taken]
-        grad = cand_grad[fresh_at] if fresh_at else np.empty((0, grid.size))
 
     final = ZonalField(grid, u)
     lam, certified = euler_lagrange_residual(final, bg)

@@ -74,18 +74,19 @@ def _overflows(m: int, a: float) -> bool:
     k sum_{i<j} (f+i)^{k-1}, where the sum lies between (a-1)^{k-1} and
     j (a-1)^{k-1}.  The Fourier series of B_k on [0, 1] bounds the periodic
     part: with c = |cos(2 pi f)| for even k and |sin(2 pi f)| for odd k,
-    |B_k(f)| lies within 2 k!/(2 pi)^k (c +- 3 2^-k).  Where c is 0 (f a
-    multiple of 1/4) that bound says nothing below, and the exact value of
-    B_k(f) is used instead.  All in logs.
+    |B_k(f)| lies within 2 k!/(2 pi)^k (c +- 3 2^-k).  c = sin(2 pi d), with d
+    the distance from f to the nearest zero of c, exact where d is small, so c
+    keeps its relative accuracy near a zero.  At a zero (f a multiple of 1/4)
+    the bound says nothing below, and the exact B_k(f) is used.  All in logs.
     """
     k = m + 1
     j = math.floor(a)
     f = a - j
     scale = math.log(2.0) + math.lgamma(k + 1) - k * math.log(2.0 * math.pi)
-    c = abs(math.cos(2.0 * math.pi * f) if k % 2 == 0 else math.sin(2.0 * math.pi * f))
-    if (4.0 * f).is_integer() and c < 0.5:
-        # c is exactly 0 at these f, where B_k(f) is known: 0 at f = 0, 1/2
-        # (odd k), and -2^-k (1 - 2^(1-k)) B_k at f = 1/4, 3/4 (even k), with
+    d = min(abs(f - z) for z in ((0.0, 0.5, 1.0) if k % 2 else (0.25, 0.75)))
+    if d == 0.0:
+        # B_k(f) is known at these f: 0 at f = 0, 1/2 (odd k), and
+        # -2^-k (1 - 2^(1-k)) B_k at f = 1/4, 3/4 (even k), with
         # |B_k| = 2 k! zeta(k) / (2 pi)^k and 1 <= zeta(k) < 2
         if k % 2:
             periodic_lo = periodic_hi = -math.inf
@@ -93,7 +94,8 @@ def _overflows(m: int, a: float) -> bool:
             periodic_lo = scale - k * math.log(2.0) + math.log1p(-(2.0 ** (1 - k)))
             periodic_hi = periodic_lo + math.log(2.0)
     else:
-        rest = 3.0 * 2.0**-k + 1e-14  # the other terms, and rounding in c
+        c = math.sin(2.0 * math.pi * d)
+        rest = 3.0 * 2.0**-k + 1e-14 * c  # the other terms, and rounding in c
         periodic_lo = scale + math.log(c - rest) if c > rest else -math.inf
         periodic_hi = scale + math.log(c + rest)
     if a > 1.0:
@@ -141,6 +143,12 @@ def hurwitz_zeta(s: float, a: float) -> float:
         m = -int(s)
         if m >= 1 and _overflows(m, a):
             raise OverflowError(f"zeta_H({s:g}, {a:g}) exceeds the float64 range")
+        j = math.floor(a)
+        if m >= 2 and m % 2 == 0 and a - j in (0.0, 0.5) and j <= m:
+            # B_{m+1} vanishes at 0 and 1/2 for even m, which leaves the shift
+            # sum of B_{m+1}(f + j), no more terms than the polynomial's
+            f = Fraction(a - j)
+            return float(-sum((f + i) ** m for i in range(j)))
         return float(-bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1))
     if s >= -1.5:
         return _hurwitz_euler_maclaurin(s, a)

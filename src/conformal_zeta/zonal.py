@@ -455,7 +455,7 @@ class ZonalField:
     """Samples of a zonal function at the grid nodes.
 
     ``values`` is one field (N,) or a stack of B fields (B, N) on the same
-    grid; pointwise arithmetic broadcasts a single field against a stack.
+    grid; the pointwise product broadcasts a single field against a stack.
     """
 
     grid: ZonalGrid
@@ -469,7 +469,7 @@ class ZonalField:
             )
         object.__setattr__(self, "values", vals)
 
-    # convenience arithmetic; all pointwise on shared grids
+    # the pointwise product, on shared grids
     def _match(self, other):
         if isinstance(other, ZonalField):
             if not self.grid.compatible(other.grid):
@@ -477,24 +477,8 @@ class ZonalField:
             return other.values
         return other
 
-    def __add__(self, other):
-        return ZonalField(self.grid, self.values + self._match(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ZonalField(self.grid, self.values - self._match(other))
-
-    def __rsub__(self, other):
-        return ZonalField(self.grid, self._match(other) - self.values)
-
     def __mul__(self, other):
         return ZonalField(self.grid, self.values * self._match(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZonalField(self.grid, -self.values)
 
     def coefficients(self) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients (float64 view)."""

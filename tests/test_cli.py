@@ -5,15 +5,19 @@ import io
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conformal_zeta.bubbles import RateFit
 from conformal_zeta.cli import main
-from conformal_zeta.fieldio import write_field
-from conformal_zeta.params import MAX_DIMENSION
+from conformal_zeta.fieldio import field_document, write_field
+from conformal_zeta.functionals import FunctionalReport
+from conformal_zeta.params import MAX_DIMENSION, DimensionParams
+from conformal_zeta.zeta import LaurentValue
 from conformal_zeta.zonal import MAX_GRID_SIZE, constant_field, make_grid
 
 
@@ -152,6 +156,21 @@ def test_rates_command(capsys):
     assert doc["exponent_fit"] == pytest.approx(2.0, abs=0.05)
     assert doc["log_factor_detected"] is False
     assert doc["predicted"] == "k_plus_2"
+
+
+def test_records_are_emitted_in_their_declared_field_order(capsys, ones_file):
+    def names(record):
+        return [f.name for f in fields(record)]
+
+    for argv, keys in [
+        (["constants", "--n", "4"], names(DimensionParams)),
+        (["zeta", "--n", "4", "--space", "projective"], names(LaurentValue)),
+        (["functional", "--n", "4", "--grid-n", "32", "--profile", ones_file],
+         names(FunctionalReport)),
+        (["rates", "--n", "6", "--k", "0"], ["n", *names(RateFit)]),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and list(json.loads(out)) == keys, argv
 
 
 def test_unknown_flag_is_usage_error():
@@ -434,12 +453,15 @@ def test_dimension_above_bound_is_usage_error(capsys, tmp_path, refuse_grid_buil
 FUZZ_DIMENSIONS = [4, 4, 4, -2, 0, 3, MAX_DIMENSION, MAX_DIMENSION + 2, 10**6]
 FUZZ_GRID_SIZES = [32, 32, None, -1, 0, 15, 16, MAX_GRID_SIZE + 1]
 FUZZ_FLOATS = ["nan", "inf", "-inf", "0", "-1"]
+# field files whose n, N or length disagree with n=4, N=32
+FUZZ_MISMATCHED = ["n6.json", "N64.json", "short.json", "coeffs33.json"]
 
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, small_grid):
     """n=4, N=32 profile files (one ordinary, two whose L^p norms leave the float
-    range) and a mass-field file, plus a directory for outputs."""
+    range), a mass-field file and the FUZZ_MISMATCHED files, plus a directory
+    for outputs."""
     from conformal_zeta.zonal import ZonalField
 
     root = tmp_path_factory.mktemp("fuzz")
@@ -448,6 +470,12 @@ def fuzz_files(tmp_path_factory, small_grid):
     write_field(root / "huge.json", constant_field(small_grid, 1e300))
     write_field(root / "mnor.json",
                 ZonalField(small_grid, 0.02 * np.exp(-small_grid.theta**2 / 0.1)))
+    write_field(root / "n6.json", constant_field(make_grid(6, 32), 1.0))
+    write_field(root / "N64.json", constant_field(make_grid(4, 64), 1.0))
+    doc = field_document(constant_field(small_grid, 1.0))
+    values = doc.pop("values")
+    (root / "short.json").write_text(json.dumps({**doc, "values": values[:-1]}))
+    (root / "coeffs33.json").write_text(json.dumps({**doc, "coeffs": [1.0] * 33}))
     return root
 
 
@@ -481,10 +509,11 @@ def cli_arguments(draw, root):
         if grid_n is not None:
             argv.append(f"--grid-n={grid_n}")
         if command in ("trace", "functional"):
-            profile = draw(st.sampled_from(["profile.json", "tiny.json", "huge.json"]))
+            profile = draw(st.sampled_from(
+                ["profile.json", "tiny.json", "huge.json", *FUZZ_MISMATCHED]))
             argv += ["--profile", str(root / profile)]
         if command != "trace":
-            maybe("--mass-field", [root / "mnor.json"])
+            maybe("--mass-field", [root / name for name in ["mnor.json", *FUZZ_MISMATCHED]])
         if command == "optimize":
             maybe("--tol", [*FUZZ_FLOATS, "1e-8"])
             maybe("--seed", [0, 3])
@@ -496,6 +525,19 @@ def cli_arguments(draw, root):
                      "--out", str(root / "sweep.csv")]
             maybe("--epsilon", [*FUZZ_FLOATS, "0.3"])
     return argv
+
+
+@pytest.mark.parametrize("name", FUZZ_MISMATCHED)
+@pytest.mark.parametrize("flag", ["--profile", "--mass-field"])
+def test_mismatched_field_file_is_refused_by_its_schema(capsys, fuzz_files, flag, name):
+    # every other flag matches: parse_field refuses the file (paths "$...")
+    # before a field is built on the flags' grid
+    files = {"--profile": "profile.json", "--mass-field": "mnor.json", flag: name}
+    code = main(["functional", "--n=4", "--grid-n=32"]
+                + [f"{key}={fuzz_files / value}" for key, value in files.items()])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: $")
 
 
 @settings(max_examples=100)
@@ -510,6 +552,10 @@ def test_fuzz_exit_codes_and_stdout(fuzz_files, data):
             code = exc.code
     event(f"{argv[0]} exit {code}")  # shown by --hypothesis-show-statistics
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if any(name in arg for arg in argv for name in FUZZ_MISMATCHED):
+        # refused as a usage error, not as a GridMismatchError traceback
+        assert code == 2, argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), argv
     text = out.getvalue()
     if text:
         assert text.endswith("\n"), argv

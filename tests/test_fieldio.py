@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conformal_zeta.errors import SchemaError
 from conformal_zeta.fieldio import (field_document, parse_field, read_field, result_document,
                                     write_field)
-from conformal_zeta.zonal import ZonalField, make_grid, random_zonal
+from conformal_zeta.zonal import ZonalField, constant_field, make_grid, random_zonal
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,20 @@ def test_roundtrip_bit_identical(tmp_path, grid):
     write_field(path, f)
     back = read_field(path, grid)
     assert np.array_equal(back.values, f.values)
+
+
+def test_write_field_replaces_whole_or_not_at_all(tmp_path, grid, monkeypatch):
+    path = tmp_path / "field.json"
+    path.write_bytes(b"earlier field\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_field(path, constant_field(grid, 1.0))
+    assert path.read_bytes() == b"earlier field\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["field.json"]
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),

@@ -103,6 +103,32 @@ def test_quarter_point_overflow_is_refused_before_the_exact_recurrence(m, a, mon
         hurwitz_zeta(-float(m), a)
 
 
+@pytest.mark.parametrize("a, want", [(1.0, 0.0), (2.0, -1.0), (0.5, 0.0), (1.5, -0.0)])
+def test_trivial_zeros_skip_the_exact_recurrence(a, want, monkeypatch):
+    # B_{m+1} vanishes at 0 and 1/2 for even m, so zeta_H(-m, a) is the shift
+    # sum alone; the exact path for m = 2000 does not finish in a minute
+    monkeypatch.setattr(zeta, "bernoulli_polynomial", functools.partial(pytest.fail, "exact path"))
+    got = hurwitz_zeta(-2000.0, a)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_trivial_zero_shift_sum_matches_the_bernoulli_polynomial():
+    for m in range(2, 60, 2):
+        for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.5, 30.0):
+            exact = float(-bernoulli_polynomial(m + 1, Fraction(a)) / (m + 1))
+            assert repr(hurwitz_zeta(-float(m), a)) == repr(exact), (m, a)
+
+
+@pytest.mark.parametrize("m, a", [(2000, 1.0 + 2.0**-52), (2000, 0.5 + 2.0**-53),
+                                  (2001, 0.25 + 2.0**-54)])
+def test_near_zero_periodic_term_is_refused_before_the_exact_recurrence(m, a, monkeypatch):
+    # a few ulps from a zero of the leading Fourier term of B_{m+1}, that term
+    # is still far beyond the float range at this m
+    monkeypatch.setattr(zeta, "bernoulli_polynomial", functools.partial(pytest.fail, "exact path"))
+    with pytest.raises(OverflowError, match="float64 range"):
+        hurwitz_zeta(-float(m), a)
+
+
 def test_pole_guard():
     with pytest.raises(ValueError):
         hurwitz_zeta(1.0 + 1e-9, 1.0)
