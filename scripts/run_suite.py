@@ -15,7 +15,7 @@ from pathlib import Path
 
 from conformal_zeta.acceptance import run_suite
 from conformal_zeta.fieldio import write_text
-from conformal_zeta.zonal import DEFAULT_GRID_SIZE
+from conformal_zeta.params import DEFAULT_GRID_SIZE
 
 
 def main():

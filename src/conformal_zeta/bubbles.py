@@ -21,18 +21,12 @@ import numpy as np
 from .background import ConformalBackground
 from .errors import ZeroFieldError
 from .functionals import mass_functional
-from .params import check_dimension, sphere_volume
+from .params import RATE_CAP_DEFAULT, check_dimension, sphere_volume
 from .zonal import ZonalField, integrate
 
-# Integration cap for rate fits: large enough that the subleading constant
-# inside the k+2 log branch (about log(cap) - 11/12 at its worst tested case)
-# stays small over the fitted decade window.  Sweep caps on the sphere are a
-# separate, geometric parameter.
-RATE_CAP_DEFAULT = 2.5
 # concentration scales of the rate experiment (``decay_rate``)
 RATE_ALPHAS = np.logspace(-3, -1, 25)
 RATE_ALPHAS.setflags(write=False)
-SWEEP_EPSILON_DEFAULT = 0.3
 
 MIN_FIT_SAMPLES = 8
 MIN_FIT_DECADES = 2.0
@@ -177,6 +171,12 @@ def _jacobi_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
     the couplings k (k+beta) / ((2k+beta) sqrt((2k+beta+1)(2k+beta-1))).  The
     nodes are the eigenvalues of that Jacobi matrix, and the weights are the
     squared first eigenvector components times int_0^1 x^beta dx = 1/(beta+1).
+
+    Float64 limit: the first eigenvector components lose relative accuracy as
+    beta grows and the nodes crowd toward 1.  At beta = 103 (n = 104) the
+    weights that carry the integral are off by up to 4.8e-13 relative (against
+    a 40-digit solve of the same matrix), so radial moments there hold about
+    4e-13, against about 1e-15 for n <= 20.  No registered check runs there.
     """
     if not beta > -1.0:
         raise ValueError(f"int_0^1 x^beta dx diverges for beta={beta:g}")

@@ -5,8 +5,14 @@ suite.  Structured output is JSON on stdout (17-significant-digit floats via
 shortest repr), serialized in full before anything is written; sweeps write
 CSV.  Exit codes: 0 success, 1 check failure, 2 usage error (including a
 non-finite float flag, a grid size outside 16..2048 nodes, an odd dimension
-or one outside 4..104, and an input that overflows a float), 3
-numerical-consistency error or non-finite optimizer state.
+or one outside 4..104, more than 1024 sweep scales, and an input that
+overflows a float), 3 numerical-consistency error or non-finite optimizer
+state.
+
+Each command imports only the modules it runs, inside its own branch of
+``run``: ``constants`` and ``zeta`` compute in exact rational arithmetic in a
+few milliseconds, and loading numpy and the grid code would cost them many
+times that.  The parser's defaults come from the numpy-free ``params``.
 """
 
 from __future__ import annotations
@@ -19,19 +25,20 @@ import math
 import sys
 from dataclasses import asdict, astuple
 
-import numpy as np
-
-from . import bubbles, fieldio, functionals, optimize, zeta
-from .background import round_sphere_background
 from .errors import ConsistencyError, SchemaError, ZeroFieldError
-from .params import MAX_DIMENSION, VARIANTS, dim_params
-from .spectra import SpectrumQuery
-from .zonal import DEFAULT_GRID_SIZE, make_grid
+from .params import (DEFAULT_GRID_SIZE, MAX_DIMENSION, OPTIMIZER_SEED_DEFAULT,
+                     OPTIMIZER_TOL_DEFAULT, RATE_CAP_DEFAULT, SWEEP_EPSILON_DEFAULT, VARIANTS,
+                     dim_params)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Largest sweep: the M bubbles go through the mass functional as one (M, N)
+# stack, about 250 kB a bubble at N = 2048.  A 1024-scale sweep at N = 2048
+# peaks at 376 MB resident, 161 MB of it the grid.
+MAX_SWEEP_SCALES = 1024
 
 
 def _emit(doc, path=None, indent=None):
@@ -40,7 +47,9 @@ def _emit(doc, path=None, indent=None):
     if path is None:
         sys.stdout.write(text)
         return
-    fieldio.write_text(path, text)
+    from .fieldio import write_text
+
+    write_text(path, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,21 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize the mass functional")
     add_common(p, mass_field=True)
-    p.add_argument("--tol", type=float, default=optimize.OptimizerConfig.tol_residual)
-    p.add_argument("--seed", type=int, default=optimize.OptimizerConfig.seed)
+    p.add_argument("--tol", type=float, default=OPTIMIZER_TOL_DEFAULT)
+    p.add_argument("--seed", type=int, default=OPTIMIZER_SEED_DEFAULT)
     p.add_argument("--out", default=None, help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("sweep", help="mass functional along the glued-bubble family")
     add_common(p, mass_field=True)
     p.add_argument("--alphas", required=True, metavar="A:B:M",
-                   help="M log-spaced concentration scales from A to B")
-    p.add_argument("--epsilon", type=float, default=bubbles.SWEEP_EPSILON_DEFAULT)
+                   help=f"M log-spaced concentration scales from A to B, 2 <= M <= "
+                        f"{MAX_SWEEP_SCALES}")
+    p.add_argument("--epsilon", type=float, default=SWEEP_EPSILON_DEFAULT)
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("rates", help="fit the second-moment decay branch")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--cap", type=float, default=bubbles.RATE_CAP_DEFAULT)
+    p.add_argument("--cap", type=float, default=RATE_CAP_DEFAULT)
 
     p = sub.add_parser("suite", help="run the acceptance checks")
     p.add_argument("--out", default=None, help="also write the report JSON here")
@@ -98,22 +108,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_alphas(raw: str) -> np.ndarray:
+def _parse_alphas(raw: str):
+    """The M log-spaced scales of ``A:B:M``, refused before anything is built."""
     try:
         lo, hi, count = raw.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if not (0 < lo < hi < math.inf) or count < 2:
+        if not (0 < lo < hi < math.inf) or not 2 <= count <= MAX_SWEEP_SCALES:
             raise ValueError
     except ValueError:
-        raise SchemaError("expected A:B:M with finite 0 < A < B and integer M >= 2", "--alphas")
+        raise SchemaError("expected A:B:M with finite 0 < A < B and integer "
+                          f"2 <= M <= {MAX_SWEEP_SCALES}", "--alphas")
+    import numpy as np
+
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _background(args):
+    from .background import round_sphere_background
+    from .fieldio import read_field
+    from .zonal import make_grid
+
     grid = make_grid(args.n, args.grid_n)
     mnor = None
     if getattr(args, "mass_field", None):  # trace takes no mass field
-        mnor = fieldio.read_field(args.mass_field, grid)
+        mnor = read_field(args.mass_field, grid)
     return round_sphere_background(args.n, grid, variant=args.variant, mnor=mnor)
 
 
@@ -130,22 +148,26 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "zeta":
+        from . import zeta
+        from .spectra import SpectrumQuery
+
         _emit(asdict(zeta.spectral_zeta_at_one(SpectrumQuery(space=args.space, n=args.n))))
         return EXIT_OK
 
-    if args.command == "trace":
-        bg = _background(args)
-        u = fieldio.read_field(args.profile, bg.grid)
-        _emit({"trace": functionals.conformal_trace(u, bg)})
-        return EXIT_OK
+    if args.command in ("trace", "functional"):
+        from . import fieldio, functionals
 
-    if args.command == "functional":
         bg = _background(args)
         u = fieldio.read_field(args.profile, bg.grid)
-        _emit(asdict(functionals.functional_report(u, bg)))
+        if args.command == "trace":
+            _emit({"trace": functionals.conformal_trace(u, bg)})
+        else:
+            _emit(asdict(functionals.functional_report(u, bg)))
         return EXIT_OK
 
     if args.command == "optimize":
+        from . import fieldio, optimize
+
         bg = _background(args)
         opt_cfg = optimize.OptimizerConfig(tol_residual=args.tol, seed=args.seed)
         res = optimize.maximize_mass_functional(bg, opt_cfg)
@@ -153,9 +175,12 @@ def run(argv=None) -> int:
         return EXIT_OK if res.converged else EXIT_CHECK_FAILURE
 
     if args.command == "sweep":
+        from . import bubbles, fieldio
+
+        alphas = _parse_alphas(args.alphas)
         bg = _background(args)
         try:
-            rows = bubbles.concentration_sweep(_parse_alphas(args.alphas), args.epsilon, bg)
+            rows = bubbles.concentration_sweep(alphas, args.epsilon, bg)
         except ZeroFieldError as exc:
             raise SchemaError(f"{exc}; use a larger grid", "--grid-n") from exc
         text = io.StringIO()
@@ -167,6 +192,8 @@ def run(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "rates":
+        from . import bubbles
+
         try:
             fit = bubbles.decay_rate(args.n, args.k, args.cap)
         except OverflowError as exc:

@@ -16,13 +16,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import SchemaError
-from .optimize import OptimizerResult
 from .zonal import ZonalField, ZonalGrid, make_grid, synthesize
+
+if TYPE_CHECKING:  # for the annotation only, so reading a field does not load the optimizer
+    from .optimize import OptimizerResult
 
 GRID_KIND = "gauss-jacobi"
 

@@ -73,6 +73,7 @@ import numpy as np
 from .background import ConformalBackground
 from .functionals import dilation_factor, mass_functional
 from .laws import mass_pushforward, p_operator_apply
+from .params import OPTIMIZER_SEED_DEFAULT, OPTIMIZER_TOL_DEFAULT
 from .zonal import ZonalField, ZonalGrid, _per_field, lp_norm, random_band_limited
 
 _STEP0 = 1.0  # first line-search step
@@ -85,8 +86,8 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    tol_residual: float = 1e-8
-    seed: int = 0
+    tol_residual: float = OPTIMIZER_TOL_DEFAULT
+    seed: int = OPTIMIZER_SEED_DEFAULT
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,18 @@ VARIANTS = ("paper", "calibrated")
 # products (l+1)...(l+n-2) at the head cutoff no longer convert to a float.
 MAX_DIMENSION = 104
 
+# Defaults shared by the library and the command-line parser, kept here so the
+# parser reads them without loading numpy.
+DEFAULT_GRID_SIZE = 256  # collocation nodes N
+OPTIMIZER_TOL_DEFAULT = 1e-8  # Euler-Lagrange residual at which the optimizer stops
+OPTIMIZER_SEED_DEFAULT = 0  # seed of the optimizer's perturbed start
+SWEEP_EPSILON_DEFAULT = 0.3  # cap half-width of the glued bubbles
+# Integration cap for rate fits: large enough that the subleading constant
+# inside the k+2 log branch (about log(cap) - 11/12 at its worst tested case)
+# stays small over the fitted decade window.  Sweep caps on the sphere are a
+# separate, geometric parameter.
+RATE_CAP_DEFAULT = 2.5
+
 
 def check_dimension(n: int) -> None:
     """Raise ValueError unless n is even and 4 <= n <= MAX_DIMENSION."""

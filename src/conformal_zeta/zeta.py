@@ -23,16 +23,20 @@ Two evaluation routes are exposed and cross-checked by the test suite:
   arithmetic (``rational_finite_part``) and rounded once; the reported residue is
   extracted numerically from symmetric evaluations at 1 +/- delta so that the
   regularity claim is measured, not assumed.
+
+The module uses no numpy: the ``zeta`` command imports it alone, and its few
+milliseconds of exact arithmetic would otherwise wait on numpy's import, which
+takes many times longer.  The tail polynomials are float tuples evaluated by
+Horner's rule, and the machine constants come from ``sys.float_info``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .params import DimensionParams, sphere_volume
 from .spectra import SpectrumQuery, subcritical_eigenvalue
@@ -42,8 +46,8 @@ from .spectra import SpectrumQuery, subcritical_eigenvalue
 # ---------------------------------------------------------------------------
 
 POLE_GUARD = 1e-6
-_EPS = float(np.finfo(float).eps)
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = sys.float_info.epsilon
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EM_BERNOULLI_TERMS = 14
 _MPMATH_DPS = 40
 
@@ -183,26 +187,33 @@ def _squared_offsets(n: int) -> list[float]:
 
 
 @lru_cache(maxsize=None)
-def _tail_coefficient_polys(n: int, order: int) -> tuple[np.ndarray, ...]:
+def _tail_coefficient_polys(n: int, order: int) -> tuple[tuple[float, ...], ...]:
     """Polynomials a_k(sigma) in sigma = s-1 with lam^{1-s} = sum_k a_k x^{-2k}.
 
     lam^{1-s} = x^{(n-2)(1-s)} prod_i (1 - c_i x^{-2})^{-sigma}, whose logarithm
     is sigma sum_m p_m x^{-2m} / m with the power sums p_m = sum_i c_i^m; the
     derivative of the exponential gives the recurrence
-    k a_k = sigma sum_{m=1..k} p_m a_{k-m}, a_0 = 1.  Coefficient arrays are
-    float polynomials in sigma (constant term exactly 0 for k >= 1).
+    k a_k = sigma sum_{m=1..k} p_m a_{k-m}, a_0 = 1.  Coefficient tuples are
+    float polynomials in sigma, constant term first (exactly 0 for k >= 1).
+    Each p_m = sum_i (2i+1)^{2m} / 4^m is summed in integers and rounded once,
+    so it is the same on every platform.
     """
-    offsets = np.array(_squared_offsets(n))
-    power_sums = [float(np.sum(offsets ** m)) for m in range(order + 1)]
-    polys = [np.eye(1, order + 1)[0]]  # a_0 = 1
+    odd = range(1, n - 2, 2)  # 2i+1 for the (n-2)/2 offsets c_i
+    power_sums = [math.ldexp(float(sum(j ** (2 * m) for j in odd)), -2 * m)
+                  for m in range(order + 1)]
+    polys = [(1.0,) + (0.0,) * order]  # a_0 = 1
     for k in range(1, order + 1):
-        acc = sum(power_sums[m] * polys[k - m] for m in range(1, k + 1))
-        polys.append(np.concatenate(([0.0], acc[:-1])) / k)  # times sigma, over k
+        acc = [sum(power_sums[m] * polys[k - m][j] for m in range(1, k + 1)) for j in range(order)]
+        polys.append((0.0, *(c / k for c in acc)))  # times sigma, over k
     return tuple(polys)
 
 
-def _eval_poly(coeffs: np.ndarray, sigma: float) -> float:
-    return float(np.polynomial.polynomial.polyval(sigma, coeffs))
+def _eval_poly(coeffs: tuple[float, ...], sigma: float) -> float:
+    """Horner's rule, highest coefficient first."""
+    value = 0.0
+    for c in reversed(coeffs):
+        value = c + value * sigma
+    return value
 
 
 def _step_sum_value(w: float, x0: float, step: int) -> float:
@@ -253,7 +264,7 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
             raise ValueError("tail expansion did not meet tolerance within order 20")
         w_next = (2 * nxt - 1) + (n - 2) * sigma
         if w_next > 1.5:
-            a_bound = float(np.abs(polys[nxt]) @ np.abs(sigma) ** np.arange(len(polys[nxt])))
+            a_bound = sum(abs(c) * abs(sigma) ** j for j, c in enumerate(polys[nxt]))
             zeta_bound = x_tail ** (1.0 - w_next) / (w_next - 1.0) + x_tail ** (-w_next)
             # below half an ulp of the running tail, no later term can
             # change it; the tail can be far above 1 where head and tail cancel

@@ -101,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError
-from .params import check_dimension, sphere_volume
+from .params import DEFAULT_GRID_SIZE, check_dimension, sphere_volume
 
 _LD = np.longdouble
 
@@ -112,7 +112,6 @@ _LD = np.longdouble
 # depend on the platform's long double.
 _FILTER_FLOOR = 2.0**-53
 
-DEFAULT_GRID_SIZE = 256
 MIN_GRID_SIZE = 16
 # The grid holds up to three tables (the derivative table from its first use
 # on), each as two parity blocks of two K x K float64 halves, K = ceil(N/2):
@@ -590,6 +589,12 @@ def random_zonal(grid: ZonalGrid, seed, l_max: int, amplitude: float, floor: flo
     """Seeded random band-limited field bounded below by ``floor``: the
     ``floored_field`` of ``random_zonal_coefficients(seed, l_max)``.  An array
     of seeds gives the stack of the per-seed fields, synthesized together.
+
+    Float64 limit: at n = 104 the synthesized field reaches about 1e33 at the
+    poles, so after the shift to ``floor`` degree 0 dominates and the samples
+    lose their l >= 1 content (``int u D u`` off by up to 3.8e-3 relative for
+    l_max = 32 at N = 256, 1.8e-8 for l_max = 16).  No registered check draws
+    these fields there.
     """
     if l_max >= grid.size:
         raise ValueError(f"l_max={l_max} exceeds grid resolution {grid.size - 1}")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -149,6 +150,32 @@ def test_sweep_rejects_bad_alphas(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["1025", "100000000"])
+def test_sweep_refuses_more_scales_than_its_maximum(capsys, tmp_path, monkeypatch, count,
+                                                    fresh_grid_memo, refuse_grid_build):
+    # refused before the grid or any bubble is built: the M bubbles form one (M, N) stack
+    from conformal_zeta import bubbles
+
+    monkeypatch.setattr(bubbles, "capped_bubble", functools.partial(pytest.fail, "bubble built"))
+    out_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "4", "--grid-n", "2048", "--alphas", f"0.02:0.3:{count}",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --alphas: ") and captured.err.count("\n") == 1
+    assert "M <= 1024" in captured.err
+    assert not out_path.exists()
+
+
+def test_sweep_accepts_its_maximum_scale_count(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "4", "--grid-n", "32", "--alphas", "0.02:0.3:1024",
+                 "--out", str(out_path)])
+    assert code == 0
+    assert len(out_path.read_text().splitlines()) == 1025
+
+
 def test_rates_command(capsys):
     code, out = run_cli(capsys, "rates", "--n", "6", "--k", "0")
     assert code == 0
@@ -185,13 +212,13 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_internal_consistency_failure_exit_code(capsys, ones_file, monkeypatch):
+    from conformal_zeta import functionals
     from conformal_zeta.errors import ConsistencyError
-    import conformal_zeta.cli as climod
 
     def broken(u, bg):
         raise ConsistencyError("forced for the exit-code contract")
 
-    monkeypatch.setattr(climod.functionals, "functional_report", broken)
+    monkeypatch.setattr(functionals, "functional_report", broken)
     code, _ = run_cli(capsys, "functional", "--n", "4", "--grid-n", "32",
                       "--profile", ones_file)
     assert code == 3
@@ -281,12 +308,12 @@ def test_constants_dimension_overflow_is_usage_error(capsys):
 
 
 def test_floating_point_error_exit_code(capsys, monkeypatch):
-    import conformal_zeta.cli as climod
+    from conformal_zeta import optimize
 
     def diverged(bg, cfg):
         raise FloatingPointError("forced for the exit-code contract")
 
-    monkeypatch.setattr(climod.optimize, "maximize_mass_functional", diverged)
+    monkeypatch.setattr(optimize, "maximize_mass_functional", diverged)
     code, out = run_cli(capsys, "optimize", "--n", "4", "--grid-n", "32")
     assert code == 3
     assert out == ""
