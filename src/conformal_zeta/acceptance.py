@@ -40,9 +40,11 @@ _LAW_LMAX = 16
 _PHI_AMPLITUDE = 0.3
 _F_AMPLITUDE = 0.5
 
-# Seeded fields go through the kernel as stacks of this many, one GEMM per
-# transform per stack.  A stack's temporaries cost about 30 KB per field at
-# N=256, and the conformal-law producers keep more of them alive at once.
+# Seeded fields go through the kernel as stacks of this many, one kernel
+# product (two GEMMs per parity block) per transform per stack.  At N=256 a
+# transform's temporaries peak at about 24-29 KB per field, and a synthesis of
+# the Sobolev fields' 49 degrees at 13 KB; the conformal-law producers keep
+# more of them alive at once.
 _SOBOLEV_STACK = 50
 _LAW_STACK = 25
 

@@ -7,6 +7,10 @@ through a smooth cutoff at a polar cap it probes the mass functional near the
 concentration limit; the second-moment integrals int u_a^2 r^{k+n-1} dr obey a
 three-branch rate law in a (a^{k+2}, a^{k+2} log(1/a), or a^{n-2}) that the
 rate-fitting helper detects from data.
+
+The rate experiment runs on radial quadratures alone, so the grid and
+operator layers (``zonal``, ``functionals``) are imported by the functions that
+put profiles on a grid, and ``rates`` never loads them.
 """
 
 from __future__ import annotations
@@ -15,14 +19,16 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .background import ConformalBackground
 from .errors import ZeroFieldError
-from .functionals import mass_functional
 from .params import RATE_CAP_DEFAULT, check_dimension, sphere_volume
-from .zonal import ZonalField, integrate
+
+if TYPE_CHECKING:
+    from .background import ConformalBackground
+    from .zonal import ZonalField
 
 # concentration scales of the rate experiment (``decay_rate``)
 RATE_ALPHAS = np.logspace(-3, -1, 25)
@@ -105,6 +111,8 @@ def smooth_cutoff(epsilon: float, r):
 
 def capped_bubble(params: ProfileParams, grid) -> ZonalField:
     """The glued profile eta(theta) u_alpha(theta) on the grid, zero past 2 eps."""
+    from .zonal import ZonalField
+
     if grid.n != params.n:
         raise ValueError(f"grid has n={grid.n}, params have n={params.n}")
     theta = grid.theta
@@ -279,6 +287,9 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
     margin, and mu = min of the normalized-mass data over the support cap.
     The bubbles go through the mass functional as one stack.
     """
+    from .functionals import mass_functional
+    from .zonal import ZonalField
+
     n = bg.params.n
     sphere_value = -bg.params.b_n * bg.params.yamabe_sphere
     cap = bg.grid.theta <= 2.0 * epsilon
@@ -302,6 +313,8 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
 
 def profile_norm_defect(alpha: float, epsilon: float, bg: ConformalBackground) -> float:
     """||psi_alpha||_p^p relative to the alpha-independent flat-space value."""
+    from .zonal import ZonalField, integrate
+
     psi = capped_bubble(ProfileParams(alpha=alpha, epsilon=epsilon, n=bg.params.n), bg.grid)
     flat = 2.0 ** (-bg.params.n) * bg.params.omega_n
     return integrate(ZonalField(bg.grid, np.abs(psi.values) ** bg.params.p)) / flat

@@ -60,25 +60,34 @@ Each transform is split as follows:
   2^-_VECTOR_BITS, w the remainder.  The analysis then folds d, w and v over
   the node pairs; d_P +- d_M stays exact, an integer of _VECTOR_BITS + 1 bits
   on the same grid;
-* one batched GEMM of each block's [T_0 | T_1] with [[d, w], [0, v]] gives
-  T_0 d, which is exact in float64 because
-  _TABLE_BITS + _VECTOR_BITS + 1 + log2(N/2) <= 52, and T_0 w + T_1 v, which
-  is at most 2^-20 of |T| |v|, so its float64 roundoff stays below the
-  longdouble roundoff of the whole product.  A synthesis adds the two
-  blocks' leads at each node pair, which is exact too: both lie on the
-  pair's grid, at most 2^51 units each;
-* ``analyze`` adds the two columns in longdouble, in O(N); a synthesis
+* per block, one batched GEMM of d with T_0 gives T_0 d, which is exact in
+  float64 because _TABLE_BITS + _VECTOR_BITS + 1 + log2(N/2) <= 52, and a
+  second, of [w | v] with [T_0 ; T_1], gives T_0 w + T_1 v, which is at most
+  2^-20 of |T| |v|, so its float64 roundoff stays below the longdouble
+  roundoff of the whole product.  The lead never meets T_1.  A synthesis
+  whose coefficients are zero from degree L on, in every row of a stack,
+  reads only the table rows of its first ceil(L/2) degree pairs (the degree
+  truncation of fast transforms), so a band-limited field's L < N
+  coefficients and the zero tail the analysis filter leaves cost nothing.
+  Those rows are copied out of the table, which pays while they are at most
+  a third of it: past that, a single field's product ran slower than over
+  the whole table at N = 256 and 1024.  A synthesis adds the two blocks'
+  leads at each node pair, which is exact too: both lie on the pair's grid,
+  at most 2^51 units each;
+* ``analyze`` adds the two products in longdouble, in O(N); a synthesis
   product (``synthesize_ld``, and the last step of ``apply_multiplier`` and
   ``differentiate``) adds them in float64, since it returns float64 values.
 
 A stack of B fields on one grid, values of shape (B, N), goes through the same
 code as one field: every row gets its own exponent e, its own split and its own
-filter floor, and the B rows become the rows of the GEMM of each block,
-[d_0..d_{B-1} ; w_0..w_{B-1}].  A single field is the B = 1 case, with the same
-GEMM and arithmetic as a lone vector.  The leading products are exact either
-way, but BLAS may sum the remainder column in another order inside a wider
-GEMM, so a stacked result agrees with the per-field one within float64
-rounding, not bit for bit.
+filter floor, and the B rows become the rows of both GEMMs of each block.  A
+single field, (N,) or (1, N), is the B = 1 case: it runs as one GEMM per
+block of its rows [w | v] and [d | 0].  BLAS would sum a one-row product (a
+GEMV) in another order than a row of a stack's GEMM, and at one row the
+cost is the table's memory traffic, which one GEMM pays once.  The leading
+products are exact either way, but BLAS may sum the remainder column in
+another order inside a wider GEMM, so a stacked result agrees with the
+per-field one within float64 rounding, not bit for bit.
 
 Field values exposed to callers are plain float64.
 
@@ -216,6 +225,16 @@ def _parity_blocks(rows: np.ndarray) -> np.ndarray:
     blocks[0] = rows[0::2]
     blocks[1, : rows.shape[0] // 2] = rows[1::2]
     return blocks
+
+
+def _by_parity(rows: np.ndarray, pairs: int) -> np.ndarray:
+    """(B, L) values of degrees 0..L-1 as (2, B, pairs), L <= 2 pairs: the even
+    degrees, then the odd ones.  A view, or for L < 2 pairs a zero-padded copy."""
+    if rows.shape[1] < 2 * pairs:
+        padded = np.zeros((rows.shape[0], 2 * pairs))
+        padded[:, : rows.shape[1]] = rows
+        rows = padded
+    return rows.reshape(rows.shape[0], pairs, 2).transpose(2, 0, 1)
 
 
 class _Table(NamedTuple):
@@ -360,41 +379,69 @@ class ZonalGrid:
 
         ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble;
         each row enters as its exact float64 pair, scaled by the table's input
-        powers of two and then by its own 2^-e.  ``lead`` and ``rest`` have
-        the shape of ``vec``; ``e`` broadcasts against them.  Both parity
-        blocks go through one batched GEMM, whose rows in block p are the
-        fields' [d_p | 0] and then their [w_p | hi_p].
+        powers of two and then by its own 2^-e.  A synthesis also takes
+        L < N coefficients, (L,) or (B, L), and reads only the table rows of
+        the degree pairs up to the last nonzero coefficient of any row, while
+        they are at most a third of the table.  ``lead`` and ``rest`` have N
+        values per row; ``e`` broadcasts against them.  For a stack, each
+        parity block p takes two batched GEMMs over the fields: d_p with T_0,
+        and [w_p | hi_p] with [T_0 ; T_1].  A lone field takes one, of its
+        rows [w_p | hi_p] and [d_p | 0] (module docstring).
         """
         halves, col_scale, nodes_in, odd = table
         vec = np.asarray(vec)
         n, k = self.size, halves.shape[-1]
-        rows = vec.reshape(-1, n)
-        b = rows.shape[0]
+        rows = vec.reshape(-1, vec.shape[-1])
         hi = rows.astype(float)
         # the low half of the pair; zero, and skipped, for float64 input
         lo = (rows - hi).astype(float) if rows.dtype != hi.dtype else None
-        hi *= col_scale
+        pairs = k
+        if not nodes_in and not hi[:, 2 * (k // 3):].any():
+            # every row is zero past the first third of the degree pairs (lo
+            # is zero where hi is): read the pairs up to the last nonzero
+            # coefficient alone, their table rows copied out below (module
+            # docstring)
+            nonzero = np.flatnonzero(hi.any(axis=0))
+            pairs = (nonzero[-1] + 2) // 2 if nonzero.size else 1
+            hi = hi[:, : 2 * pairs]
+            lo = None if lo is None else lo[:, : 2 * pairs]
+        b, size = hi.shape
+        hi *= col_scale[:size]
+        if lo is not None:
+            lo *= col_scale[:size]
         e = np.frexp(np.abs(hi).max(axis=-1, keepdims=True))[1]
-        # per field, the rows [d | 0] and [w | hi] over the inputs, padded to
-        # 2K so that the degrees pair up
-        x = np.zeros((2, b, 2, 2 * k))
-        d, w, h = x[0, :, 0, :n], x[1, :, 0, :n], x[1, :, 1, :n]
+        # per block and field, the GEMM rows [w_p | hi_p] and [d_p | 0]
+        parts = np.empty((2, b, 4, pairs))
+        if nodes_in:
+            # split in node order, then fold the node pairs
+            x = np.empty((b, 3, n))
+        else:
+            # sort the degrees by parity first; the split is elementwise
+            hi = _by_parity(hi, pairs)
+            lo = None if lo is None else _by_parity(lo, pairs)
+            x = parts[:, :, :3]
+        w, h, d = x[..., 0, :], x[..., 1, :], x[..., 2, :]
         np.ldexp(hi, -e, out=h)
         # d: h on the grid 2^-_VECTOR_BITS (exact); w: the rest
         np.divide(np.rint(h * 2.0**_VECTOR_BITS), 2.0**_VECTOR_BITS, out=d)
         np.subtract(h, d, out=w)
         if lo is not None:
-            lo *= col_scale
             w += np.ldexp(lo, -e)
         if nodes_in:
             # node y_j and its mirror share a scale, so d_P +- d_M is exact
-            pos, neg = x[..., n - k:n], x[..., k - 1::-1]
-            parts = np.empty((2,) + pos.shape)
-            np.add(pos, neg, out=parts[0])
-            np.subtract(pos, neg, out=parts[1])
+            pos, neg = x[..., n - k:], x[..., k - 1::-1]
+            np.add(pos, neg, out=parts[0, :, :3])
+            np.subtract(pos, neg, out=parts[1, :, :3])
+        if pairs < k:
+            # the rows of T_0 and T_1 for the first ``pairs`` degree pairs
+            halves = np.concatenate((halves[:, :pairs], halves[:, k:k + pairs]), axis=1)
+        out = np.empty((2, 2, b, k))  # block, (rest, lead), field, output
+        if b > 1:
+            np.matmul(parts[:, :, :2].reshape(2, b, 2 * pairs), halves, out=out[:, 0])
+            np.matmul(parts[:, :, 2], halves[:, :pairs], out=out[:, 1])
         else:
-            parts = np.moveaxis(x.reshape(2, b, 2, k, 2), -1, 0)
-        out = (parts.reshape(2, 2 * b, 2 * k) @ halves).reshape(2, 2, b, k)
+            parts[..., 3, :] = 0.0
+            np.matmul(parts.reshape(2, 2, 2 * pairs), halves, out=out.reshape(2, 2, k))
         if nodes_in:
             # block p holds the degrees of parity p: interleave them
             res = out.transpose(1, 2, 3, 0).reshape(2, b, 2 * k)[..., :n]
@@ -407,8 +454,9 @@ class ZonalGrid:
             res = np.empty((2, b, n))
             np.subtract(even_fn, odd_fn, out=res[..., k - 1::-1])
             np.add(even_fn, odd_fn, out=res[..., n - k:])
-        lead, rest = res.reshape((2,) + vec.shape)
-        return lead, rest, e.reshape(vec.shape[:-1] + (1,))
+        shape = vec.shape[:-1]
+        rest, lead = res.reshape((2,) + shape + (n,))
+        return lead, rest, e.reshape(shape + (1,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
@@ -434,6 +482,8 @@ class ZonalGrid:
         return np.ldexp(lead + rest, e)
 
     def synthesize_ld(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values at the nodes of the orthonormal coefficients ``coeffs``, (L,) or
+        (B, L) with 1 <= L <= N; the degrees from L on are zero."""
         return self._synthesize(self._synthesis, coeffs)
 
     def apply_multiplier(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -503,16 +553,19 @@ def constant_field(grid: ZonalGrid, value: float) -> ZonalField:
 
 
 def synthesize(grid: ZonalGrid, coeffs) -> ZonalField:
-    """Field with the given orthonormal Gegenbauer coefficients (zero-padded).
+    """Field with the given orthonormal Gegenbauer coefficients of degrees
+    0..L-1, L <= N; the degrees from L on are zero, and for L up to about
+    N/3 the kernel reads only the table rows of the first ceil(L/2) degree
+    pairs (module docstring).
 
     ``coeffs`` is one coefficient vector or a (B, L) stack of them.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[-1] > grid.size:
         raise ValueError(f"{coeffs.shape[-1]} coefficients exceed the grid's {grid.size} modes")
-    c = np.zeros(coeffs.shape[:-1] + (grid.size,))
-    c[..., : coeffs.shape[-1]] = coeffs
-    return ZonalField(grid, grid.synthesize_ld(c))
+    if not coeffs.shape[-1]:
+        return ZonalField(grid, np.zeros(coeffs.shape[:-1] + (grid.size,)))
+    return ZonalField(grid, grid.synthesize_ld(coeffs))
 
 
 def _per_field(sums: np.ndarray):

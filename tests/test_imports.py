@@ -3,7 +3,8 @@ commands compute.  scipy is a test-only dependency, and only the Hurwitz zeta
 fallback for s < -1.5 needs mpmath.  Only ``suite`` loads the acceptance
 registry.  Each command imports only the modules it runs: ``constants`` and
 ``zeta`` load no numpy, and ``trace`` loads no optimizer, bubbles or zeta
-engine.  The package resolves its public names on first access."""
+engine, and ``rates`` loads no grid or operator layer.  The package resolves
+its public names on first access."""
 
 import importlib
 import json
@@ -104,6 +105,13 @@ def test_trace_loads_only_the_grid_and_operator_layers(tmp_path):
     loaded = _footprint(tmp_path, ["trace", "--n", "4", "--grid-n", "32", "--profile", "ones.json"])
     assert "conformal_zeta.functionals" in loaded
     for name in ("bubbles", "optimize", "zeta", "acceptance"):
+        assert f"conformal_zeta.{name}" not in loaded
+
+
+def test_rates_loads_no_grid_or_operator_layer(tmp_path):
+    loaded = _footprint(tmp_path, ["rates", "--n", "6", "--k", "0"])
+    assert "conformal_zeta.bubbles" in loaded
+    for name in ("zonal", "background", "laws", "functionals"):
         assert f"conformal_zeta.{name}" not in loaded
 
 
