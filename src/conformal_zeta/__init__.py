@@ -17,7 +17,7 @@ import importlib
 _EXPORTS = {
     "ConformalBackground": "background", "round_sphere_background": "background",
     "DimensionParams": "params", "dim_params": "params", "sphere_volume": "params",
-    "SpectrumQuery": "spectra", "SpectrumTerm": "spectra", "spectrum_stream": "spectra",
+    "SpectrumQuery": "spectra",
     "HomogeneousMass": "zeta", "LaurentValue": "zeta", "homogeneous_mass": "zeta",
     "hurwitz_zeta": "zeta", "spectral_zeta": "zeta", "spectral_zeta_at_one": "zeta",
     "ZonalField": "zonal", "ZonalGrid": "zonal", "constant_field": "zonal",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ConformalBackground
-from .errors import ConsistencyError, GridMismatchError
+from .errors import ConsistencyError, GridMismatchError, ZeroFieldError
 from .laws import p_operator_apply, yamabe_apply
 from .zonal import ZonalField, ZonalGrid, inner, lp_norm
 
@@ -50,7 +50,7 @@ FORM_AGREEMENT_TOL = 1e-10
 def _check_nonzero(u: ZonalField):
     """Reject u when it, or any field of a stack, is zero at every node."""
     if not np.all(np.any(u.values, axis=-1)):
-        raise ValueError("functional undefined for the zero field")
+        raise ZeroFieldError("functional undefined for the zero field")
 
 
 def _check_grid(u: ZonalField, bg: ConformalBackground):

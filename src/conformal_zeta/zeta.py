@@ -238,7 +238,7 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     step = query.step
     prefactor = 2.0 / math.factorial(n - 1)
 
-    # exact head over degrees l with x = l + (n-1)/2 on the stream lattice
+    # exact head over degrees l with x = l + (n-1)/2 on the spectrum's degree lattice
     head_terms = []
     for l in range(0, HEAD_SIZE + 1, step):
         x = l + (n - 1) / 2.0

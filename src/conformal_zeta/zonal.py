@@ -38,14 +38,19 @@ values at y_j and at -y_j:
   centre node of an odd N is its own mirror, so its column carries half its
   weight;
 * synthesis: with E and O the sums over the even and the odd degrees at y_j,
-  the field is E + O at y_j and E - O at -y_j.  The derivative table turns
-  the parities round (the derivative of an even function is odd): O + E at
-  y_j, O - E at -y_j.
+  the field is E + O at y_j and E - O at -y_j.
 
 The recurrence, the weights, the norms and the splits all run on the K
-nonnegative nodes; ``nodes`` and ``weights`` are mirrored copies.  The analysis
-and synthesis tables are built with the grid; the derivative table, which
-only ``differentiate`` reads, is built on its first use.
+nonnegative nodes; ``nodes`` and ``weights`` are mirrored copies.  The grid
+holds two tables, analysis and synthesis, both built with it.
+
+The derivative needs no table of its own.  The Gegenbauer identity
+C_{l+1}' - C_{l-1}' = 2 (l+lam) C_l (DLMF section 18.9) gives
+C_j' = sum_{l = j-1, j-3, ...} 2 (l+lam) C_l, so a field with orthonormal
+coefficients c (the basis C_l / h_l, h_l = ||C_l||) has the derivative with
+orthonormal coefficients b_l = 2 (l+lam) h_l sum_{j = l+1, l+3, ...} c_j / h_j:
+two suffix sums, one per parity, in longdouble.  ``differentiate`` is the
+analysis, this map, and a synthesis.
 
 Each transform is split as follows:
 
@@ -92,8 +97,8 @@ per-field one within float64 rounding, not bit for bit.
 Field values exposed to callers are plain float64.
 
 A grid depends on (n, N) alone, so ``make_grid`` builds each one once per
-process and hands the same object to every later request for that (n, N),
-the derivative table included once it exists.  The memo keeps the
+process and hands the same object to every later request for that (n, N).
+A grid is complete once built: no transform adds to it.  The memo keeps the
 _GRID_MEMO_SIZE most recently used grids of at most _GRID_MEMO_MAX_NODES
 nodes and has no setting; a larger grid is built on every call.  Since
 callers share a grid, its nodes, weights and tables are read-only.
@@ -104,7 +109,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,16 +127,16 @@ _LD = np.longdouble
 _FILTER_FLOOR = 2.0**-53
 
 MIN_GRID_SIZE = 16
-# The grid holds up to three tables (the derivative table from its first use
-# on), each as two parity blocks of two K x K float64 halves, K = ceil(N/2):
-# 24 N^2 bytes, 25 MB at N=1024 and 100 MB at N=2048.  Building the grid peaks
-# near 32 N^2 bytes, the derivative table near 48 N^2.  Larger sizes are
-# refused, and the bit budget below is sized for this bound.
+# The grid holds two tables, each as two parity blocks of two K x K float64
+# halves, K = ceil(N/2): 16 N^2 bytes, 17 MB at N=1024 and 67 MB at N=2048.
+# Building the grid peaks near 32 N^2 bytes; no transform allocates a table
+# after that.  Larger sizes are refused, and the bit budget below is sized for
+# this bound.
 MAX_GRID_SIZE = 2048
 # ``make_grid`` keeps the grids of this many (n, N), the least recently used
 # evicted first: a suite run needs two, a CLI command one.  Grids of more than
 # _GRID_MEMO_MAX_NODES nodes are built afresh on each call, since a kept grid
-# holds on to its 16-24 N^2 bytes of tables and, with glibc's allocator, to
+# holds on to its 16 N^2 bytes of tables and, with glibc's allocator, to
 # the freed build temporaries beneath them: one N = 1024 grid keeps 34 MB
 # resident for 16 MB of tables.
 _GRID_MEMO_SIZE = 4
@@ -243,7 +248,6 @@ class _Table(NamedTuple):
     halves: np.ndarray  # (2, 2K, K): block p is [T_0 ; T_1], input-major
     col_scale: np.ndarray  # (N,) the inputs' powers of two, in input order
     nodes_in: bool  # inputs are nodes (analysis), else degrees (synthesis)
-    odd: bool = False  # even degrees give odd functions (the derivative)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -252,7 +256,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _split_table(blocks: np.ndarray, size: int, nodes_in: bool, odd: bool = False) -> _Table:
+def _split_table(blocks: np.ndarray, size: int, nodes_in: bool) -> _Table:
     """Split a longdouble table given as parity blocks, input-major: entry
     [p, i, o] of ``blocks`` carries input i to output o in block p.
 
@@ -285,7 +289,7 @@ def _split_table(blocks: np.ndarray, size: int, nodes_in: bool, odd: bool = Fals
     t1 += lo
     # the inputs' scales in node order (mirrored) or degree order (interleaved)
     scale = _mirror(scale.ravel(), size) if nodes_in else scale[..., 0].T.ravel()[:size]
-    return _Table(_read_only(halves), _read_only(scale), nodes_in, odd)
+    return _Table(_read_only(halves), _read_only(scale), nodes_in)
 
 
 class ZonalGrid:
@@ -297,6 +301,7 @@ class ZonalGrid:
     size     : number of nodes N
     nodes    : x_i = cos(theta_i), strictly increasing in (-1, 1)
     weights  : positive quadrature weights, sum = omega_n
+    laplacian_eigenvalues : l(l+n-1) for l = 0..N-1, float64 (exact integers)
     """
 
     def __init__(self, n: int, size: int = DEFAULT_GRID_SIZE):
@@ -332,8 +337,7 @@ class ZonalGrid:
             pair_w[0] /= 2
 
         # Orthonormal basis (rows l, cols y_j), then its synthesis table
-        # basis^T and analysis table basis * w as parity blocks, split; the
-        # derivative table waits for its first use (``_derivative``).
+        # basis^T and analysis table basis * w as parity blocks, split.
         norms = np.sqrt(2 * (np.multiply(basis, basis, out=work) @ pair_w))
         del work
         basis /= norms[:, None]
@@ -343,8 +347,10 @@ class ZonalGrid:
         blocks *= pair_w
         self._analysis = _split_table(blocks.transpose(0, 2, 1), size, nodes_in=True)
         del blocks
-        self._y, self._norms = _read_only(y), _read_only(norms)
-        self._eigs = _read_only((np.arange(size) * (np.arange(size) + n - 1.0)).astype(_LD))
+        # the norms h_l and the factors 2 (l+lam) h_l of ``differentiate``
+        self._norms = _read_only(norms)
+        self._deriv_scale = _read_only(2 * (ells + lam) * norms)
+        self.laplacian_eigenvalues = _read_only(np.arange(size) * (np.arange(size) + n - 1.0))
 
         self.nodes = _read_only(_mirror(y, size, -1).astype(float))
         self.weights = _read_only(_mirror(w, size).astype(float))
@@ -364,15 +370,6 @@ class ZonalGrid:
 
     # -- spectral kernel --------------------------------------------------------
 
-    @cached_property
-    def _derivative(self) -> _Table:
-        """The derivative table dbasis^T, split, built on the first ``differentiate``;
-        dbasis_l = 2 lam C_{l-1}^{lam+1} / ||C_l||, odd for even l."""
-        size, lam = self.size, _LD(self.n - 1) / 2
-        rows = np.zeros((size, self._y.shape[0]), dtype=_LD)
-        rows[1:] = 2 * lam * _gegenbauer_table(self._y, lam + 1, size - 1) / self._norms[1:, None]
-        return _split_table(_parity_blocks(rows), size, nodes_in=False, odd=True)
-
     def _product(self, table: _Table, vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
         float64 product of the parts, at most 2^-20 of |T| |vec| (module docstring).
@@ -388,7 +385,7 @@ class ZonalGrid:
         and [w_p | hi_p] with [T_0 ; T_1].  A lone field takes one, of its
         rows [w_p | hi_p] and [d_p | 0] (module docstring).
         """
-        halves, col_scale, nodes_in, odd = table
+        halves, col_scale, nodes_in = table
         vec = np.asarray(vec)
         n, k = self.size, halves.shape[-1]
         rows = vec.reshape(-1, vec.shape[-1])
@@ -446,11 +443,10 @@ class ZonalGrid:
             # block p holds the degrees of parity p: interleave them
             res = out.transpose(1, 2, 3, 0).reshape(2, b, 2 * k)[..., :n]
         else:
-            # the blocks give the even and the odd part of the output (the
-            # other way round for the derivative): their sum at y_j, their
-            # difference at -y_j.  Both leads lie on the node's grid, so
-            # these sums are exact
-            even_fn, odd_fn = out[::-1] if odd else out
+            # the blocks give the even and the odd part of the output: their
+            # sum at y_j, their difference at -y_j.  Both leads lie on the
+            # node's grid, so these sums are exact
+            even_fn, odd_fn = out
             res = np.empty((2, b, n))
             np.subtract(even_fn, odd_fn, out=res[..., k - 1::-1])
             np.add(even_fn, odd_fn, out=res[..., n - k:])
@@ -491,12 +487,22 @@ class ZonalGrid:
         return self._synthesize(self._synthesis, np.asarray(multiplier).astype(_LD) * c)
 
     def differentiate(self, values: np.ndarray) -> np.ndarray:
-        """d/dx of the Gegenbauer interpolant, at the nodes."""
-        return self._synthesize(self._derivative, self.analyze(values))
-
-    @property
-    def laplacian_eigenvalues(self) -> np.ndarray:
-        return np.asarray(self._eigs, dtype=float)
+        """d/dx of the Gegenbauer interpolant, at the nodes: the analysis, the
+        coefficient map c -> b of the module docstring, and a synthesis."""
+        c = self.analyze(values)
+        # b_0..b_{m-1} come from c_1..c_m: m is the last nonzero degree of any
+        # row, at least 1
+        m = np.flatnonzero(c.reshape(-1, self.size).any(axis=0)).max(initial=1)
+        # c_j / h_j from degree m down, padded to an even count: each column of
+        # the reshape is one parity, and its running sums are the suffix sums,
+        # which b_0..b_{m-1} read back in degree order (all in place)
+        q = np.zeros(c.shape[:-1] + (m + m % 2,), dtype=_LD)
+        np.divide(c[..., m:0:-1], self._norms[m:0:-1], out=q[..., :m])
+        pairs = q.reshape(q.shape[:-1] + (-1, 2))
+        np.cumsum(pairs, axis=-2, out=pairs)
+        b = q[..., m - 1::-1]
+        np.multiply(self._deriv_scale[:m], b, out=b)
+        return self._synthesize(self._synthesis, b)
 
 
 @dataclass(frozen=True)

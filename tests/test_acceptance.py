@@ -131,8 +131,8 @@ def test_optimizer_seeds_run_as_one_stack(kernel_products):
 
 
 def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
-    # make_grid's memo keeps both grids, and their derivative tables, from one
-    # run to the next
+    # make_grid's memo keeps both grids from one run to the next, and no
+    # transform builds a table
     run_suite()
     request.getfixturevalue("refuse_grid_build")
     kernel_products.clear()

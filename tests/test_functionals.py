@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conformal_zeta.background import round_sphere_background
-from conformal_zeta.errors import ConsistencyError
+from conformal_zeta.errors import ConsistencyError, ZeroFieldError
 from conformal_zeta.functionals import (_spectral_form, conformal_trace, dilation_factor,
                                         functional_report, mass_functional, sobolev_gap,
                                         yamabe_functional)
@@ -205,8 +205,9 @@ def test_zero_guard_holds_per_row(grid4, sphere4):
     stack = random_zonal(grid4, np.arange(3), 16, 1.0, 0.1).values.copy()
     sobolev_gap(ZonalField(grid4, stack), sphere4)
     stack[1] = 0.0
-    with pytest.raises(ValueError):
-        sobolev_gap(ZonalField(grid4, stack), sphere4)
+    for functional in (sobolev_gap, mass_functional, conformal_trace, yamabe_functional):
+        with pytest.raises(ZeroFieldError):
+            functional(ZonalField(grid4, stack), sphere4)
 
 
 def test_dilation_factor_t_zero_is_one(grid4):

@@ -53,7 +53,7 @@ def test_one_newton_step_reaches_longdouble_accuracy(n, size, monkeypatch):
     assert np.abs(again - x).max() <= np.finfo(np.longdouble).eps
 
 
-def test_derivative_table_is_built_on_first_differentiate(monkeypatch, fresh_grid_memo):
+def test_grid_build_makes_one_table_and_differentiate_adds_none(monkeypatch, fresh_grid_memo):
     calls = []
 
     def counted(*args):
@@ -63,15 +63,16 @@ def test_derivative_table_is_built_on_first_differentiate(monkeypatch, fresh_gri
     monkeypatch.setattr(zonal, "_gegenbauer_table", counted)
     grid = make_grid(4, 64)
     assert len(calls) == 1
+    before = dict(vars(grid))
     f = ZonalField(grid, np.cos(grid.theta))
     grid.analyze(f.values)
     laplacian(f)
-    grid.apply_multiplier(f.values, grid.laplacian_eigenvalues)
-    assert len(calls) == 1
     first = grid.differentiate(f.values)
-    assert len(calls) == 2 and calls[1] == calls[0] + 1  # C^{lam+1}
+    grid.differentiate(np.vstack([f.values, f.values**2]))
+    assert len(calls) == 1
+    assert vars(grid).keys() == before.keys()
+    assert all(vars(grid)[key] is value for key, value in before.items())
     assert np.array_equal(grid.differentiate(f.values), first)
-    assert len(calls) == 2
 
 
 def test_make_grid_is_memoized_per_n_and_size():
@@ -103,9 +104,9 @@ def test_memo_keeps_no_large_grid(fresh_grid_memo):
 
 def test_grid_arrays_are_read_only():
     grid = make_grid(4, 64)
-    grid.differentiate(np.ones(grid.size))  # builds the derivative table
-    tables = (grid._analysis, grid._synthesis, grid._derivative)
-    arrays = [grid.nodes, grid.weights, grid._y, grid._norms, grid._eigs]
+    tables = (grid._analysis, grid._synthesis)
+    arrays = [grid.nodes, grid.weights, grid._norms, grid._deriv_scale,
+              grid.laplacian_eigenvalues]
     arrays += [a for t in tables for a in (t.halves, t.col_scale)]
     for array in arrays:
         assert not array.flags.writeable
@@ -372,15 +373,22 @@ def _check_kernel_against_reference(n, size):
     grid = make_grid(n, size)
     analysis, synthesis, derivative = _reference_tables(n, size)
     eigs = grid.laplacian_eigenvalues
-    for fn in (lambda th: np.exp(np.cos(th)), lambda th: 1.0 / (1.05 - np.cos(th))):
-        v = fn(grid.theta)
+    # two smooth fields, and white noise: every degree is nonzero, so the
+    # derivative's suffix sums run over all of them
+    white = np.random.default_rng(0).standard_normal(size)
+    for v in (np.exp(np.cos(grid.theta)), 1.0 / (1.05 - np.cos(grid.theta)), white):
         vl = v.astype(LD)
         coeffs = _filtered(analysis @ vl)
         # the scale of each product: |table| |vector|, the bound of its roundoff
         c_scale = np.abs(analysis) @ np.abs(vl)
         assert _within(grid.analyze(v), coeffs, c_scale)
-        assert _within(grid.synthesize_ld(coeffs), synthesis @ coeffs,
-                       np.abs(synthesis) @ np.abs(coeffs))
+        if v is not white:
+            # the bare synthesis of white coefficients is off the reference
+            # by up to 22 eps_ld of its scale (n = 104, N = 256), at the
+            # reference's own limit past about degree 96, so only the smooth
+            # fields check it
+            assert _within(grid.synthesize_ld(coeffs), synthesis @ coeffs,
+                           np.abs(synthesis) @ np.abs(coeffs))
         mult = eigs.astype(LD)
         assert _within(grid.apply_multiplier(v, eigs), synthesis @ (mult * coeffs),
                        np.abs(synthesis) @ (mult * (np.abs(coeffs) + c_scale)))
@@ -420,12 +428,13 @@ def test_slice_bit_budget_makes_leading_products_exact():
 
 
 @pytest.mark.parametrize("size", [97, 256])
-def test_tables_take_24_n_squared_bytes(size):
+def test_tables_take_16_n_squared_bytes(size):
     grid = make_grid(4, size)
-    grid.differentiate(np.ones(size))  # builds the derivative table too
-    tables = (grid._analysis, grid._synthesis, grid._derivative)
+    grid.differentiate(grid.nodes)
+    # every table the grid holds, including any a transform may have added
+    tables = [t for t in vars(grid).values() if isinstance(t, zonal._Table)]
     used = sum(t.halves.nbytes + t.col_scale.nbytes for t in tables)
-    assert used <= 24 * size**2 + 128 * size
+    assert used <= 16 * size**2 + 128 * size
 
 
 @pytest.mark.parametrize("n", [4, 104])
