@@ -54,9 +54,14 @@ class ProfileParams:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not (0.0 < self.epsilon < math.pi / 2.0):
-            raise ValueError("epsilon must lie in (0, pi/2) so the support fits a hemisphere")
+        check_cap_half_width(self.epsilon)
         check_dimension(self.n)
+
+
+def check_cap_half_width(epsilon: float) -> None:
+    """Raise ValueError unless 0 < epsilon < pi/2 (``ProfileParams.epsilon``)."""
+    if not (0.0 < epsilon < math.pi / 2.0):
+        raise ValueError("epsilon must lie in (0, pi/2) so the support fits a hemisphere")
 
 
 def bubble_profile(alpha: float, r, n: int):

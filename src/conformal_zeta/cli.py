@@ -4,10 +4,10 @@ Subcommands: constants, zeta, trace, functional, optimize, sweep, rates,
 suite.  Structured output is JSON on stdout (17-significant-digit floats via
 shortest repr), serialized in full before anything is written; sweeps write
 CSV.  Exit codes: 0 success, 1 check failure, 2 usage error (including a
-non-finite float flag, a grid size outside 16..2048 nodes, an odd dimension
-or one outside 4..104, more than 1024 sweep scales, and an input that
-overflows a float), 3 numerical-consistency error or non-finite optimizer
-state.
+numeric flag out of range, a grid size outside 16..2048 nodes, an odd
+dimension or one outside 4..104, more than 1024 sweep scales, and an input
+that overflows a float), 3 numerical-consistency error or non-finite
+optimizer state.
 
 Each command imports only the modules it runs, inside its own branch of
 ``run``: ``constants`` and ``zeta`` compute in exact rational arithmetic in a
@@ -34,6 +34,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# The ranges of the numeric flags, each refused as a usage error naming it
+# before any grid is built; --epsilon follows ``bubbles.check_cap_half_width``.
+_FLAG_RANGES = {
+    "k": ("a finite number", math.isfinite),
+    "tol": ("a finite positive number", lambda value: 0 < value < math.inf),
+    "cap": ("a finite positive number", lambda value: 0 < value < math.inf),
+    "seed": ("a non-negative integer", lambda value: value >= 0),
+}
 
 # Largest sweep: the M bubbles go through the mass functional as one (M, N)
 # stack, about 250 kB a bubble at N = 2048.  A 1024-scale sweep at N = 2048
@@ -138,10 +147,10 @@ def _background(args):
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag in ("k", "cap", "epsilon", "tol"):
+    for flag, (expected, holds) in _FLAG_RANGES.items():
         value = getattr(args, flag, None)
-        if value is not None and not math.isfinite(value):
-            raise SchemaError("expected a finite number", f"--{flag}")
+        if value is not None and not holds(value):
+            raise SchemaError(f"expected {expected}, got {value}", f"--{flag}")
 
     if args.command == "constants":
         _emit(asdict(dim_params(args.n, args.variant)))
@@ -178,6 +187,10 @@ def run(argv=None) -> int:
         from . import bubbles, fieldio
 
         alphas = _parse_alphas(args.alphas)
+        try:
+            bubbles.check_cap_half_width(args.epsilon)
+        except ValueError as exc:
+            raise SchemaError(str(exc), "--epsilon") from exc
         bg = _background(args)
         try:
             rows = bubbles.concentration_sweep(alphas, args.epsilon, bg)

@@ -474,6 +474,29 @@ def test_dimension_above_bound_is_usage_error(capsys, tmp_path, refuse_grid_buil
     assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--n", "4", "--tol", "0"],
+    ["optimize", "--n", "4", "--tol", "-1"],
+    ["optimize", "--n", "4", "--seed", "-1"],
+    ["rates", "--n", "6", "--k", "0", "--cap", "0"],
+    ["rates", "--n", "6", "--k", "0", "--cap", "-1"],
+    ["sweep", "--n", "4", "--grid-n", "2048", "--alphas", "0.05:0.3:3", "--epsilon", "2"],
+    ["sweep", "--n", "4", "--grid-n", "2048", "--alphas", "0.05:0.3:3", "--epsilon", "0"],
+], ids=["tol0", "tol-1", "seed-1", "cap0", "cap-1", "epsilon2", "epsilon0"])
+def test_out_of_range_flag_is_usage_error_before_any_grid(capsys, tmp_path, fresh_grid_memo,
+                                                          refuse_grid_build, argv):
+    flag = argv[-2]
+    out_path = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
 # --- bounded fuzz of the argument grammar ------------------------------------
 
 # repeated entries weight the draws toward n=4, N=32 runs that match the field files

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,19 @@ def test_tables_take_16_n_squared_bytes(size):
     tables = [t for t in vars(grid).values() if isinstance(t, zonal._Table)]
     used = sum(t.halves.nbytes + t.col_scale.nbytes for t in tables)
     assert used <= 16 * size**2 + 128 * size
+
+
+def test_grid_build_peaks_below_28_5_n_squared_bytes():
+    # at the analysis split the (N, K) longdouble basis and both tables are
+    # alive, 24 N^2 bytes, plus the split's one T_0-sized rounding buffer
+    size = 1024
+    tracemalloc.start()
+    try:
+        zonal.ZonalGrid(4, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28.5 * size**2
 
 
 @pytest.mark.parametrize("n", [4, 104])
