@@ -41,10 +41,10 @@ _PHI_AMPLITUDE = 0.3
 _F_AMPLITUDE = 0.5
 
 # Seeded fields go through the kernel as stacks of this many, one kernel
-# product (two GEMMs per parity block) per transform per stack.  At N=256 a
-# transform's temporaries peak at about 24-29 KB per field, and a synthesis of
-# the Sobolev fields' 49 degrees at 13 KB; the conformal-law producers keep
-# more of them alive at once.
+# product (one GEMM per parity block) per transform per stack.  At N=256 a
+# transform's allocations, its result included, peak at about 8-16 KB per
+# field, and a synthesis of the Sobolev fields' 49 degrees at 6 KB; the
+# conformal-law producers keep more of them alive at once.
 _SOBOLEV_STACK = 50
 _LAW_STACK = 25
 

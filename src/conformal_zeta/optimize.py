@@ -53,9 +53,9 @@ for the suite's lone bump start and 20-21 ms against 17-18 ms for its 10-seed
 stack (N = 256, 2-vCPU x86-64, minimum of 30 calls).
 
 A stacked row agrees with the same start run alone within float64 rounding,
-not bit for bit: the kernel sums the remainder column of a wider GEMM in
-another order (see ``zonal``), and the (B, N) reductions of a stack use
-another BLAS kernel than the dot product of one field.  Near a stopping test
+not bit for bit: BLAS may sum a row of the kernel's wider GEMM in another
+order than a lone field's product (see ``zonal``), and the (B, N) reductions
+of a stack use another BLAS kernel than the dot product of one field.  Near a stopping test
 that can move a row's step counts by a few.
 
 P is applied through ``laws.p_operator_apply`` and A^{-1} through

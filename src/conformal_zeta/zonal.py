@@ -7,17 +7,14 @@ with alpha = beta = (n-2)/2 integrate it exactly, and the Gegenbauer family
 C_l^{(n-1)/2} diagonalizes the Laplace-Beltrami operator with eigenvalues
 l(l+n-1).
 
-The basis tables are built in longdouble, and each transform gets that
-accuracy from float64 BLAS products by error-free splitting (Ozaki, Ogita,
-Oishi and Rump, Numer. Algorithms 59, 2012).  The registered checks pass
-without it: one float64 GEMM per block against T_0 + T_1 gave
-``covariance_yamabe`` 2.65e-10, 1.83e-10 and 3.02e-10 at N = 256, 512 and
-1024, against 2.49e-10 with the split at N = 256 and a 1e-8 gate.  The split
-keeps the extended-precision contract that these tests pin, and whether that
-stays is open: test_kernel_matches_longdouble_reference,
-test_single_value_round_trips, test_stacked_transforms_match_row_by_row,
-test_coefficient_form_is_the_grid_form and
-test_sobolev_gap_of_a_stack_matches_per_field.
+The basis tables are built in longdouble and rounded once to float64, and
+each transform is one float64 BLAS product per parity block.  That is enough:
+every registered check passes at N = 256, 512 and 1024 (``covariance_yamabe``
+2.65e-10, 1.83e-10 and 3.02e-10 against a 1e-8 gate), and the tests bound
+each product by 8 float64 eps of |T| |v| against a longdouble reference.
+So the products do not depend on the platform's long double, which is
+80-bit on x86-64 Linux but plain float64 elsewhere; the grid build and the
+coefficient sums still use it.
 
 The nodes start from the Golub-Welsch eigenvalue problem (Golub and Welsch,
 Math. Comp. 23, 1969) in float64 and are then polished to longdouble accuracy
@@ -45,7 +42,7 @@ values at y_j and at -y_j:
 * synthesis: with E and O the sums over the even and the odd degrees at y_j,
   the field is E + O at y_j and E - O at -y_j.
 
-The recurrence, the weights, the norms and the splits all run on the K
+The recurrence, the weights, the norms and the tables all run on the K
 nonnegative nodes; ``nodes`` and ``weights`` are mirrored copies.  The grid
 holds two tables, analysis and synthesis, both built with it.
 
@@ -57,47 +54,37 @@ orthonormal coefficients b_l = 2 (l+lam) h_l sum_{j = l+1, l+3, ...} c_j / h_j:
 two suffix sums, one per parity, in longdouble.  ``differentiate`` is the
 analysis, this map, and a synthesis.
 
-Each transform is split as follows:
+Each transform is one kernel product:
 
-* at build time each table T is scaled by powers of two, per input (a node
-  pair or a degree), and split per output as T = T_0 + T_1: T_0 holds
-  integers of at most _TABLE_BITS bits on a grid set by the output's largest
-  entry, T_1 the float64 remainder, below 2^-_TABLE_BITS of that entry.  A
-  node pair has one scale (as an input) or one grid (as an output) in both
-  blocks;
-* each input vector v, scaled to max |v| < 1, is split as v = d + w the same
-  way: d holds integers of at most _VECTOR_BITS bits on the grid
-  2^-_VECTOR_BITS, w the remainder.  The analysis then folds d, w and v over
-  the node pairs; d_P +- d_M stays exact, an integer of _VECTOR_BITS + 1 bits
-  on the same grid;
-* per block, one batched GEMM of d with T_0 gives T_0 d, which is exact in
-  float64 because _TABLE_BITS + _VECTOR_BITS + 1 + log2(N/2) <= 52, and a
-  second, of [w | v] with [T_0 ; T_1], gives T_0 w + T_1 v, which is at most
-  2^-20 of |T| |v|, so its float64 roundoff stays below the longdouble
-  roundoff of the whole product.  The lead never meets T_1.  A synthesis
-  whose coefficients are zero from degree L on, in every row of a stack,
-  reads only the table rows of its first ceil(L/2) degree pairs (the degree
-  truncation of fast transforms), so a band-limited field's L < N
+* at build time the (N, K) longdouble basis is rounded once into the table's
+  two K x K float64 blocks, one per parity;
+* each input row is rounded to float64 and scaled by its own power of two
+  2^-e, which brings its largest value to [1/2, 1), so that a field near the
+  float range does not overflow inside the GEMM; the product is 2^e times
+  the GEMM's;
+* the analysis folds the node pairs, the synthesis sorts the degrees by
+  parity, and each block takes one GEMM of the rows;
+* a synthesis whose coefficients are zero from degree L on, in every row of
+  a stack, reads only the table rows of its first ceil(L/2) degree pairs (the
+  degree truncation of fast transforms), so a band-limited field's L < N
   coefficients and the zero tail the analysis filter leaves cost nothing.
-  Those rows are copied out of the table, which pays while they are at most
-  a third of it: past that, a single field's product ran slower than over
-  the whole table at N = 256 and 1024.  A synthesis adds the two blocks'
-  leads at each node pair, which is exact too: both lie on the pair's grid,
-  at most 2^51 units each;
-* ``analyze`` adds the two products in longdouble, in O(N); a synthesis
-  product (``synthesize_ld``, and the last step of ``apply_multiplier`` and
-  ``differentiate``) adds them in float64, since it returns float64 values.
+  The rows are a view of each block.  The cut is taken while they are at
+  most a third of the table: a cut past that would still pay, but it sums
+  the GEMM in another order than the full table does, and the suite's bump
+  optimizer then stops at another point (constant-mass deviation 9.6e-8, no
+  polish step, against 7.0e-9 after one);
+* ``analyze`` widens the product to longdouble before it scales it back, so
+  the coefficient sums of the callers (the spectral forms, the derivative's
+  suffix sums, the multipliers) run in longdouble; a synthesis
+  (``synthesize_ld``, and the last step of ``apply_multiplier`` and
+  ``differentiate``) returns float64 values.
 
 A stack of B fields on one grid, values of shape (B, N), goes through the same
-code as one field: every row gets its own exponent e, its own split and its own
-filter floor, and the B rows become the rows of both GEMMs of each block.  A
-single field, (N,) or (1, N), is the B = 1 case: it runs as one GEMM per
-block of its rows [w | v] and [d | 0].  BLAS would sum a one-row product (a
-GEMV) in another order than a row of a stack's GEMM, and at one row the
-cost is the table's memory traffic, which one GEMM pays once.  The leading
-products are exact either way, but BLAS may sum the remainder column in
-another order inside a wider GEMM, so a stacked result agrees with the
-per-field one within float64 rounding, not bit for bit.
+code as one field: every row gets its own exponent e and its own filter
+floor, and the B rows become the rows of each block's GEMM.  A single field,
+(N,) or (1, N), is the stack of one.  BLAS may sum a one-row product in
+another order than a row of a wider GEMM, so a stacked result agrees with
+the per-field one within float64 rounding, not bit for bit.
 
 Field values exposed to callers are plain float64.
 
@@ -132,29 +119,20 @@ _LD = np.longdouble
 _FILTER_FLOOR = 2.0**-53
 
 MIN_GRID_SIZE = 16
-# The grid holds two tables, each as two parity blocks of two K x K float64
-# halves, K = ceil(N/2): 16 N^2 bytes, 17 MB at N=1024 and 67 MB at N=2048.
-# Building the grid peaks at 28.2 N^2 bytes of traced allocations at N = 1024
-# and 2048: the longdouble basis, both tables and one rounding buffer of the
-# split.  No transform allocates a table after that.  Larger sizes are
-# refused, and the bit budget below is sized for this bound.
+# The grid holds two tables, each as two K x K float64 parity blocks,
+# K = ceil(N/2): 8 N^2 bytes, 8.4 MB at N=1024 and 34 MB at N=2048.  Building
+# the grid peaks at 16.2 N^2 bytes of traced allocations at N = 1024 and 16.1
+# at 2048: two (N, K) longdouble arrays, the basis and its scaled copy for the
+# weights, then the basis and both tables.  No transform allocates a table
+# after that.  Larger sizes are refused.
 MAX_GRID_SIZE = 2048
 # ``make_grid`` keeps the grids of this many (n, N), the least recently used
 # evicted first: a suite run needs two, a CLI command one.  Grids of more than
 # _GRID_MEMO_MAX_NODES nodes are built afresh on each call, since a kept grid
-# holds on to its 16 N^2 bytes of tables and, with glibc's allocator, to
-# freed build temporaries beside them: one N = 1024 grid keeps 21 MB resident
-# for 17 MB of tables, one N = 2048 grid 82 MB for 67 MB.
+# holds on to its 8 N^2 bytes of tables: one N = 1024 grid keeps 8.8 MB
+# resident, one N = 2048 grid 35 MB, the tables alone.
 _GRID_MEMO_SIZE = 4
 _GRID_MEMO_MAX_NODES = 512
-
-# Widths of the error-free leading parts: the N/2 <= MAX_GRID_SIZE/2 products of
-# a _TABLE_BITS-bit integer and a folded (_VECTOR_BITS + 1)-bit one sum
-# exactly in float64, since
-# _TABLE_BITS + _VECTOR_BITS + 1 + ceil(log2(MAX_GRID_SIZE / 2)) <= 52.
-_TABLE_BITS = 21
-_VECTOR_BITS = 20
-
 
 def _gegenbauer_rows(x: np.ndarray, lam, rows: int):
     """Yield C_l^lam(x) for l = 0..rows-1 via the three-term recurrence (longdouble).
@@ -239,10 +217,9 @@ def _by_parity(rows: np.ndarray, pairs: int) -> np.ndarray:
 
 
 class _Table(NamedTuple):
-    """A spectral table in parity blocks, split for the kernel (``_split_table``)."""
+    """A spectral table in parity blocks (``_split_table``)."""
 
-    halves: np.ndarray  # (2, 2K, K): block p is [T_0 ; T_1], input-major
-    col_scale: np.ndarray  # (N,) the inputs' powers of two, in input order
+    blocks: np.ndarray  # (2, K, K): block p, input-major
     nodes_in: bool  # inputs are nodes (analysis), else degrees (synthesis)
 
 
@@ -252,47 +229,19 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _split_table(basis: np.ndarray, size: int, nodes_in: bool) -> _Table:
-    """The (N, K) longdouble ``basis`` (degrees by nonnegative nodes) split
-    into float64 halves [T_0 ; T_1] per parity block, input-major: entry
-    [p, i, o] carries input i to output o in block p.  Block p holds the rows
-    basis[p::2] as they are (synthesis, degree inputs) or transposed
-    (analysis, node inputs); an odd N leaves the odd block's last degree zero.
-
-    Each input is scaled by the power of two that brings its largest entry to
-    [1/2, 1).  Output o of T_0 is the scaled entries rounded to the grid
-    2^(E_o - _TABLE_BITS), where max |entry| <= 2^E_o; T_1 is the rest, good
-    to 2^(E_o - 74).  A node pair has one scale (as an input) or one grid (as
-    an output) across both blocks, which keeps the fold exact; each degree has
-    its own.  The exact float64 pairs hi + lo of the entries go straight into
-    the T_0 and T_1 slots, so the split runs in float64 and copies no table.
+def _split_table(basis: np.ndarray, nodes_in: bool) -> _Table:
+    """The (N, K) longdouble ``basis`` (degrees by nonnegative nodes), rounded
+    once to float64 parity blocks, input-major: entry [p, i, o] carries input
+    i to output o in block p.  Block p holds the rows basis[p::2] as they are
+    (synthesis, degree inputs) or transposed (analysis, node inputs); an odd N
+    leaves the odd block's last degree zero.
     """
     half = basis.shape[1]
-    halves = np.zeros((2, 2 * half, half))
-    t0, t1 = halves[:, :half], halves[:, half:]
-    # hi = fl(T) in T_0's slot and lo = fl(T - hi) in T_1's
-    hi, lo = (t0.transpose(0, 2, 1), t1.transpose(0, 2, 1)) if nodes_in else (t0, t1)
-    for hi_p, lo_p, rows in zip(hi, lo, (basis[0::2], basis[1::2])):
-        hi_p[: len(rows)] = rows
-        np.subtract(rows, hi_p[: len(rows)], out=lo_p[: len(rows)], casting="same_kind")
-    in_axes, out_axes = ((0, 2), 1) if nodes_in else (2, (0, 1))
-    _, exp = np.frexp(np.maximum(t0.max(axis=in_axes, keepdims=True),
-                                 -t0.min(axis=in_axes, keepdims=True)))
-    scale = np.ldexp(1.0, exp)
-    t0 /= scale
-    t1 /= scale
-    _, exp = np.frexp(np.maximum(t0.max(axis=out_axes, keepdims=True),
-                                 -t0.min(axis=out_axes, keepdims=True)))
-    unit = np.ldexp(1.0, exp - _TABLE_BITS)
-    rounded = t0 / unit
-    np.rint(rounded, out=rounded)
-    rounded *= unit
-    # hi - T_0 is exact (both lie on hi's grid); lo lies below hi's last bit
-    t1 += np.subtract(t0, rounded, out=t0)
-    t0[...] = rounded
-    # the inputs' scales in node order (mirrored) or degree order (interleaved)
-    scale = _mirror(scale.ravel(), size) if nodes_in else scale[..., 0].T.ravel()[:size]
-    return _Table(_read_only(halves), _read_only(scale), nodes_in)
+    blocks = np.zeros((2, half, half))
+    by_degree = blocks.transpose(0, 2, 1) if nodes_in else blocks
+    for block, rows in zip(by_degree, (basis[0::2], basis[1::2])):
+        block[: len(rows)] = rows
+    return _Table(_read_only(blocks), nodes_in)
 
 
 class ZonalGrid:
@@ -345,9 +294,9 @@ class ZonalGrid:
         norms = np.sqrt(2 * (np.multiply(basis, basis, out=work) @ pair_w))
         del work
         basis /= norms[:, None]
-        self._synthesis = _split_table(basis, size, nodes_in=False)
+        self._synthesis = _split_table(basis, nodes_in=False)
         basis *= pair_w
-        self._analysis = _split_table(basis, size, nodes_in=True)
+        self._analysis = _split_table(basis, nodes_in=True)
         # the norms h_l and the factors 2 (l+lam) h_l of ``differentiate``
         self._norms = _read_only(norms)
         self._deriv_scale = _read_only(2 * (ells + lam) * norms)
@@ -371,89 +320,54 @@ class ZonalGrid:
 
     # -- spectral kernel --------------------------------------------------------
 
-    def _product(self, table: _Table, vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``table @ vec`` as 2^e (lead + rest): ``lead`` = T_0 d exactly, ``rest`` the
-        float64 product of the parts, at most 2^-20 of |T| |vec| (module docstring).
+    def _product(self, table: _Table, vec) -> tuple[np.ndarray, np.ndarray]:
+        """``table @ vec`` as (p, e), the product being 2^e p: p is the float64
+        product of the input scaled by 2^-e (module docstring).
 
-        ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble;
-        each row enters as its exact float64 pair, scaled by the table's input
-        powers of two and then by its own 2^-e.  A synthesis also takes
-        L < N coefficients, (L,) or (B, L), and reads only the table rows of
-        the degree pairs up to the last nonzero coefficient of any row, while
-        they are at most a third of the table.  ``lead`` and ``rest`` have N
-        values per row; ``e`` broadcasts against them.  For a stack, each
-        parity block p takes two batched GEMMs over the fields: d_p with T_0,
-        and [w_p | hi_p] with [T_0 ; T_1].  A lone field takes one, of its
-        rows [w_p | hi_p] and [d_p | 0] (module docstring).
+        ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble,
+        rounded to float64; each row has its own e, which brings its largest
+        value to [1/2, 1).  A synthesis also takes L < N coefficients, (L,) or
+        (B, L), and reads only the table rows of the degree pairs up to the
+        last nonzero coefficient of any row, while they are at most a third
+        of the table.  Each parity block takes one GEMM of the folded (an
+        analysis) or parity-sorted (a synthesis) rows; a lone field is a
+        stack of one.  ``p`` has N values per row, and ``e`` broadcasts
+        against it.
         """
-        halves, col_scale, nodes_in = table
+        blocks, nodes_in = table
         vec = np.asarray(vec)
-        n, k = self.size, halves.shape[-1]
-        rows = vec.reshape(-1, vec.shape[-1])
-        hi = rows.astype(float)
-        # the low half of the pair; zero, and skipped, for float64 input
-        lo = (rows - hi).astype(float) if rows.dtype != hi.dtype else None
-        pairs = k
-        if not nodes_in and not hi[:, 2 * (k // 3):].any():
-            # every row is zero past the first third of the degree pairs (lo
-            # is zero where hi is): read the pairs up to the last nonzero
-            # coefficient alone, their table rows copied out below (module
-            # docstring)
-            nonzero = np.flatnonzero(hi.any(axis=0))
-            pairs = (nonzero[-1] + 2) // 2 if nonzero.size else 1
-            hi = hi[:, : 2 * pairs]
-            lo = None if lo is None else lo[:, : 2 * pairs]
-        b, size = hi.shape
-        hi *= col_scale[:size]
-        if lo is not None:
-            lo *= col_scale[:size]
-        e = np.frexp(np.abs(hi).max(axis=-1, keepdims=True))[1]
-        # per block and field, the GEMM rows [w_p | hi_p] and d_p (a lone field: [d_p | 0])
-        parts = np.empty((2, b, 3 + (b == 1), pairs))
+        n, k = self.size, blocks.shape[-1]
+        rows = vec.reshape(-1, vec.shape[-1]).astype(float, copy=False)
+        e = np.frexp(np.abs(rows).max(axis=-1, keepdims=True))[1]
         if nodes_in:
-            # split in node order, then fold the node pairs
-            x = np.empty((b, 3, n))
+            # fold the node pairs: y_j and its mirror
+            x = np.ldexp(rows, -e)
+            pos, neg = x[:, n - k:], x[:, k - 1::-1]
+            parts = np.empty((2,) + pos.shape)
+            np.add(pos, neg, out=parts[0])
+            np.subtract(pos, neg, out=parts[1])
         else:
-            # sort the degrees by parity first; the split is elementwise
-            hi = _by_parity(hi, pairs)
-            lo = None if lo is None else _by_parity(lo, pairs)
-            x = parts[:, :, :3]
-        w, h, d = x[..., 0, :], x[..., 1, :], x[..., 2, :]
-        np.ldexp(hi, -e, out=h)
-        # d: h on the grid 2^-_VECTOR_BITS (exact); w: the rest
-        np.divide(np.rint(h * 2.0**_VECTOR_BITS), 2.0**_VECTOR_BITS, out=d)
-        np.subtract(h, d, out=w)
-        if lo is not None:
-            w += np.ldexp(lo, -e)
-        if nodes_in:
-            # node y_j and its mirror share a scale, so d_P +- d_M is exact
-            pos, neg = x[..., n - k:], x[..., k - 1::-1]
-            np.add(pos, neg, out=parts[0, :, :3])
-            np.subtract(pos, neg, out=parts[1, :, :3])
-        if pairs < k:
-            # the rows of T_0 and T_1 for the first ``pairs`` degree pairs
-            halves = np.concatenate((halves[:, :pairs], halves[:, k:k + pairs]), axis=1)
-        out = np.empty((2, 2, b, k))  # block, (rest, lead), field, output
-        if b > 1:
-            np.matmul(parts[:, :, :2].reshape(2, b, 2 * pairs), halves, out=out[:, 0])
-            np.matmul(parts[:, :, 2], halves[:, :pairs], out=out[:, 1])
-        else:
-            parts[..., 3, :] = 0.0
-            np.matmul(parts.reshape(2, 2, 2 * pairs), halves, out=out.reshape(2, 2, k))
+            # read the degree pairs up to the last nonzero coefficient alone,
+            # while they are at most a third of the table (module docstring)
+            pairs = k
+            if not rows[:, 2 * (k // 3):].any():
+                nonzero = np.flatnonzero(rows.any(axis=0))
+                pairs = (nonzero[-1] + 2) // 2 if nonzero.size else 1
+            parts = np.ldexp(_by_parity(rows[:, : 2 * pairs], pairs), -e)
+            blocks = blocks[:, :pairs]
+        out = parts @ blocks  # block, field, output
         if nodes_in:
             # block p holds the degrees of parity p: interleave them
-            res = out.transpose(1, 2, 3, 0).reshape(2, b, 2 * k)[..., :n]
+            res = out.transpose(1, 2, 0).reshape(-1, 2 * k)[:, :n]
         else:
             # the blocks give the even and the odd part of the output: their
-            # sum at y_j, their difference at -y_j.  Both leads lie on the
-            # node's grid, so these sums are exact
+            # sum at y_j, their difference at -y_j
             even_fn, odd_fn = out
-            res = np.empty((2, b, n))
-            np.subtract(even_fn, odd_fn, out=res[..., k - 1::-1])
-            np.add(even_fn, odd_fn, out=res[..., n - k:])
+            res = np.empty((rows.shape[0], n))
+            np.subtract(even_fn, odd_fn, out=res[:, k - 1::-1])
+            np.add(even_fn, odd_fn, out=res[:, n - k:])
         shape = vec.shape[:-1]
-        rest, lead = res.reshape((2,) + shape + (n,))
-        return lead, rest, e.reshape(shape + (1,))
+        return res.reshape(shape + (n,)), e.reshape(shape + (1,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
@@ -461,22 +375,21 @@ class ZonalGrid:
         ``values`` is one field (N,) or a stack (B, N).  Coefficients at the
         quadrature-roundoff level of their own row are zeroed (see _FILTER_FLOOR).
         """
-        lead, rest, e = self._product(self._analysis, values)
-        coeffs = lead.astype(_LD)
-        coeffs += rest
+        scaled, e = self._product(self._analysis, values)
+        # widened before the scale, so no coefficient leaves the range
+        coeffs = scaled.astype(_LD)
         coeffs *= np.ldexp(_LD(1), e)
-        # the filter is scale-free, so it runs on the float64 sum before scaling;
-        # each row's norm is its own dot product s @ s, as for a single field
-        # (a stack of 1 x N by N x 1 products; an einsum would sum in another
+        # the filter is scale-free, so it runs on the scaled product; each
+        # row's norm is its own dot product s @ s, as for a single field (a
+        # stack of 1 x N by N x 1 products; an einsum would sum in another
         # order and move filter decisions)
-        scaled = lead + rest
         norms = np.sqrt(scaled[..., None, :] @ scaled[..., None]).reshape(np.shape(e))
         coeffs[np.abs(scaled) <= _FILTER_FLOOR * norms] = 0.0
         return coeffs
 
     def _synthesize(self, coeffs) -> np.ndarray:
-        lead, rest, e = self._product(self._synthesis, coeffs)
-        return np.ldexp(lead + rest, e)
+        scaled, e = self._product(self._synthesis, coeffs)
+        return np.ldexp(scaled, e)
 
     def synthesize_ld(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the orthonormal coefficients ``coeffs``, (L,) or

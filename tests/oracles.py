@@ -5,9 +5,11 @@ differences for the Laplacian, exact rational Bernoulli arithmetic for
 continued lattice sums, Beta-function moments for quadrature (complete, in
 exact rational form, and incomplete, as mpmath's hypergeometric series), plain
 head-plus-integral summation for convergent Dirichlet series, and mpmath's
-digamma for the Laurent constant of the Hurwitz zeta.
+digamma for the Laurent constant of the Hurwitz zeta.  The spectral kernel's
+reference is its tables built whole and multiplied in longdouble.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -194,3 +196,45 @@ def radial_moment_reference(m: float, q: float, top: float) -> float:
         m, q, top = mpmath.mpf(m), mpmath.mpf(q), mpmath.mpf(top)
         a = (m + 1) / 2
         return float(mpmath.betainc(a, q - a, 0, top * top / (1 + top * top)) / 2)
+
+
+# -- dense longdouble tables of the spectral kernel ---------------------------
+
+@functools.lru_cache(maxsize=None)
+def kernel_reference_tables(n: int, size: int):
+    """The grid's analysis, synthesis and derivative tables as dense longdouble
+    matrices, built directly from the three-term recurrence.
+
+    This uses the package's recurrence (``zonal._gegenbauer_table``) and
+    ``params.sphere_volume``, but none of the kernel's own paths: scipy's
+    nodes polished by four Newton steps, whole (N, N) tables with no parity
+    fold, and longdouble products.  Read-only, since calls share them.
+    """
+    from scipy.special import roots_jacobi
+
+    from conformal_zeta.params import sphere_volume
+    from conformal_zeta.zonal import _gegenbauer_table
+
+    LD = np.longdouble
+    lam = LD(n - 1) / 2
+    x = roots_jacobi(size, (n - 2) / 2.0, (n - 2) / 2.0)[0].astype(LD)
+    for _ in range(4):
+        val = _gegenbauer_table(x, lam, size + 1)[size]
+        der = 2 * lam * _gegenbauer_table(x, lam + 1, size)[size - 1]
+        x = x - val / der
+    ells = np.arange(size, dtype=LD)
+    q = np.ones(size, dtype=LD)
+    for j in range(1, n - 1):
+        q *= ells + j
+    q /= ells + lam
+    table = _gegenbauer_table(x, lam, size)
+    w = 1.0 / np.square(table / np.sqrt(q)[:, None]).sum(axis=0)
+    w *= LD(sphere_volume(n)) / w.sum()
+    norms = np.sqrt((table * table) @ w)
+    basis = table / norms[:, None]
+    deriv = np.zeros((size, size), dtype=LD)
+    deriv[1:] = 2 * lam * _gegenbauer_table(x, lam + 1, size - 1) / norms[1:, None]
+    tables = (basis * w, basis.T, deriv.T)
+    for t in tables:
+        t.flags.writeable = False
+    return tables

@@ -13,12 +13,11 @@ from scipy.special import roots_jacobi
 from conformal_zeta import zonal
 from conformal_zeta.errors import GridMismatchError
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import (_FILTER_FLOOR, _TABLE_BITS, _VECTOR_BITS, MAX_GRID_SIZE,
-                                  ZonalField, _gauss_nodes, _gegenbauer_table, _jacobi_nodes,
-                                  _newton_step, constant_field, gradient_pairing, integrate,
-                                  inner, laplacian, lp_norm, make_grid, random_band_limited,
-                                  random_zonal, synthesize)
-from oracles import fd_laplacian, zonal_moment
+from conformal_zeta.zonal import (_FILTER_FLOOR, ZonalField, _gauss_nodes, _gegenbauer_table,
+                                  _jacobi_nodes, _newton_step, constant_field, gradient_pairing,
+                                  integrate, inner, laplacian, lp_norm, make_grid,
+                                  random_band_limited, random_zonal, synthesize)
+from oracles import fd_laplacian, kernel_reference_tables, zonal_moment
 
 
 def test_grid_invariants(grid4):
@@ -108,7 +107,7 @@ def test_grid_arrays_are_read_only():
     tables = (grid._analysis, grid._synthesis)
     arrays = [grid.nodes, grid.weights, grid._norms, grid._deriv_scale,
               grid.laplacian_eigenvalues]
-    arrays += [a for t in tables for a in (t.halves, t.col_scale)]
+    arrays += [t.blocks for t in tables]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -322,34 +321,10 @@ def test_monotone_on_nonnegative(grid4):
     assert integrate(f) > 0
 
 
-# -- the sliced float64 kernel against a longdouble reference ------------------
+# -- the float64 kernel against a longdouble reference ------------------------
 
 LD = np.longdouble
-EPS_LD = float(np.finfo(LD).eps)
-
-
-def _reference_tables(n, size):
-    """The grid's analysis, synthesis and derivative tables as dense longdouble
-    matrices, built directly from the three-term recurrence."""
-    lam = LD(n - 1) / 2
-    x = roots_jacobi(size, (n - 2) / 2.0, (n - 2) / 2.0)[0].astype(LD)
-    for _ in range(4):
-        val = _gegenbauer_table(x, lam, size + 1)[size]
-        der = 2 * lam * _gegenbauer_table(x, lam + 1, size)[size - 1]
-        x = x - val / der
-    ells = np.arange(size, dtype=LD)
-    q = np.ones(size, dtype=LD)
-    for j in range(1, n - 1):
-        q *= ells + j
-    q /= ells + lam
-    table = _gegenbauer_table(x, lam, size)
-    w = 1.0 / np.square(table / np.sqrt(q)[:, None]).sum(axis=0)
-    w *= LD(sphere_volume(n)) / w.sum()
-    norms = np.sqrt((table * table) @ w)
-    basis = table / norms[:, None]
-    deriv = np.zeros((size, size), dtype=LD)
-    deriv[1:] = 2 * lam * _gegenbauer_table(x, lam + 1, size - 1) / norms[1:, None]
-    return basis * w, basis.T, deriv.T
+EPS64 = float(np.finfo(float).eps)
 
 
 def _filtered(coeffs):
@@ -364,15 +339,16 @@ def test_filter_floor_is_1024_eps_of_the_80_bit_long_double():
 
 
 def _within(got, want, scale, k=8.0):
-    """|got - want| <= k eps_ld max(scale), plus float64 rounding of a float64 result."""
+    """|got - want| <= k eps64 max(scale), plus float64 rounding of a float64
+    result: the kernel multiplies in float64."""
     err = np.abs(np.asarray(got, dtype=LD) - np.asarray(want, dtype=LD))
     rounding = np.spacing(np.abs(np.asarray(want, dtype=float))) if got.dtype == float else 0.0
-    return bool(np.all(err <= k * EPS_LD * np.max(scale) + rounding))
+    return bool(np.all(err <= k * EPS64 * np.max(scale) + rounding))
 
 
 def _check_kernel_against_reference(n, size):
     grid = make_grid(n, size)
-    analysis, synthesis, derivative = _reference_tables(n, size)
+    analysis, synthesis, derivative = kernel_reference_tables(n, size)
     eigs = grid.laplacian_eigenvalues
     # two smooth fields, and white noise: every degree is nonzero, so the
     # derivative's suffix sums run over all of them
@@ -384,10 +360,9 @@ def _check_kernel_against_reference(n, size):
         c_scale = np.abs(analysis) @ np.abs(vl)
         assert _within(grid.analyze(v), coeffs, c_scale)
         if v is not white:
-            # the bare synthesis of white coefficients is off the reference
-            # by up to 22 eps_ld of its scale (n = 104, N = 256), at the
-            # reference's own limit past about degree 96, so only the smooth
-            # fields check it
+            # the reference's own synthesis of white coefficients is at its
+            # limit past about degree 96 (22 eps_ld of its scale at n = 104,
+            # N = 256), so only the smooth fields check it
             assert _within(grid.synthesize_ld(coeffs), synthesis @ coeffs,
                            np.abs(synthesis) @ np.abs(coeffs))
         mult = eigs.astype(LD)
@@ -404,43 +379,21 @@ def test_kernel_matches_longdouble_reference(n):
         _check_kernel_against_reference(n, size)
 
 
-def test_slice_bit_budget_makes_leading_products_exact():
-    # the analysis folds each node pair, d_P + d_M, into one integer of
-    # _VECTOR_BITS + 1 bits, and sums MAX_GRID_SIZE / 2 products of them
-    half = MAX_GRID_SIZE // 2
-    assert _TABLE_BITS + (_VECTOR_BITS + 1) + math.ceil(math.log2(half)) <= 52
-    rng = np.random.default_rng(3)
-    # worst case: every entry at its largest magnitude, signs random
-    row = rng.choice([-1, 1], half) * 2**_TABLE_BITS
-    for vec in (row // 2**(_TABLE_BITS - _VECTOR_BITS - 1),  # every product positive
-                rng.choice([-1, 1], half) * 2**(_VECTOR_BITS + 1)):
-        exact = sum(int(a) * int(b) for a, b in zip(row, vec))
-        # on their grids, as the kernel holds them
-        got = np.ldexp(row, -40).astype(float) @ np.ldexp(vec, -_VECTOR_BITS).astype(float)
-        assert np.ldexp(got, 40 + _VECTOR_BITS) == exact
-    # a synthesis adds the two blocks' leads, each of half products with
-    # unfolded _VECTOR_BITS-bit slices, on the shared grid of a node pair
-    for sign in (1, -1):
-        rows = np.stack([row, sign * row])
-        vecs = np.stack([row // 2**(_TABLE_BITS - _VECTOR_BITS)] * 2)
-        exact = sum(int(a) * int(b) for a, b in zip(rows.ravel(), vecs.ravel()))
-        leads = np.einsum("ij,ij->i", np.ldexp(rows, -40), np.ldexp(vecs, -_VECTOR_BITS))
-        assert np.ldexp(leads[0] + leads[1], 40 + _VECTOR_BITS) == exact
-
-
 @pytest.mark.parametrize("size", [97, 256])
-def test_tables_take_16_n_squared_bytes(size):
+def test_tables_take_8_n_squared_bytes(size):
     grid = make_grid(4, size)
     grid.differentiate(grid.nodes)
-    # every table the grid holds, including any a transform may have added
+    # every table the grid holds, including any a transform may have added:
+    # two tables of two K x K float64 blocks, K = ceil(N/2)
     tables = [t for t in vars(grid).values() if isinstance(t, zonal._Table)]
-    used = sum(t.halves.nbytes + t.col_scale.nbytes for t in tables)
-    assert used <= 16 * size**2 + 128 * size
+    used = sum(t.blocks.nbytes for t in tables)
+    assert used <= 8 * size**2 + 16 * size + 8
 
 
-def test_grid_build_peaks_below_28_5_n_squared_bytes():
-    # at the analysis split the (N, K) longdouble basis and both tables are
-    # alive, 24 N^2 bytes, plus the split's one T_0-sized rounding buffer
+def test_grid_build_peaks_at_16_n_squared_bytes():
+    # two (N, K) longdouble arrays are alive at once, 16 N^2 bytes: the basis
+    # and its scaled copy for the weights, then the basis and both tables;
+    # the rest is O(N) vectors
     size = 1024
     tracemalloc.start()
     try:
@@ -448,7 +401,7 @@ def test_grid_build_peaks_below_28_5_n_squared_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28.5 * size**2
+    assert peak <= 16 * size**2 + 256 * size
 
 
 @pytest.mark.parametrize("n", [4, 104])
@@ -472,11 +425,16 @@ def test_single_coefficient_round_trips(n):
 
 
 def test_single_value_round_trips(grid4_small):
+    # the synthesis of the analysis is the identity on the grid; the bound is
+    # the multiplier's product scale of ``_within``, at the multiplier 1
     grid = grid4_small
+    analysis, synthesis, _ = kernel_reference_tables(4, grid.size)
     for i in (0, grid.size // 2, grid.size - 1):
         spike = np.zeros(grid.size)
         spike[i] = 3.0
-        assert np.abs(grid.synthesize_ld(grid.analyze(spike)) - spike).max() < 1e-15
+        c = grid.analyze(spike)
+        c_scale = np.abs(analysis) @ np.abs(spike.astype(LD))
+        assert _within(grid.synthesize_ld(c), spike, np.abs(synthesis) @ (np.abs(c) + c_scale))
 
 
 # -- stacks of fields: one GEMM per transform ----------------------------------
@@ -486,7 +444,7 @@ _SMOOTH = (lambda th: np.exp(np.cos(th)), lambda th: 1.0 / (1.05 - np.cos(th)))
 
 @functools.lru_cache(maxsize=None)
 def _grid_and_tables(n, size=256):
-    return make_grid(n, size), _reference_tables(n, size)
+    return make_grid(n, size), kernel_reference_tables(n, size)
 
 
 def _stack(grid, count):
@@ -531,8 +489,14 @@ def _check_stack_row_by_row(n, size, count):
         for name, fn in _transforms(grid).items():
             row = fn(c if name == "synthesize" else values[r])
             assert _within(stacked[name][r], row, scales[name]), (size, name, r)
-        # each row is filtered against its own floor, as it would be alone
-        assert np.array_equal(coeffs[r] == 0, grid.analyze(values[r]) == 0)
+        # each row is filtered against its own floor, as it would be alone: a
+        # decision may differ only where the coefficient the other side kept
+        # lies within the kernel's rounding of that floor
+        alone = grid.analyze(values[r])
+        flipped = (c == 0) != (alone == 0)
+        kept = np.maximum(np.abs(c), np.abs(alone))[flipped]
+        floor = _FILTER_FLOOR * np.sqrt(np.sum(alone * alone))
+        assert _within(kept, np.full_like(kept, floor), c_scale), (size, r)
 
 
 @pytest.mark.parametrize("n", [4, 104])
@@ -615,11 +579,9 @@ def _poisoned_grid(size, pairs):
     pair ``pairs`` on."""
     grid = copy.copy(_fresh_grid(size))
     table = grid._synthesis
-    halves = table.halves.copy()
-    k = halves.shape[-1]
-    halves[:, pairs:k] = np.nan  # T_0
-    halves[:, k + pairs:] = np.nan  # T_1
-    grid._synthesis = table._replace(halves=halves)
+    blocks = table.blocks.copy()
+    blocks[:, pairs:] = np.nan
+    grid._synthesis = table._replace(blocks=blocks)
     return grid
 
 
