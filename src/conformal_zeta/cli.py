@@ -135,12 +135,16 @@ def _parse_alphas(raw: str):
 def _background(args):
     from .background import round_sphere_background
     from .fieldio import read_field
-    from .zonal import make_grid
+    from .zonal import inner, make_grid
 
     grid = make_grid(args.n, args.grid_n)
     mnor = None
     if getattr(args, "mass_field", None):  # trace takes no mass field
         mnor = read_field(args.mass_field, grid)
+        square = inner(mnor, mnor)
+        if not math.isfinite(square):
+            raise SchemaError(f"the integral of the squared field is {square!r}: its values "
+                              "are too large for float64", "--mass-field")
     return round_sphere_background(args.n, grid, variant=args.variant, mnor=mnor)
 
 

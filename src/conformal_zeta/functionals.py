@@ -77,7 +77,7 @@ def _spectral_form(u: ZonalField, shift: float):
     grid = u.grid
     c = grid.analyze(u.values)
     with np.errstate(over="ignore"):
-        form = np.asarray((c * c) @ (grid.laplacian_eigenvalues + shift), dtype=float)
+        form = (c * c) @ (grid.laplacian_eigenvalues + shift)
     return float(form) if form.ndim == 0 else form
 
 

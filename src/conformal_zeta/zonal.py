@@ -8,13 +8,14 @@ C_l^{(n-1)/2} diagonalizes the Laplace-Beltrami operator with eigenvalues
 l(l+n-1).
 
 The basis tables are built in longdouble and rounded once to float64, and
-each transform is one float64 BLAS product per parity block.  That is enough:
-every registered check passes at N = 256, 512 and 1024 (``covariance_yamabe``
-2.65e-10, 1.83e-10 and 3.02e-10 against a 1e-8 gate), and the tests bound
-each product by 8 float64 eps of |T| |v| against a longdouble reference.
-So the products do not depend on the platform's long double, which is
-80-bit on x86-64 Linux but plain float64 elsewhere; the grid build and the
-coefficient sums still use it.
+each transform is one float64 BLAS product per parity block, with float64
+coefficients after it.  That is enough: every registered check passes at
+N = 256, 512 and 1024 (``covariance_yamabe`` 2.65e-10, 1.83e-10 and 3.02e-10
+against a 1e-8 gate), and the tests bound each product by 8 float64 eps of
+|T| |v| against a longdouble reference.  So the transforms do not depend on
+the platform's long double, which is 80-bit on x86-64 Linux but plain
+float64 elsewhere; only the grid build (the node polish, the weights, the
+recurrence and the tables) uses it.
 
 The nodes start from the Golub-Welsch eigenvalue problem (Golub and Welsch,
 Math. Comp. 23, 1969) in float64 and are then polished to longdouble accuracy
@@ -51,7 +52,7 @@ C_{l+1}' - C_{l-1}' = 2 (l+lam) C_l (DLMF section 18.9) gives
 C_j' = sum_{l = j-1, j-3, ...} 2 (l+lam) C_l, so a field with orthonormal
 coefficients c (the basis C_l / h_l, h_l = ||C_l||) has the derivative with
 orthonormal coefficients b_l = 2 (l+lam) h_l sum_{j = l+1, l+3, ...} c_j / h_j:
-two suffix sums, one per parity, in longdouble.  ``differentiate`` is the
+two suffix sums, one per parity, in float64.  ``differentiate`` is the
 analysis, this map, and a synthesis.
 
 Each transform is one kernel product:
@@ -73,11 +74,16 @@ Each transform is one kernel product:
   the GEMM in another order than the full table does, and the suite's bump
   optimizer then stops at another point (constant-mass deviation 9.6e-8, no
   polish step, against 7.0e-9 after one);
-* ``analyze`` widens the product to longdouble before it scales it back, so
-  the coefficient sums of the callers (the spectral forms, the derivative's
-  suffix sums, the multipliers) run in longdouble; a synthesis
-  (``synthesize_ld``, and the last step of ``apply_multiplier`` and
-  ``differentiate``) returns float64 values.
+* the product is scaled back by 2^e in float64, so ``analyze`` returns
+  float64 coefficients and the coefficient sums of the callers (the spectral
+  forms, the derivative's suffix sums, the multipliers) run in float64; a
+  synthesis (``synthesize_ld``, and the last step of ``apply_multiplier``
+  and ``differentiate``) returns float64 values;
+* a transform that computes a value past the float range raises
+  OverflowError naming the value and the range (``_FloatRange``), in place
+  of numpy's overflow warning and an inf: a coefficient of a field within a
+  few times the float maximum (|c_l| <= ||v||_2 <= sqrt(omega_n) max |v|), a
+  multiplied or derivative coefficient, or a synthesized value.
 
 A stack of B fields on one grid, values of shape (B, N), goes through the same
 code as one field: every row gets its own exponent e and its own filter
@@ -86,7 +92,7 @@ floor, and the B rows become the rows of each block's GEMM.  A single field,
 another order than a row of a wider GEMM, so a stacked result agrees with
 the per-field one within float64 rounding, not bit for bit.
 
-Field values exposed to callers are plain float64.
+Coefficients and field values exposed to callers are plain float64.
 
 A grid depends on (n, N) alone, so ``make_grid`` builds each one once per
 process and hands the same object to every later request for that (n, N).
@@ -133,6 +139,22 @@ MAX_GRID_SIZE = 2048
 # resident, one N = 2048 grid 35 MB, the tables alone.
 _GRID_MEMO_SIZE = 4
 _GRID_MEMO_MAX_NODES = 512
+
+
+class _FloatRange(np.errstate):
+    """A block whose float64 overflow raises OverflowError naming ``what`` and
+    the float range, in place of numpy's warning and the inf it leaves."""
+
+    def __init__(self, what: str):
+        super().__init__(over="raise")
+        self.what = what
+
+    def __exit__(self, kind, exc, tb):
+        super().__exit__(kind, exc, tb)
+        if kind is FloatingPointError:
+            raise OverflowError(f"{self.what} exceeds the float maximum "
+                                f"{np.finfo(float).max:.4g}") from None
+
 
 def _gegenbauer_rows(x: np.ndarray, lam, rows: int):
     """Yield C_l^lam(x) for l = 0..rows-1 via the three-term recurrence (longdouble).
@@ -298,8 +320,8 @@ class ZonalGrid:
         basis *= pair_w
         self._analysis = _split_table(basis, nodes_in=True)
         # the norms h_l and the factors 2 (l+lam) h_l of ``differentiate``
-        self._norms = _read_only(norms)
-        self._deriv_scale = _read_only(2 * (ells + lam) * norms)
+        self._norms = _read_only(norms.astype(float))
+        self._deriv_scale = _read_only((2 * (ells + lam) * norms).astype(float))
         self.laplacian_eigenvalues = _read_only(np.arange(size) * (np.arange(size) + n - 1.0))
 
         self.nodes = _read_only(_mirror(y, size, -1).astype(float))
@@ -324,15 +346,14 @@ class ZonalGrid:
         """``table @ vec`` as (p, e), the product being 2^e p: p is the float64
         product of the input scaled by 2^-e (module docstring).
 
-        ``vec`` is one vector (N,) or a stack (B, N), float64 or longdouble,
-        rounded to float64; each row has its own e, which brings its largest
-        value to [1/2, 1).  A synthesis also takes L < N coefficients, (L,) or
-        (B, L), and reads only the table rows of the degree pairs up to the
-        last nonzero coefficient of any row, while they are at most a third
-        of the table.  Each parity block takes one GEMM of the folded (an
-        analysis) or parity-sorted (a synthesis) rows; a lone field is a
-        stack of one.  ``p`` has N values per row, and ``e`` broadcasts
-        against it.
+        ``vec`` is one vector (N,) or a stack (B, N), rounded to float64; each
+        row has its own e, which brings its largest value to [1/2, 1).  A
+        synthesis also takes L < N coefficients, (L,) or (B, L), and reads
+        only the table rows of the degree pairs up to the last nonzero
+        coefficient of any row, while they are at most a third of the table.
+        Each parity block takes one GEMM of the folded (an analysis) or
+        parity-sorted (a synthesis) rows; a lone field is a stack of one.
+        ``p`` has N values per row, and ``e`` broadcasts against it.
         """
         blocks, nodes_in = table
         vec = np.asarray(vec)
@@ -370,15 +391,15 @@ class ZonalGrid:
         return res.reshape(shape + (n,)), e.reshape(shape + (1,))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Orthonormal Gegenbauer coefficients of sampled values (longdouble).
+        """Orthonormal Gegenbauer coefficients of sampled values (float64).
 
         ``values`` is one field (N,) or a stack (B, N).  Coefficients at the
         quadrature-roundoff level of their own row are zeroed (see _FILTER_FLOOR).
+        A coefficient past the float range raises OverflowError.
         """
         scaled, e = self._product(self._analysis, values)
-        # widened before the scale, so no coefficient leaves the range
-        coeffs = scaled.astype(_LD)
-        coeffs *= np.ldexp(_LD(1), e)
+        with _FloatRange("a Gegenbauer coefficient of the field"):
+            coeffs = np.ldexp(scaled, e)
         # the filter is scale-free, so it runs on the scaled product; each
         # row's norm is its own dot product s @ s, as for a single field (a
         # stack of 1 x N by N x 1 products; an einsum would sum in another
@@ -389,7 +410,8 @@ class ZonalGrid:
 
     def _synthesize(self, coeffs) -> np.ndarray:
         scaled, e = self._product(self._synthesis, coeffs)
-        return np.ldexp(scaled, e)
+        with _FloatRange("a synthesized value"):
+            return np.ldexp(scaled, e)
 
     def synthesize_ld(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the orthonormal coefficients ``coeffs``, (L,) or
@@ -398,7 +420,9 @@ class ZonalGrid:
 
     def apply_multiplier(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         c = self.analyze(values)
-        return self._synthesize(np.asarray(multiplier).astype(_LD) * c)
+        with _FloatRange("a multiplied coefficient"):
+            c = multiplier * c
+        return self._synthesize(c)
 
     def differentiate(self, values: np.ndarray) -> np.ndarray:
         """d/dx of the Gegenbauer interpolant, at the nodes: the analysis, the
@@ -410,12 +434,13 @@ class ZonalGrid:
         # c_j / h_j from degree m down, padded to an even count: each column of
         # the reshape is one parity, and its running sums are the suffix sums,
         # which b_0..b_{m-1} read back in degree order (all in place)
-        q = np.zeros(c.shape[:-1] + (m + m % 2,), dtype=_LD)
-        np.divide(c[..., m:0:-1], self._norms[m:0:-1], out=q[..., :m])
-        pairs = q.reshape(q.shape[:-1] + (-1, 2))
-        np.cumsum(pairs, axis=-2, out=pairs)
-        b = q[..., m - 1::-1]
-        np.multiply(self._deriv_scale[:m], b, out=b)
+        q = np.zeros(c.shape[:-1] + (m + m % 2,))
+        with _FloatRange("a derivative coefficient"):
+            np.divide(c[..., m:0:-1], self._norms[m:0:-1], out=q[..., :m])
+            pairs = q.reshape(q.shape[:-1] + (-1, 2))
+            np.cumsum(pairs, axis=-2, out=pairs)
+            b = q[..., m - 1::-1]
+            np.multiply(self._deriv_scale[:m], b, out=b)
         return self._synthesize(b)
 
 
@@ -450,8 +475,8 @@ class ZonalField:
         return ZonalField(self.grid, self.values * self._match(other))
 
     def coefficients(self) -> np.ndarray:
-        """Orthonormal Gegenbauer coefficients (float64 view)."""
-        return np.asarray(self.grid.analyze(self.values), dtype=float)
+        """Orthonormal Gegenbauer coefficients (float64)."""
+        return self.grid.analyze(self.values)
 
 
 @lru_cache(maxsize=_GRID_MEMO_SIZE)

@@ -403,6 +403,43 @@ def test_trace_of_a_huge_field_is_usage_error(capsys, tmp_path, small_grid):
     assert captured.err.count("\n") == 1 and "trace" in captured.err
 
 
+def test_trace_of_a_field_with_coefficients_past_the_float_range_is_usage_error(
+        capsys, tmp_path, small_grid):
+    # |c_0| = sqrt(omega_4) 1.5e308 leaves the float range: the analysis refuses it
+    field = tmp_path / "u.json"
+    write_field(field, constant_field(small_grid, 1.5e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["trace", "--n", "4", "--grid-n", "32", "--profile", str(field)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "float" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["functional", "--profile", "{ones}"],
+    ["sweep", "--alphas", "0.05:0.3:3", "--out", "{out}"],
+    ["optimize", "--out", "{out}"],
+])
+@pytest.mark.parametrize("value", [1e300, 1.5e308])
+def test_mass_field_past_the_float_range_is_refused_up_front(capsys, tmp_path, small_grid,
+                                                             ones_file, argv, value):
+    # int m_nor^2 overflows: refused by name before any functional sees it
+    mass = tmp_path / "m.json"
+    out_path = tmp_path / "out"
+    write_field(mass, constant_field(small_grid, value))
+    argv = [a.format(ones=ones_file, out=out_path) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(argv + ["--n", "4", "--grid-n", "32", "--mass-field", str(mass)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --mass-field: ")
+    assert not out_path.exists()
+
+
 def test_rates_overflow_names_flags_and_limit(capsys):
     code = main(["rates", "--n", "104", "--k", "0"])
     captured = capsys.readouterr()
@@ -511,7 +548,7 @@ FUZZ_MISMATCHED = ["n6.json", "N64.json", "short.json", "coeffs33.json"]
 def fuzz_files(tmp_path_factory, small_grid):
     """n=4, N=32 profile files (one ordinary, two whose L^p norms leave the float
     range), a mass-field file and the FUZZ_MISMATCHED files, plus a directory
-    for outputs."""
+    for outputs.  The huge profile is also drawn as a mass field."""
     from conformal_zeta.zonal import ZonalField
 
     root = tmp_path_factory.mktemp("fuzz")
@@ -563,7 +600,8 @@ def cli_arguments(draw, root):
                 ["profile.json", "tiny.json", "huge.json", *FUZZ_MISMATCHED]))
             argv += ["--profile", str(root / profile)]
         if command != "trace":
-            maybe("--mass-field", [root / name for name in ["mnor.json", *FUZZ_MISMATCHED]])
+            maybe("--mass-field",
+                  [root / name for name in ["mnor.json", "huge.json", *FUZZ_MISMATCHED]])
         if command == "optimize":
             maybe("--tol", [*FUZZ_FLOATS, "1e-8"])
             maybe("--seed", [0, 3])

@@ -2,6 +2,7 @@ import copy
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ def test_single_coefficient_round_trips(n):
     for i in (0, grid.size // 2, grid.size - 1):
         mode = np.zeros(grid.size)
         mode[i] = 3.0
-        back = np.asarray(grid.analyze(grid.synthesize_ld(mode)), dtype=float)
+        back = grid.analyze(grid.synthesize_ld(mode))
         assert np.abs(back - mode).max() < 1e-15
 
 
@@ -461,6 +462,40 @@ def _transforms(grid):
         "multiplier": lambda v: grid.apply_multiplier(v, eigs),
         "differentiate": grid.differentiate,
     }
+
+
+@pytest.mark.parametrize("count", [None, 1, 3])
+def test_transforms_return_float64(grid4_small, count):
+    # coefficients and values alike, for a lone field and a stack
+    grid = grid4_small
+    values = _stack(grid, count or 1)[0 if count is None else slice(None)]
+    for name, transform in _transforms(grid).items():
+        out = transform(values)
+        assert out.dtype == np.float64 and out.shape == values.shape, name
+    coeffs = ZonalField(grid, values).coefficients()
+    assert coeffs.dtype == np.float64
+    assert np.array_equal(coeffs, grid.analyze(values))
+
+
+def test_values_past_the_float_range_are_refused_by_name():
+    # |c_0| = sqrt(omega_4) 1.5e308 of a constant field, the Laplacian's
+    # l(l+3) c_l of a white 1e307 field, and a synthesis of 1e308 per mode
+    # leave the float range: each raises OverflowError, with no numpy
+    # RuntimeWarning and no inf returned
+    grid = make_grid(4, 32)
+    transforms = _transforms(grid)
+    const = np.full(grid.size, 1.5e308)
+    white = 1e307 * np.random.default_rng(0).standard_normal(grid.size)
+    refused = [("analyze", const), ("multiplier", const), ("differentiate", const),
+               ("multiplier", white), ("differentiate", white),
+               ("synthesize", np.full(grid.size, 1e308))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(grid.analyze(np.full(grid.size, 1e300))))
+        assert np.all(np.isfinite(grid.analyze(white)))
+        for name, values in refused:
+            with pytest.raises(OverflowError, match="exceeds the float maximum"):
+                transforms[name](values)
 
 
 @pytest.mark.parametrize("n", [4, 104])
@@ -619,7 +654,7 @@ def test_band_limited_synthesis_round_trips(size, band):
         coeffs, padded = _band_limited(rng, shape, size)
         got = synthesize(grid, coeffs).values
         assert np.array_equal(got, grid.synthesize_ld(padded))
-        assert np.abs(np.asarray(grid.analyze(got), dtype=float) - padded).max() < 1e-12
+        assert np.abs(grid.analyze(got) - padded).max() < 1e-12
 
 
 def test_synthesis_refuses_more_coefficients_than_degrees(grid4_small):
