@@ -315,11 +315,3 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
                      margin=m - sphere_value, mu=mu)
             for alpha, m in zip(alphas, m_psi)]
 
-
-def profile_norm_defect(alpha: float, epsilon: float, bg: ConformalBackground) -> float:
-    """||psi_alpha||_p^p relative to the alpha-independent flat-space value."""
-    from .zonal import ZonalField, integrate
-
-    psi = capped_bubble(ProfileParams(alpha=alpha, epsilon=epsilon, n=bg.params.n), bg.grid)
-    flat = 2.0 ** (-bg.params.n) * bg.params.omega_n
-    return integrate(ZonalField(bg.grid, np.abs(psi.values) ** bg.params.p)) / flat

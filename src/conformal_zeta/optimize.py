@@ -150,44 +150,25 @@ def constant_mass_check(u: ZonalField, bg: ConformalBackground):
 
 
 def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground):
-    """Best dilation strength t and the sup-distance of p-normalized profiles.
+    """Dilation strength t fitted to u, and the sup-distance of the
+    p-normalized profiles at that t.
 
-    Golden-section search for the minimum of the gap over t in [-6, 6], down
-    to a bracket of width 1e-12 (about 60 gap evaluations).  A stack is
-    searched row by row at once, one stacked gap evaluation per step; floats
-    for one field, arrays of B values for a stack.
+    On the orbit u^{-2/(n-2)} is proportional to cosh t + sinh t x, affine in
+    x = cos theta.  Its weighted projections onto 1 and x (the weights are even
+    in x) give tanh t in closed form, clipped to tanh(+-6).  The gap is taken at
+    the fitted t, so it bounds the distance of u to the orbit from above.
+    Floats for one field, arrays of B values for a stack.
     """
-    p = bg.params.p
+    if np.any(u.values <= 0):
+        raise ValueError("dilation-orbit fit needs u > 0")
+    p, x, w = bg.params.p, u.grid.nodes, u.grid.weights
     ref = u.values / np.expand_dims(lp_norm(u, p), -1)
-
-    def gap(t: np.ndarray) -> np.ndarray:
-        cand = dilation_factor(t[..., None], u.grid)
-        return np.abs(ref - cand.values / np.expand_dims(lp_norm(cand, p), -1)).max(axis=-1)
-
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.full(u.values.shape[:-1], -6.0), np.full(u.values.shape[:-1], 6.0)
-    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    g_left, g_right = gap(left), gap(right)
-    while True:
-        # each row keeps its own bracket; they shrink alike, but rounding may
-        # close one a step before another
-        open_ = hi - lo > 1e-12
-        if not open_.any():
-            break
-        lower = g_left < g_right
-        go_left, go_right = open_ & lower, open_ & ~lower
-        # moving left: hi, right, g_right = right, left, g_left; a new left
-        hi, lo = np.where(go_left, right, hi), np.where(go_right, left, lo)
-        right, g_right, left, g_left = (np.where(go_left, left, right),
-                                        np.where(go_left, g_left, g_right),
-                                        np.where(go_right, right, left),
-                                        np.where(go_right, g_right, g_left))
-        probe = np.where(go_left, hi - shrink * (hi - lo), lo + shrink * (hi - lo))
-        g_probe = gap(probe)
-        left, g_left = np.where(go_left, probe, left), np.where(go_left, g_probe, g_left)
-        right, g_right = np.where(go_right, probe, right), np.where(go_right, g_probe, g_right)
-    best = g_left < g_right
-    return _per_field(np.where(best, left, right)), _per_field(np.where(best, g_left, g_right))
+    v = ref ** (-2.0 / (bg.params.n - 2))
+    tanh_t = (v @ (w * x) / (w @ (x * x))) / (v @ w / w.sum())
+    t = np.arctanh(np.clip(tanh_t, -math.tanh(6.0), math.tanh(6.0)))
+    cand = dilation_factor(t[..., None], u.grid)
+    gap = np.abs(ref - cand.values / np.expand_dims(lp_norm(cand, p), -1)).max(axis=-1)
+    return _per_field(t), _per_field(gap)
 
 
 def _project(vals: np.ndarray, bg: ConformalBackground):
@@ -197,14 +178,16 @@ def _project(vals: np.ndarray, bg: ConformalBackground):
     Returns (u, M(u), r, |r|): with ||u||_p = 1 the functional is -int u P u
     and Lambda = -M(u), so the Euler-Lagrange residual field is
     r = -(P u + M(u) |u|^{p-2} u); |r| is its L2 size relative to ||P u||.
+    Overflow and invalid values raise FloatingPointError, not numpy's warning.
     """
     p, w = bg.params.p, bg.grid.weights
-    u = np.clip(vals, _POSITIVITY_FLOOR, None)
-    u /= lp_norm(ZonalField(bg.grid, u), p)[:, None]
-    pu = p_operator_apply(ZonalField(bg.grid, u), bg).values
-    m_val = -((u * pu) @ w)
-    r = -(pu + m_val[:, None] * np.abs(u) ** (p - 2.0) * u)
-    return u, m_val, r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
+    with np.errstate(over="raise", invalid="raise"):
+        u = np.clip(vals, _POSITIVITY_FLOOR, None)
+        u /= lp_norm(ZonalField(bg.grid, u), p)[:, None]
+        pu = p_operator_apply(ZonalField(bg.grid, u), bg).values
+        m_val = -((u * pu) @ w)
+        r = -(pu + m_val[:, None] * np.abs(u) ** (p - 2.0) * u)
+        return u, m_val, r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
 
 
 def seeded_start(grid: ZonalGrid, seed) -> ZonalField:

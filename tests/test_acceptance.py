@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from conformal_zeta import laws
-from conformal_zeta.acceptance import CHECK_NAMES, KNOWN_DISPUTED_CHECKS, run_suite
+from conformal_zeta.acceptance import (_PRODUCERS, CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
+                                       run_suite)
 from conformal_zeta.zeta import rational_finite_part
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
@@ -29,6 +30,14 @@ def _fmt(check):
 
 def test_registry_is_complete(suite_report):
     assert tuple(c.name for c in suite_report.checks) == tuple(sorted(CHECK_NAMES))
+
+
+@pytest.mark.parametrize("producer, names", _PRODUCERS, ids=[fn.__name__ for fn, _ in _PRODUCERS])
+def test_a_producers_names_select_exactly_its_checks(producer, names, suite_report):
+    report = run_suite(names=list(names))
+    assert [c.name for c in report.checks] == sorted(names)
+    full = {c.name: c for c in suite_report.checks}
+    assert all(c == full[c.name] for c in report.checks)
 
 
 def test_overall_flag_is_conjunction(suite_report):

@@ -9,10 +9,9 @@ from conformal_zeta import bubbles
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile,
                                     capped_bubble, concentration_sweep, fit_decay_rate,
-                                    flat_profile_lp_mass, predicted_branch,
-                                    profile_norm_defect, smooth_cutoff)
+                                    flat_profile_lp_mass, predicted_branch, smooth_cutoff)
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import ZonalField
+from conformal_zeta.zonal import ZonalField, integrate
 
 from oracles import radial_moment_reference, radial_moment_to_infinity
 
@@ -68,13 +67,16 @@ def test_capped_bubble_support(grid4):
 
 
 def test_capped_bubble_norm_approaches_flat_value(grid4):
-    bg = round_sphere_background(4, grid4)
     eps = 0.3
-    assert abs(profile_norm_defect(0.1 * eps, eps, bg) - 1.0) < 0.05
+
+    def norm_defect(alpha):
+        # ||psi_alpha||_p^p relative to the alpha-independent flat-space value
+        psi = capped_bubble(ProfileParams(alpha=alpha, epsilon=eps, n=4), grid4)
+        return integrate(ZonalField(grid4, np.abs(psi.values) ** 4.0)) / (2.0 ** -4 * sphere_volume(4))
+
+    assert abs(norm_defect(0.1 * eps) - 1.0) < 0.05
     # tightens as the concentration sharpens (within the grid-resolved range)
-    sharper = abs(profile_norm_defect(0.1 * eps, eps, bg) - 1.0)
-    broader = abs(profile_norm_defect(0.3 * eps, eps, bg) - 1.0)
-    assert sharper < broader
+    assert abs(norm_defect(0.1 * eps) - 1.0) < abs(norm_defect(0.3 * eps) - 1.0)
 
 
 def test_profile_params_validation():

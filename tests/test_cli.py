@@ -440,6 +440,22 @@ def test_mass_field_past_the_float_range_is_refused_up_front(capsys, tmp_path, s
     assert not out_path.exists()
 
 
+def test_optimizer_overflow_on_a_large_mass_field_is_one_line(capsys, tmp_path, small_grid):
+    # int m_nor^2 is in range, but a line-search trial's L^p norm overflows
+    mass = tmp_path / "m.json"
+    out_path = tmp_path / "out.json"
+    write_field(mass, constant_field(small_grid, 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["optimize", "--n", "4", "--grid-n", "32", "--mass-field", str(mass),
+                     "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error: ")
+    assert not out_path.exists()
+
+
 def test_rates_overflow_names_flags_and_limit(capsys):
     code = main(["rates", "--n", "104", "--k", "0"])
     captured = capsys.readouterr()

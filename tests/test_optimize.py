@@ -226,7 +226,7 @@ def test_certificates_on_a_stack_match_row_by_row(grid4, bump4):
 def test_certificates_refuse_a_stack_with_one_bad_row(grid4, bump4):
     stack = random_zonal(grid4, np.arange(60, 63), 10, 1.0, 0.3).values.copy()
     stack[1, 7] = 0.0
-    for check in (euler_lagrange_residual, constant_mass_check):
+    for check in (euler_lagrange_residual, constant_mass_check, fit_dilation_orbit):
         with pytest.raises(ValueError):
             check(ZonalField(grid4, stack), bump4)
     stack[1] = 0.0

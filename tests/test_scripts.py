@@ -8,11 +8,11 @@ import pytest
 
 from conformal_zeta.acceptance import Check, ReportDocument
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name, directory="scripts"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -41,3 +41,9 @@ def test_run_suite_writes_the_whole_report(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_suite.py", "--out", str(out)])
     assert script.main() == 0
     assert json.loads(out.read_text())["checks"][0]["value"] == 0.5
+
+
+def test_benchmark_tracer_self_test_passes():
+    # the benchmark's tracer wraps package functions by name and must restore
+    # them; a refactor can break that while every other test passes
+    assert load_script("tracing", "perfbench").self_test() == []
