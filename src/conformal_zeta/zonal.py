@@ -10,25 +10,21 @@ l(l+n-1).
 The basis tables are built in longdouble and rounded once to float64, and
 each transform is one float64 BLAS product per parity block, with float64
 coefficients after it.  That is enough: every registered check passes at
-N = 256, 512 and 1024 (``covariance_yamabe`` 2.65e-10, 1.83e-10 and 3.02e-10
+N = 256, 512 and 1024 (``covariance_yamabe`` 2.66e-10, 1.82e-10 and 2.99e-10
 against a 1e-8 gate), and the tests bound each product by 8 float64 eps of
 |T| |v| against a longdouble reference.  So the transforms do not depend on
 the platform's long double, which is 80-bit on x86-64 Linux but plain
 float64 elsewhere; only the grid build (the node polish, the weights, the
 recurrence and the tables) uses it.
 
-The nodes start from the Golub-Welsch eigenvalue problem (Golub and Welsch,
-Math. Comp. 23, 1969) in float64 and are then polished to longdouble accuracy
-by a Newton step on C_N^lam:
-
-* the symmetric Jacobi matrix of the weight (1-x^2)^a has a zero diagonal,
-  so reordering its rows and columns even-then-odd turns it into
-  [[0, B], [B^T, 0]]; its eigenvalues, the nodes, are +-sigma for the
-  singular values sigma of the ceil(N/2) x floor(N/2) bidiagonal block B,
-  plus 0 when N is odd.  The node set is exactly symmetric about 0;
-* one longdouble Newton step takes the float64 start to longdouble accuracy.
-  Its single recurrence pass ends with C_{N-1} and C_N, and
-  (1-x^2) C_N' = (N+2 lam-1) C_{N-1} - N x C_N gives the derivative.
+The nodes come from ``gauss``: a float64 Golub-Welsch start (Golub and
+Welsch, Math. Comp. 23, 1969) of half the size, then one longdouble Newton
+step.  With a = (n-2)/2 and N = 2M or 2M+1, C_N^lam(y) is proportional to
+P_M^(a,-1/2)(2y^2-1) for even N and to y P_M^(a,1/2)(2y^2-1) for odd N
+(DLMF section 18.7).  So the nonnegative nodes are y = sqrt((1+s)/2) for the
+M zeros s of that P_M, plus 0 when N is odd, and the node set is exactly
+symmetric about 0.  The Newton step on P_N^(a,a), which is proportional to
+C_N^lam, takes that start to longdouble accuracy.
 
 The grid is mirror-symmetric: the nodes come in pairs +-y_j, the weights of a
 pair are equal, and C_l(-x) = (-1)^l C_l(x).  So every table is two
@@ -73,7 +69,7 @@ Each transform is one kernel product:
   most a third of the table: a cut past that would still pay, but it sums
   the GEMM in another order than the full table does, and the suite's bump
   optimizer then stops at another point (constant-mass deviation 9.6e-8, no
-  polish step, against 7.0e-9 after one);
+  polish step, against 7.2e-9 after one);
 * the product is scaled back by 2^e in float64, so ``analyze`` returns
   float64 coefficients and the coefficient sums of the callers (the spectral
   forms, the derivative's suffix sums, the multipliers) run in float64; a
@@ -105,7 +101,6 @@ callers share a grid, its nodes, weights and tables are read-only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -113,6 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridMismatchError
+from .gauss import jacobi_polish, jacobi_start
 from .params import DEFAULT_GRID_SIZE, check_dimension, sphere_volume
 
 _LD = np.longdouble
@@ -156,70 +152,28 @@ class _FloatRange(np.errstate):
                                 f"{np.finfo(float).max:.4g}") from None
 
 
-def _gegenbauer_rows(x: np.ndarray, lam, rows: int):
-    """Yield C_l^lam(x) for l = 0..rows-1 via the three-term recurrence (longdouble).
-
-    The recurrence runs in three buffers, so a yielded row is overwritten two
-    steps later; copy it to keep it.
-    """
-    prev = np.ones(x.shape[0], dtype=_LD)
-    yield prev
-    if rows < 2:
-        return
-    cur = 2 * lam * x
-    yield cur
-    two_x, nxt = 2 * x, np.empty_like(cur)
-    for l in range(2, rows):
-        np.multiply(two_x, l + lam - 1, out=nxt)
-        nxt *= cur
-        nxt -= (l + 2 * lam - 2) * prev
-        nxt /= _LD(l)
-        prev, cur, nxt = cur, nxt, prev
-        yield cur
-
-
 def _gegenbauer_table(x: np.ndarray, lam, rows: int) -> np.ndarray:
     """C_l^lam(x) for l = 0..rows-1 as a (rows, len(x)) longdouble table."""
     out = np.empty((rows, x.shape[0]), dtype=_LD)
-    for l, row in enumerate(_gegenbauer_rows(x, lam, rows)):
-        out[l] = row
+    out[0] = 1
+    out[1:2] = 2 * lam * x
+    two_x = 2 * x
+    for l in range(2, rows):
+        np.multiply(two_x, l + lam - 1, out=out[l])
+        out[l] *= out[l - 1]
+        out[l] -= (l + 2 * lam - 2) * out[l - 2]
+        out[l] /= _LD(l)
     return out
-
-
-def _newton_step(x: np.ndarray, lam, size: int) -> np.ndarray:
-    """One Newton step toward the zeros of C_size^lam, from one recurrence pass.
-
-    The pass ends with C_{N-1} and C_N, and
-    (1-x^2) C_N' = (N+2 lam-1) C_{N-1} - N x C_N gives the derivative.
-    """
-    below, top = deque(_gegenbauer_rows(x, lam, size + 1), maxlen=2)
-    return x - top * (1 - x * x) / ((size + 2 * lam - 1) * below - size * x * top)
-
-
-def _jacobi_nodes(size: int, a: float) -> np.ndarray:
-    """Gauss-Jacobi nodes for the weight (1-x^2)^a, ascending, float64-accurate.
-
-    Golub-Welsch with the even-odd reduction (module docstring): the monic
-    recurrence p_{k+1} = x p_k - beta_k p_{k-1} has
-    beta_k = k (k+2a) / ((2k+2a+1)(2k+2a-1)), and the Jacobi matrix couples
-    rows k-1 and k by sqrt(beta_k).  Row i of B holds the couplings of the
-    Jacobi row 2i to the rows 2i+1 (column i) and 2i-1 (column i-1).
-    """
-    k = np.arange(1, size, dtype=float)
-    off = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
-    rows, cols = (size + 1) // 2, size // 2
-    block = np.zeros((rows, cols))
-    block[np.arange(cols), np.arange(cols)] = off[0::2]
-    block[np.arange(1, rows), np.arange(rows - 1)] = off[1::2]
-    sigma = np.linalg.svd(block, compute_uv=False)  # descending
-    return np.concatenate([-sigma, np.zeros(size % 2), sigma[::-1]])
 
 
 def _gauss_nodes(n: int, size: int) -> np.ndarray:
     """The grid's ceil(N/2) nonnegative Gauss-Jacobi nodes in longdouble,
-    ascending: the float64 Golub-Welsch start, polished by one Newton step."""
-    start = _jacobi_nodes(size, (n - 2) / 2.0)[size // 2:].astype(_LD)
-    return _newton_step(start, _LD(n - 1) / 2, size)
+    ascending: the float64 start of the half-size problem (module docstring),
+    polished by one Newton step on P_N^(a,a), a = (n-2)/2."""
+    a = (n - 2) / 2.0
+    s = jacobi_start(size // 2, a, 0.5 if size % 2 else -0.5)
+    y = np.concatenate([np.zeros(size % 2), np.sqrt((1 + s) / 2)]).astype(_LD)
+    return jacobi_polish(y, _LD(a), _LD(a), size)[0]
 
 
 def _mirror(half: np.ndarray, size: int, sign: int = 1) -> np.ndarray:

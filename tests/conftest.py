@@ -45,7 +45,7 @@ def refuse_grid_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid tables were built")
 
-    monkeypatch.setattr(zonal, "_jacobi_nodes", refuse)
+    monkeypatch.setattr(zonal, "jacobi_start", refuse)
     monkeypatch.setattr(zonal, "_gegenbauer_table", refuse)
 
 

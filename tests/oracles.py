@@ -3,7 +3,8 @@
 Everything here avoids the package's own computational paths: finite
 differences for the Laplacian, exact rational Bernoulli arithmetic for
 continued lattice sums, Beta-function moments for quadrature (complete, in
-exact rational form, and incomplete, as mpmath's hypergeometric series), plain
+exact rational form, and incomplete, as mpmath's hypergeometric series), the
+radial Gauss rules at 40 digits, the grid's nodes from scipy's roots, plain
 head-plus-integral summation for convergent Dirichlet series, and mpmath's
 digamma for the Laurent constant of the Hurwitz zeta.  The spectral kernel's
 reference is its tables built whole and multiplied in longdouble.
@@ -198,21 +199,60 @@ def radial_moment_reference(m: float, q: float, top: float) -> float:
         return float(mpmath.betainc(a, q - a, 0, top * top / (1 + top * top)) / 2)
 
 
-# -- dense longdouble tables of the spectral kernel ---------------------------
+def jacobi_rule_reference(beta: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``size``-node Gauss rule for int_0^1 x^beta g dx
+    at 40 digits, rounded to float.
 
-@functools.lru_cache(maxsize=None)
-def kernel_reference_tables(n: int, size: int):
-    """The grid's analysis, synthesis and derivative tables as dense longdouble
-    matrices, built directly from the three-term recurrence.
-
-    This uses the package's recurrence (``zonal._gegenbauer_table``) and
-    ``params.sphere_volume``, but none of the kernel's own paths: scipy's
-    nodes polished by four Newton steps, whole (N, N) tables with no parity
-    fold, and longdouble products.  Read-only, since calls share them.
+    The orthonormal recurrence of the shifted Jacobi matrix (diagonal
+    (1 + beta^2/(s (s+2)))/2, (beta+1)/(beta+2) at k = 0, couplings
+    k (k+beta) / (s sqrt((s+1)(s-1))), s = 2k+beta) is run in mpmath: Newton
+    steps on p_size from scipy's roots give the nodes, and the Christoffel
+    sums 1 / sum_k p_k^2 the weights.  It agrees with an mpmath ``eigsy`` of
+    the same matrix and costs a tenth of it.
     """
     from scipy.special import roots_jacobi
 
-    from conformal_zeta.params import sphere_volume
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        diag, off = [(b + 1) / (b + 2)], [mpmath.mpf(0)]
+        for k in range(1, size):
+            s = 2 * k + b
+            diag.append((1 + b * b / (s * (s + 2))) / 2)
+            off.append(k * (k + b) / (s * mpmath.sqrt((s + 1) * (s - 1))))
+
+        def recurrence(t):
+            # p_0..p_{size-1} at t, and the last coupling times p_size, with
+            # its derivative
+            p, dp = [mpmath.sqrt(b + 1)], [mpmath.mpf(0)]
+            prev = dprev = mpmath.mpf(0)
+            for k in range(size):
+                top = (t - diag[k]) * p[k] - off[k] * prev
+                dtop = p[k] + (t - diag[k]) * dp[k] - off[k] * dprev
+                prev, dprev = p[k], dp[k]
+                if k + 1 < size:
+                    p.append(top / off[k + 1])
+                    dp.append(dtop / off[k + 1])
+            return p, top, dtop
+
+        nodes, weights = [], []
+        for z in roots_jacobi(size, 0.0, float(beta))[0]:
+            t = (1 + mpmath.mpf(z)) / 2
+            for _ in range(3):
+                _, top, dtop = recurrence(t)
+                t -= top / dtop
+            nodes.append(float(t))
+            weights.append(float(1 / mpmath.fsum(v * v for v in recurrence(t)[0])))
+    return np.array(nodes), np.array(weights)
+
+
+# -- dense longdouble tables of the spectral kernel ---------------------------
+
+def gauss_nodes(n: int, size: int) -> np.ndarray:
+    """The grid's N Gauss-Jacobi nodes in longdouble, ascending: scipy's roots
+    for the weight (1-x^2)^{(n-2)/2}, polished by four Newton steps on
+    C_N^{(n-1)/2}, with C_N' = 2 lam C_{N-1}^{lam+1}."""
+    from scipy.special import roots_jacobi
+
     from conformal_zeta.zonal import _gegenbauer_table
 
     LD = np.longdouble
@@ -222,6 +262,25 @@ def kernel_reference_tables(n: int, size: int):
         val = _gegenbauer_table(x, lam, size + 1)[size]
         der = 2 * lam * _gegenbauer_table(x, lam + 1, size)[size - 1]
         x = x - val / der
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_reference_tables(n: int, size: int):
+    """The grid's analysis, synthesis and derivative tables as dense longdouble
+    matrices, built directly from the three-term recurrence.
+
+    This uses the package's recurrence (``zonal._gegenbauer_table``) and
+    ``params.sphere_volume``, but none of the kernel's own paths: the nodes
+    of ``gauss_nodes``, whole (N, N) tables with no parity
+    fold, and longdouble products.  Read-only, since calls share them.
+    """
+    from conformal_zeta.params import sphere_volume
+    from conformal_zeta.zonal import _gegenbauer_table
+
+    LD = np.longdouble
+    lam = LD(n - 1) / 2
+    x = gauss_nodes(n, size)
     ells = np.arange(size, dtype=LD)
     q = np.ones(size, dtype=LD)
     for j in range(1, n - 1):

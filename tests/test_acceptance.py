@@ -151,10 +151,15 @@ def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
 
 
 def test_bump_values_survive_the_working_precision_stop(suite_report):
-    # the bump run's values, pinned exactly
+    # the bump run's values: each BLAS kernel sums the GEMMs in its own order,
+    # so the optimizer stops at a nearby iterate; the margins agree to a few
+    # ulps, and the polish step leaves the mass deviation well below the
+    # 9.6e-8 of a stop without it
     values = {c.name: c.value for c in suite_report.checks if c.name.startswith("positive_bump_")}
-    assert values == {
-        "positive_bump_constant_mass_reldev": 7.046946615693761e-09,
-        "positive_bump_optimizer_margin": 0.002963361301489038,
-        "positive_bump_sweep_margin": 0.00041189397685267165,
-    }
+    assert values.keys() == {"positive_bump_constant_mass_reldev",
+                             "positive_bump_optimizer_margin", "positive_bump_sweep_margin"}
+    assert values["positive_bump_optimizer_margin"] == pytest.approx(0.002963361301489038,
+                                                                     rel=1e-13, abs=0)
+    assert values["positive_bump_sweep_margin"] == pytest.approx(0.00041189397685267165,
+                                                                 rel=1e-13, abs=0)
+    assert values["positive_bump_constant_mass_reldev"] <= 1e-8

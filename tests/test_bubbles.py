@@ -13,7 +13,7 @@ from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import ZonalField, integrate
 
-from oracles import radial_moment_reference, radial_moment_to_infinity
+from oracles import jacobi_rule_reference, radial_moment_reference, radial_moment_to_infinity
 
 
 def test_profile_at_origin():
@@ -133,6 +133,15 @@ def test_moment_over_many_panels():
     # ln(5e5) = 13.1: fourteen panels, the last one short
     want = radial_moment_reference(3, 2, 5e5)
     assert bubble_moment(1.0, 5e5, 0, 4) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("beta", [-0.99, 0.0, 3.0, 103.0, 203.0])
+def test_jacobi_rule_matches_a_40_digit_solve(beta):
+    # every weight to 1e-14 relative, the smallest near x = 0 included
+    nodes, weights = bubbles._jacobi_rule(beta)
+    want_nodes, want_weights = jacobi_rule_reference(beta, bubbles._JACOBI_NODES)
+    assert np.abs(nodes / want_nodes - 1).max() <= 1e-15
+    assert np.abs(weights / want_weights - 1).max() <= 1e-14
 
 
 def test_rate_sweep_reuses_the_cached_rules():

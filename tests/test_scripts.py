@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,36 @@ def test_benchmark_tracer_self_test_passes():
     # the benchmark's tracer wraps package functions by name and must restore
     # them; a refactor can break that while every other test passes
     assert load_script("tracing", "perfbench").self_test() == []
+
+
+def test_kernel_matrix_reports_every_kernel_and_fails_on_a_failing_test_or_check(monkeypatch, capsys):
+    script = load_script("kernel_matrix")
+    runs = []
+
+    def child(kernel, argv):
+        # no child process: one test fails under one kernel, the check under
+        # another
+        runs.append((kernel, argv[0]))
+        if argv == script.TIER1:
+            if kernel == "Haswell":
+                return subprocess.CompletedProcess(
+                    argv, 1, "FAILED tests/test_a.py::test_b - assert\n1 failed, 596 passed\n", "")
+            return subprocess.CompletedProcess(argv, 0, "...\n597 passed in 12.0s\n", "")
+        value = 0.5 if kernel != "Prescott" else 1.5
+        check = Check(name="trace_const_n4", value=value, expected=0.0, tolerance=1.0,
+                      passed=value <= 1.0, provenance="paper")
+        report = ReportDocument(checks=(check,), environment={}, overall_pass=check.passed)
+        doc = script.suite_document(report, "Katmai")
+        return subprocess.CompletedProcess(argv, 0, json.dumps(doc) + "\n", "")
+
+    monkeypatch.setattr(script, "run_child", child)
+    monkeypatch.setattr(script.subprocess, "run", None)
+    assert script.main() == 1
+    assert runs == [(kernel, arg) for kernel in script.KERNELS for arg in ("-m", "-c")]
+    out = capsys.readouterr().out
+    assert out.count("597 passed in 12.0s") == 3 and "Prescott (Katmai)" in out
+    assert "Haswell: Tier-1 FAILED: 1 failed, 596 passed\n    FAILED tests/test_a.py::test_b" in out
+    row = next(line for line in out.splitlines() if line.startswith("trace_const_n4"))
+    assert row.split()[1:4] == ["+5.0000000000e-01", "+5.00e-01", "ok"]
+    assert row.split()[-3:] == ["+1.5000000000e+00", "-5.00e-01", "FAIL"]
+    assert out.rstrip().endswith("overall: FAIL")

@@ -13,12 +13,13 @@ from scipy.special import roots_jacobi
 
 from conformal_zeta import zonal
 from conformal_zeta.errors import GridMismatchError
+from conformal_zeta.gauss import jacobi_polish, jacobi_start
 from conformal_zeta.params import sphere_volume
 from conformal_zeta.zonal import (_FILTER_FLOOR, ZonalField, _gauss_nodes, _gegenbauer_table,
-                                  _jacobi_nodes, _newton_step, constant_field, gradient_pairing,
-                                  integrate, inner, laplacian, lp_norm, make_grid,
-                                  random_band_limited, random_zonal, synthesize)
-from oracles import fd_laplacian, kernel_reference_tables, zonal_moment
+                                  _mirror, constant_field, gradient_pairing, integrate, inner,
+                                  laplacian, lp_norm, make_grid, random_band_limited,
+                                  random_zonal, synthesize)
+from oracles import fd_laplacian, gauss_nodes, kernel_reference_tables, zonal_moment
 
 
 def test_grid_invariants(grid4):
@@ -30,10 +31,17 @@ def test_grid_invariants(grid4):
 @pytest.mark.parametrize("n", [4, 6, 104])
 @pytest.mark.parametrize("size", [16, 17, 256, 1024])
 def test_jacobi_nodes_match_scipy(n, size):
-    a = (n - 2) / 2.0
-    want = roots_jacobi(size, a, a)[0]
-    got = _jacobi_nodes(size, a)
+    # the grid's start: the half-size problem (a, -+1/2) at N // 2 nodes
+    a, b = (n - 2) / 2.0, 0.5 if size % 2 else -0.5
+    want = roots_jacobi(size // 2, a, b)[0]
+    got = jacobi_start(size // 2, a, b)
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("beta", [-0.99, 0.0, 3.0, 103.0, 203.0])
+def test_jacobi_start_matches_scipy_for_the_radial_rules(beta):
+    want = roots_jacobi(40, 0.0, beta)[0]
+    assert np.abs(jacobi_start(40, 0.0, beta) - want).max() <= 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("size", [16, 17, 256])
@@ -45,13 +53,22 @@ def test_grid_nodes_are_antisymmetric(size):
 @pytest.mark.parametrize("n", [4, 6, 104])
 @pytest.mark.parametrize("size", [16, 97, 256, 2048])
 def test_one_newton_step_reaches_longdouble_accuracy(n, size, monkeypatch):
-    # C_N is summed from terms of order 1, so a node is good to an absolute,
+    # P_N is summed from terms of order 1, so a node is good to an absolute,
     # not a relative, longdouble unit; a further step must stay within one
     monkeypatch.setattr(zonal, "_gegenbauer_table", functools.partial(pytest.fail, "table built"))
     x = _gauss_nodes(n, size)
-    again = _newton_step(x, np.longdouble(n - 1) / 2, size)
+    a = np.longdouble(n - 2) / 2
+    again = jacobi_polish(x, a, a, size)[0]
     assert x.dtype == np.longdouble
     assert np.abs(again - x).max() <= np.finfo(np.longdouble).eps
+
+
+@pytest.mark.parametrize("n,size", [(n, size) for n in (4, 6, 104) for size in (16, 17, 97, 256)]
+                         + [(104, 1024)])
+def test_grid_nodes_match_the_oracle_route(n, size):
+    # scipy's roots polished by four Gegenbauer Newton steps (oracles.py)
+    got = _mirror(_gauss_nodes(n, size), size, -1)
+    assert np.abs(got - gauss_nodes(n, size)).max() <= np.finfo(np.longdouble).eps
 
 
 def test_grid_build_makes_one_table_and_differentiate_adds_none(monkeypatch, fresh_grid_memo):
