@@ -238,11 +238,9 @@ def _sobolev_checks(env) -> list[Check]:
                            "min gap over 1000 seeded positive band-limited fields")
            for n in bgs]
     worst_dil = 0.0
-    for n in (4, 6):
-        grid = env[f"grid{n}"]
-        bg = round_sphere_background(n, grid)
+    for bg in bgs.values():
         for t in (0.0, 0.5, 1.0, 2.0):
-            gap = abs(functionals.sobolev_gap(functionals.dilation_factor(t, grid), bg))
+            gap = abs(functionals.sobolev_gap(functionals.dilation_factor(t, bg.grid), bg))
             worst_dil = max(worst_dil, gap)
     out.append(_interval_check("sobolev_gap_dilations", worst_dil, None, 1e-8, "derived",
                                "dilation factors are the extremal family"))

@@ -93,7 +93,7 @@ def dim_params(n: int, variant: str = "paper") -> DimensionParams:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     a_n = (n - 2) / (4.0 * (n - 1))
-    c_n = (n - 2) / (6.0 * (4.0 * math.pi) ** (n / 2) * math.factorial(n // 2))
+    c_n = infinitesimal_transport_coefficient(n)
     if variant == "calibrated":
         c_n *= 2.0
     b_n = a_n * c_n

@@ -59,17 +59,15 @@ Each transform is one kernel product:
   2^-e, which brings its largest value to [1/2, 1), so that a field near the
   float range does not overflow inside the GEMM; the product is 2^e times
   the GEMM's;
-* the analysis folds the node pairs, the synthesis sorts the degrees by
-  parity, and each block takes one GEMM of the rows;
+* each parity block is its own GEMM: the analysis folds the node pairs and
+  writes the even and the odd block's outputs into alternate degree
+  columns; the synthesis takes the even and the odd degrees of the rows,
+  one block each;
 * a synthesis whose coefficients are zero from degree L on, in every row of
-  a stack, reads only the table rows of its first ceil(L/2) degree pairs (the
+  a stack, reads only the table rows of the degrees below L, at any L (the
   degree truncation of fast transforms), so a band-limited field's L < N
   coefficients and the zero tail the analysis filter leaves cost nothing.
-  The rows are a view of each block.  The cut is taken while they are at
-  most a third of the table: a cut past that would still pay, but it sums
-  the GEMM in another order than the full table does, and the suite's bump
-  optimizer then stops at another point (constant-mass deviation 9.6e-8, no
-  polish step, against 7.2e-9 after one);
+  The rows are a view of each block;
 * the product is scaled back by 2^e in float64, so ``analyze`` returns
   float64 coefficients and the coefficient sums of the callers (the spectral
   forms, the derivative's suffix sums, the multipliers) run in float64; a
@@ -180,16 +178,6 @@ def _mirror(half: np.ndarray, size: int, sign: int = 1) -> np.ndarray:
     """A node-order array of length ``size`` from its values on the nonnegative
     nodes: ``sign`` times the values at the mirrored nodes, then the values."""
     return np.concatenate([sign * half[::-1][: size - half.shape[0]], half])
-
-
-def _by_parity(rows: np.ndarray, pairs: int) -> np.ndarray:
-    """(B, L) values of degrees 0..L-1 as (2, B, pairs), L <= 2 pairs: the even
-    degrees, then the odd ones.  A view, or for L < 2 pairs a zero-padded copy."""
-    if rows.shape[1] < 2 * pairs:
-        padded = np.zeros((rows.shape[0], 2 * pairs))
-        padded[:, : rows.shape[1]] = rows
-        rows = padded
-    return rows.reshape(rows.shape[0], pairs, 2).transpose(2, 0, 1)
 
 
 class _Table(NamedTuple):
@@ -303,11 +291,11 @@ class ZonalGrid:
         ``vec`` is one vector (N,) or a stack (B, N), rounded to float64; each
         row has its own e, which brings its largest value to [1/2, 1).  A
         synthesis also takes L < N coefficients, (L,) or (B, L), and reads
-        only the table rows of the degree pairs up to the last nonzero
-        coefficient of any row, while they are at most a third of the table.
-        Each parity block takes one GEMM of the folded (an analysis) or
-        parity-sorted (a synthesis) rows; a lone field is a stack of one.
-        ``p`` has N values per row, and ``e`` broadcasts against it.
+        only the table rows of the degrees up to the last nonzero coefficient
+        of any row.  Each parity block is one GEMM: of the folded rows (an
+        analysis), or of the rows' degrees of that parity (a synthesis); a
+        lone field is a stack of one.  ``p`` has N values per row, and ``e``
+        broadcasts against it.
         """
         blocks, nodes_in = table
         vec = np.asarray(vec)
@@ -315,30 +303,23 @@ class ZonalGrid:
         rows = vec.reshape(-1, vec.shape[-1]).astype(float, copy=False)
         e = np.frexp(np.abs(rows).max(axis=-1, keepdims=True))[1]
         if nodes_in:
-            # fold the node pairs: y_j and its mirror
+            # fold the node pairs, y_j and its mirror; block p gives the
+            # degrees of parity p, the alternate columns of the output
             x = np.ldexp(rows, -e)
             pos, neg = x[:, n - k:], x[:, k - 1::-1]
-            parts = np.empty((2,) + pos.shape)
-            np.add(pos, neg, out=parts[0])
-            np.subtract(pos, neg, out=parts[1])
+            res = np.empty((len(rows), 2 * k))
+            res[:, 0::2] = (pos + neg) @ blocks[0]
+            res[:, 1::2] = (pos - neg) @ blocks[1]
+            res = res[:, :n]
         else:
-            # read the degree pairs up to the last nonzero coefficient alone,
-            # while they are at most a third of the table (module docstring)
-            pairs = k
-            if not rows[:, 2 * (k // 3):].any():
-                nonzero = np.flatnonzero(rows.any(axis=0))
-                pairs = (nonzero[-1] + 2) // 2 if nonzero.size else 1
-            parts = np.ldexp(_by_parity(rows[:, : 2 * pairs], pairs), -e)
-            blocks = blocks[:, :pairs]
-        out = parts @ blocks  # block, field, output
-        if nodes_in:
-            # block p holds the degrees of parity p: interleave them
-            res = out.transpose(1, 2, 0).reshape(-1, 2 * k)[:, :n]
-        else:
-            # the blocks give the even and the odd part of the output: their
-            # sum at y_j, their difference at -y_j
-            even_fn, odd_fn = out
-            res = np.empty((rows.shape[0], n))
+            # the degrees of each parity below the last nonzero one of any
+            # row, and their table rows alone; the blocks give the even and
+            # the odd part of the output: their sum at y_j, their difference
+            # at -y_j
+            top = np.flatnonzero(rows.any(axis=0)).max(initial=0) + 1
+            even_fn = np.ldexp(rows[:, 0:top:2], -e) @ blocks[0, : (top + 1) // 2]
+            odd_fn = np.ldexp(rows[:, 1:top:2], -e) @ blocks[1, : top // 2]
+            res = np.empty((len(rows), n))
             np.subtract(even_fn, odd_fn, out=res[:, k - 1::-1])
             np.add(even_fn, odd_fn, out=res[:, n - k:])
         shape = vec.shape[:-1]
@@ -453,9 +434,8 @@ def constant_field(grid: ZonalGrid, value: float) -> ZonalField:
 
 def synthesize(grid: ZonalGrid, coeffs) -> ZonalField:
     """Field with the given orthonormal Gegenbauer coefficients of degrees
-    0..L-1, L <= N; the degrees from L on are zero, and for L up to about
-    N/3 the kernel reads only the table rows of the first ceil(L/2) degree
-    pairs (module docstring).
+    0..L-1, L <= N; the degrees from L on are zero, and the kernel reads only
+    the table rows of the degrees below L (module docstring).
 
     ``coeffs`` is one coefficient vector or a (B, L) stack of them.
     """

@@ -132,8 +132,9 @@ def test_sobolev_checks_analyze_each_stack_once(kernel_products):
 
 def test_optimizer_seeds_run_as_one_stack(kernel_products):
     # the 10 sphere seeds take 1,118 kernel products one field at a time; as
-    # one lockstep stack with a stacked certificate 171, and with the line
-    # search stopped at working precision 93
+    # one lockstep stack with a stacked certificate 171, with the line
+    # search stopped at working precision 93, and with every row ending in
+    # the polish 97
     report = run_suite(names=["optimizer_*"])
     assert len(report.checks) == 3 and report.overall_pass
     assert len(kernel_products) <= 100
@@ -147,14 +148,14 @@ def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
     kernel_products.clear()
     report = run_suite()
     assert report.checks == suite_report.checks
-    assert len(kernel_products) <= 480  # 459; 607 before the working-precision stop
+    assert len(kernel_products) <= 480  # 467; 607 before the working-precision stop
 
 
 def test_bump_values_survive_the_working_precision_stop(suite_report):
     # the bump run's values: each BLAS kernel sums the GEMMs in its own order,
     # so the optimizer stops at a nearby iterate; the margins agree to a few
-    # ulps, and the polish step leaves the mass deviation well below the
-    # 9.6e-8 of a stop without it
+    # ulps, and the polish step every run now ends in leaves the mass
+    # deviation well below the 9.6e-8 of a stop inside the ascent
     values = {c.name: c.value for c in suite_report.checks if c.name.startswith("positive_bump_")}
     assert values.keys() == {"positive_bump_constant_mass_reldev",
                              "positive_bump_optimizer_margin", "positive_bump_sweep_margin"}

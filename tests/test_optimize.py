@@ -166,22 +166,25 @@ def test_one_row_stack_is_the_single_run(grid4, bump4):
 
 
 def test_stack_rows_keep_their_own_stage(grid4, sphere4, monkeypatch):
-    # the constant start is exact; alone, the mild start converges in 4 ascent
-    # steps and the steep one in 19, so the steep one runs into the ascent cap
-    # and, with no polish steps allowed, stops there
+    # the constant start is exact; the mild start ascends to its plateau, where
+    # its last line search stalls, and meets the tolerance at its one polish
+    # step; the steep one runs into the ascent cap, and its one polish step
+    # leaves it above the tolerance
     monkeypatch.setattr(optimize, "_MAX_ITERS", 10)
-    monkeypatch.setattr(optimize, "_MAX_POLISH", 0)
+    monkeypatch.setattr(optimize, "_MAX_POLISH", 1)
     x = grid4.nodes
     starts = np.stack([np.ones(grid4.size), 1.0 + 1e-6 * x * x, 1.0 + 0.3 * x])
     const, mild, steep = maximize_stack(sphere4, ZonalField(grid4, starts))
-    assert const.stop_reason == "tolerance_met" and const.iterations <= 1
-    assert mild.stop_reason == "tolerance_met" and 1 <= mild.ascent_steps < 10
+    assert const.stop_reason == "tolerance_met" and const.iterations == 0
+    assert mild.stop_reason == "tolerance_met"
+    assert 1 <= mild.ascent_steps < 10 and mild.polish_steps == 1
     assert steep.stop_reason == "max_polish"
-    assert (steep.ascent_steps, steep.polish_steps) == (10, 0)
+    assert (steep.ascent_steps, steep.polish_steps) == (10, 1)
     assert const.converged and mild.converged and not steep.converged
+    # every line search found an increase but the mild start's stalled one
+    assert [len(res.history) - 1 for res in (const, mild, steep)] == [0, mild.ascent_steps - 1, 10]
     for res in (const, mild, steep):
         assert res.iterations == res.ascent_steps + res.polish_steps
-        assert len(res.history) == res.ascent_steps + 1  # every line search found an increase
         assert np.all(np.diff(res.history) >= 0)
         assert res.converged == (res.residual <= 1e-8)
 
@@ -259,6 +262,16 @@ def test_bump_run_hands_over_to_the_polish_sooner(bump4):
     res = maximize_mass_functional(bump4, OptimizerConfig(seed=SUITE_SEED))
     assert res.stop_reason == "tolerance_met" and res.polish_steps >= 1
     assert res.backtracks <= 30
+
+
+def test_bump_seeds_stop_after_a_polish_step(grid4, bump4):
+    # a row whose ascent crosses the tolerance ascends on to its plateau, so
+    # every row ends in a polish step; stopped inside the ascent, 7 of these
+    # rows read a mass deviation of up to 2.1e-7
+    results = maximize_stack(bump4, optimize.seeded_start(grid4, SUITE_SEED + np.arange(20)))
+    for res in results:
+        assert res.stop_reason == "tolerance_met" and res.polish_steps >= 1
+        assert res.mass_reldev <= 1e-8
 
 
 def test_stall_rule_reads_the_predicted_gain(grid4, sphere4, monkeypatch):

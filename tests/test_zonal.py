@@ -626,13 +626,15 @@ def _fresh_grid(size):
     return zonal.ZonalGrid(4, size)
 
 
-def _poisoned_grid(size, pairs):
+def _poisoned_grid(size, band):
     """A copy of a fresh n = 4 grid whose synthesis table is NaN from degree
-    pair ``pairs`` on."""
+    ``band`` on: the even block's rows from ceil(band/2), the odd block's
+    from floor(band/2)."""
     grid = copy.copy(_fresh_grid(size))
     table = grid._synthesis
     blocks = table.blocks.copy()
-    blocks[:, pairs:] = np.nan
+    blocks[0, (band + 1) // 2:] = np.nan
+    blocks[1, band // 2:] = np.nan
     grid._synthesis = table._replace(blocks=blocks)
     return grid
 
@@ -647,12 +649,11 @@ def _band_limited(rng, shape, size):
 
 
 @pytest.mark.parametrize("size", [160, 161])
-@pytest.mark.parametrize("band", [0, 1, 16, 17, 49])
+@pytest.mark.parametrize("band", [0, 1, 16, 17, 49, 60, 85, 120, 159])
 def test_band_limited_synthesis_reads_only_its_degree_pairs(size, band):
-    # L coefficients, or N whose last N - L are zero, read the degree pairs
-    # below L alone while they are at most a third of the table; an odd L
-    # reads its last pair whole, degree L as a zero
-    grid = _poisoned_grid(size, (max(band, 1) + 1) // 2)
+    # L coefficients, or N whose last N - L are zero, read the table rows of
+    # the degrees below L alone, at any L
+    grid = _poisoned_grid(size, max(band, 1))
     rng = np.random.default_rng(band)
     for shape in ((band,), (3, band)):
         coeffs, padded = _band_limited(rng, shape, size)
