@@ -40,18 +40,15 @@ _LAW_LMAX = 16
 _PHI_AMPLITUDE = 0.3
 _F_AMPLITUDE = 0.5
 
-# Seeded fields go through the kernel as stacks of this many, one kernel
-# product (one GEMM per parity block) per transform per stack.  At N=256 a
-# transform's allocations, its result included, peak at about 8-16 KB per
-# field, and a synthesis of the Sobolev fields' 49 degrees at 6 KB; the
-# conformal-law producers keep more of them alive at once.
+# Each seeded family is drawn once, from one generator (a conformal-law family
+# is synthesized whole, in one product), and its fields go through the kernel
+# in slices of this many, one kernel product (one GEMM per parity block) per
+# transform per slice; so the sizes set memory use, not which fields are
+# drawn.  At N=256 a transform's allocations, its result included, peak at
+# about 8-16 KB per field, and a synthesis of the Sobolev fields' 49 degrees
+# at 6 KB; the conformal-law producers keep more of them alive at once.
 _SOBOLEV_STACK = 50
 _LAW_STACK = 25
-
-
-def _seed_stacks(first: int, count: int, size: int):
-    """The seeds first..first+count-1 as arrays of at most ``size``."""
-    return [np.arange(a, min(a + size, count)) + first for a in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -172,10 +169,12 @@ def _covariance_checks(env) -> list[Check]:
     grid = env["grid4"]
     bg = round_sphere_background(n, grid, variant="calibrated")
     worst_y = worst_p = worst_m = 0.0
-    for seeds in _seed_stacks(0, 100, _LAW_STACK):
-        f = random_band_limited(grid, 3000 + seeds, _LAW_LMAX, _F_AMPLITUDE)
-        phi = random_band_limited(grid, 9000 + seeds, _LAW_LMAX, _PHI_AMPLITUDE)
-        mnor = random_zonal(grid, 15000 + seeds, _LAW_LMAX, 0.3, 0.05)
+    seeds = np.arange(100)
+    fs = random_band_limited(grid, 3000 + seeds, _LAW_LMAX, _F_AMPLITUDE).values
+    phis = random_band_limited(grid, 9000 + seeds, _LAW_LMAX, _PHI_AMPLITUDE).values
+    mnors = random_zonal(grid, 15000 + seeds, _LAW_LMAX, 0.3, 0.05).values
+    for a in range(0, len(seeds), _LAW_STACK):
+        f, phi, mnor = (ZonalField(grid, family[a:a + _LAW_STACK]) for family in (fs, phis, mnors))
         bg_m = round_sphere_background(n, grid, variant="calibrated", mnor=mnor)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
         ramp = np.exp(-(n + 2) / 2.0 * phi.values)
@@ -215,8 +214,9 @@ def _transport_checks(env) -> list[Check]:
     grid = env["grid4"]
     bg = round_sphere_background(n, grid, variant="calibrated")
     worst = 0.0
-    for seeds in _seed_stacks(21000, 20, _LAW_STACK):
-        phi = random_band_limited(grid, seeds, _LAW_LMAX, _PHI_AMPLITUDE)
+    phis = random_band_limited(grid, 21000 + np.arange(20), _LAW_LMAX, _PHI_AMPLITUDE).values
+    for a in range(0, len(phis), _LAW_STACK):
+        phi = ZonalField(grid, phis[a:a + _LAW_STACK])
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
         closed = laws.mass_pushforward(u, bg).values
         marched = laws.mass_transport_ode(bg, phi).values
@@ -226,13 +226,13 @@ def _transport_checks(env) -> list[Check]:
 
 
 def _sobolev_checks(env) -> list[Check]:
-    # each seed stack is drawn once, and its coefficients synthesized on both grids
+    # the seeds are drawn once, and each slice's coefficients synthesized on both grids
     bgs = {n: round_sphere_background(n, env[f"grid{n}"]) for n in (4, 6)}
     worst = dict.fromkeys(bgs, math.inf)
-    for seeds in _seed_stacks(40000, 1000, _SOBOLEV_STACK):
-        coeffs = random_zonal_coefficients(seeds, 48)
+    coeffs = random_zonal_coefficients(40000 + np.arange(1000), 48)
+    for a in range(0, len(coeffs), _SOBOLEV_STACK):
         for n, bg in bgs.items():
-            u = floored_field(bg.grid, coeffs, 1.0, 0.05)
+            u = floored_field(bg.grid, coeffs[a:a + _SOBOLEV_STACK], 1.0, 0.05)
             worst[n] = min(worst[n], float(functionals.sobolev_gap(u, bg).min()))
     out = [_interval_check(f"sobolev_gap_random_n{n}", worst[n], -1e-9, None, "paper",
                            "min gap over 1000 seeded positive band-limited fields")

@@ -126,53 +126,66 @@ def capped_bubble(params: ProfileParams, grid) -> ZonalField:
     return ZonalField(grid, vals)
 
 
-def bubble_moment(alpha: float, epsilon: float, k: float, n: int) -> float:
+def bubble_moment(alpha, epsilon: float, k: float, n: int):
     """int_0^eps u_alpha(r)^2 r^{k+n-1} dr by Gauss quadrature.
 
     Computed in the self-similar variable r = alpha t, where the integrand
     t^{k+n-1} (1+t^2)^{2-n} is scale-free and the prefactor alpha^{k+2} is
     exact; this keeps the quadrature well conditioned across the whole
-    concentration range.  Raises OverflowError when t^{k+n-1} overflows a
-    float at the upper limit t = eps/alpha.
+    concentration range.  ``alpha`` may be an array of scales: the moments
+    of all of them go through one quadrature, one value per scale.  Raises
+    OverflowError when t^{k+n-1} overflows a float at the upper limit
+    t = eps/alpha of any scale.
     """
     check_dimension(n)
     if k <= -n:
         raise ValueError(f"need k > -n for convergence, got k={k}, n={n}")
-    if alpha <= 0 or epsilon <= 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0) or epsilon <= 0:
         raise ValueError("alpha and epsilon must be positive")
     m = k + n - 1.0
-    top = float(epsilon) / float(alpha)
-    if top > 0.0 and m * math.log(top) > _LOG_FLOAT_MAX:  # eps/alpha may underflow to 0
-        raise OverflowError(f"t^{m:g} overflows at t = {top:g}")
-    return alpha ** (k + 2.0) * _radial_moment(m, n - 2.0, top)
+    with np.errstate(over="ignore", invalid="ignore"):  # eps/alpha may overflow or underflow
+        top = float(epsilon) / alpha
+        over = (top > 0.0) & (m * np.log(np.where(top > 0.0, top, 1.0)) > _LOG_FLOAT_MAX)
+    if np.any(over):
+        raise OverflowError(f"t^{m:g} overflows at t = {top[over].flat[0]:g}")
+    out = alpha ** (k + 2.0) * _radial_moment(m, n - 2.0, top)
+    return float(out) if out.ndim == 0 else out
 
 
-def _radial_moment(m: float, q: float, top: float, factor=np.ones_like) -> float:
-    """int_0^top t^m (1+t^2)^{-q} factor(t) dt, for m > -1 and a smooth factor.
+def _radial_moment(m: float, q: float, top, factor=np.ones_like):
+    """int_0^top t^m (1+t^2)^{-q} factor(t) dt, for m > -1 and a smooth factor;
+    ``top`` may be an array of upper limits, one moment each.
 
     * [0, min(top, 1)]: Gauss-Jacobi for the weight t^m.
     * [1, top]: u = ln t, and Gauss-Legendre (the Gauss-Jacobi rule with
-      beta = 0) on unit panels in u.  The integrand
+      beta = 0) on unit panels in u, as many as the largest top needs; a
+      smaller top's panels past its own end have width 0.  The integrand
       exp((m+1) u - q ln(1 + e^{2u})) is formed in log form, so t^{m+1} and
       (1+t^2)^{-q} never overflow or underflow apart.
-    * [1, inf) when top is infinite: s = 1/t gives s^{2q-m-2} (1+s^2)^{-q} on
-      [0, 1], and Gauss-Jacobi for the weight s^{2q-m-2}.
+    * [1, inf) where top is infinite: s = 1/t gives s^{2q-m-2} (1+s^2)^{-q}
+      on [0, 1], and Gauss-Jacobi for the weight s^{2q-m-2}.
     """
-    head = min(top, 1.0)
+    top = np.asarray(top, dtype=float)
+    head = np.minimum(top, 1.0)
     x, w = _jacobi_rule(m)
-    t = head * x
-    total = head ** (m + 1.0) * float(w @ ((1.0 + t * t) ** -q * factor(t)))
-    if top == math.inf:
+    t = head[..., None] * x
+    total = head ** (m + 1.0) * (((1.0 + t * t) ** -q * factor(t)) @ w)
+    length = np.log(np.maximum(top, 1.0))
+    finite = np.isfinite(length)
+    if not finite.all():
         s, w = _jacobi_rule(2.0 * q - m - 2.0)
-        total += float(w @ ((1.0 + s * s) ** -q * factor(1.0 / s)))
-    elif top > 1.0:
+        total = total + np.where(finite, 0.0, w @ ((1.0 + s * s) ** -q * factor(1.0 / s)))
+    length = np.where(finite, length, 0.0)
+    panels = math.ceil(length.max())
+    if panels:
         y, w = _jacobi_rule(0.0)
-        edges = np.append(np.arange(0.0, math.log(top), 1.0), math.log(top))
-        width = np.diff(edges)[:, None]
-        u = edges[:-1, None] + width * y
+        edges = np.minimum(np.arange(panels + 1.0), length[..., None])
+        width = np.diff(edges)[..., None]
+        u = edges[..., :-1, None] + width * y
         integrand = np.exp((m + 1.0) * u - q * np.logaddexp(0.0, 2.0 * u)) * factor(np.exp(u))
-        total += float((width * w * integrand).sum())
-    return total
+        total = total + (width * w * integrand).sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 @lru_cache(maxsize=128)
@@ -265,9 +278,9 @@ def fit_decay_rate(alphas, values, n: int, k: float) -> RateFit:
 
 def decay_rate(n: int, k: float, cap: float = RATE_CAP_DEFAULT) -> RateFit:
     """The rate experiment: ``bubble_moment`` up to ``cap`` at every scale of
-    RATE_ALPHAS, fitted by ``fit_decay_rate``.  Raises OverflowError as
-    ``bubble_moment`` does."""
-    values = [bubble_moment(a, cap, k, n) for a in RATE_ALPHAS]
+    RATE_ALPHAS, all in one call, fitted by ``fit_decay_rate``.  Raises
+    OverflowError as ``bubble_moment`` does."""
+    values = bubble_moment(RATE_ALPHAS, cap, k, n)
     return fit_decay_rate(RATE_ALPHAS, values, n, k)
 
 

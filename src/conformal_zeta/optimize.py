@@ -203,8 +203,9 @@ def _project(vals: np.ndarray, bg: ConformalBackground):
 
 def seeded_start(grid: ZonalGrid, seed) -> ZonalField:
     """The optimizer's default start: 1 plus a smooth degree-6 perturbation of
-    sup norm 0.1, shifted so its minimum is 1.  An array of seeds gives the
-    stack of the per-seed starts."""
+    sup norm 0.1, shifted so its minimum is 1.  An array of seeds gives a
+    stack of starts drawn from one generator (``random_band_limited``); an int
+    seed and a one-seed array give ``default_rng(seed)``'s start."""
     pert = random_band_limited(grid, seed, l_max=6, amplitude=0.1).values
     return ZonalField(grid, 1.0 + pert - pert.min(axis=-1, keepdims=True))
 

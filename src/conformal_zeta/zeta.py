@@ -16,7 +16,8 @@ inverse operator.
 Two evaluation routes are exposed and cross-checked by the test suite:
 
 * ``spectral_zeta(query, s)``: exact head (l <= 1000) plus the expanded tail,
-  valid away from s=1 and the Weyl poles;
+  valid away from s=1 and the Weyl poles, and refused where head and tail
+  cancel to within its error bound;
 * ``spectral_zeta_at_one(query)``: at s=1 the eigenvalue factor drops out of
   every term (lam^0 = 1), so the head/tail split telescopes through the
   Hurwitz recurrence into a two-term closed form, evaluated in exact rational
@@ -223,6 +224,14 @@ def _step_sum_value(w: float, x0: float, step: int) -> float:
     return step ** (-w) * hurwitz_zeta(w, x0 / step)
 
 
+@lru_cache(maxsize=16)
+def _head_table(n: int, step: int) -> tuple[tuple[float, float], ...]:
+    """(x, eigenvalue rounded to float) for the head's degrees l = 0, step, ...,
+    HEAD_SIZE: the evaluations at one (n, step) share one table."""
+    return tuple((l + (n - 1) / 2.0, float(subcritical_eigenvalue(n, l)))
+                 for l in range(0, HEAD_SIZE + 1, step))
+
+
 def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     """Evaluate the continued spectral series at real s away from its poles.
 
@@ -230,6 +239,14 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     x^{-2k} expansion, each term a (possibly step-2) Hurwitz zeta, truncated
     once a rigorous bound on the remainder drops below 1e-13, or below half an
     ulp of the running tail sum (error if neither is met within order 20).
+
+    The value carries an error bound, the sum of three parts.  The head's
+    rounding: its terms are all positive, so (4 + |s-1| ln eig_max) eps of
+    the head, where the rounding of s-1 and of an eigenvalue moves a term by
+    at most |s-1| ln(eig) eps of itself.  The tail's rounding: (order + 8) eps
+    of sum_k |a_k Z_k|.  And the truncation bound.  Where head and tail cancel
+    to within that bound, no digit of head + tail is significant, and
+    ValueError names the bound in place of a value.
     """
     n = query.n
     if abs(s - 1.0) < POLE_GUARD:
@@ -239,24 +256,21 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
     prefactor = 2.0 / math.factorial(n - 1)
 
     # exact head over degrees l with x = l + (n-1)/2 on the spectrum's degree lattice
-    head_terms = []
-    for l in range(0, HEAD_SIZE + 1, step):
-        x = l + (n - 1) / 2.0
-        lam = float(subcritical_eigenvalue(n, l))
-        head_terms.append(x * lam ** (-sigma))
-    head = prefactor * math.fsum(head_terms)
+    table = _head_table(n, step)
+    head = prefactor * math.fsum([x * lam ** (-sigma) for x, lam in table])
 
     # tail over x >= x_tail
     l_tail = step * (HEAD_SIZE // step + 1)
     x_tail = l_tail + (n - 1) / 2.0
     polys = _tail_coefficient_polys(n, MAX_TAIL_ORDER)
-    tail = 0.0
+    tail = tail_abs = 0.0
     for k in range(MAX_TAIL_ORDER + 1):
         w_k = (2 * k - 1) + (n - 2) * sigma
         if abs(w_k - 1.0) < POLE_GUARD:
             raise ValueError(f"s={s} sits on a pole of the continued series (tail order {k})")
-        a_k = _eval_poly(polys[k], sigma)
-        tail += a_k * _step_sum_value(w_k, x_tail, step)
+        term = _eval_poly(polys[k], sigma) * _step_sum_value(w_k, x_tail, step)
+        tail += term
+        tail_abs += abs(term)
         # remainder bound: |a_j| summed coefficients, tail sums bounded by the
         # integral test at the next order; super-geometric in x_tail^{-2}
         nxt = k + 1
@@ -266,11 +280,18 @@ def spectral_zeta(query: SpectrumQuery, s: float) -> float:
         if w_next > 1.5:
             a_bound = sum(abs(c) * abs(sigma) ** j for j, c in enumerate(polys[nxt]))
             zeta_bound = x_tail ** (1.0 - w_next) / (w_next - 1.0) + x_tail ** (-w_next)
+            remainder = 2.0 * a_bound * zeta_bound
             # below half an ulp of the running tail, no later term can
             # change it; the tail can be far above 1 where head and tail cancel
-            if 2.0 * a_bound * zeta_bound < max(TAIL_TOLERANCE, 0.25 * _EPS * abs(tail)):
+            if remainder < max(TAIL_TOLERANCE, 0.25 * _EPS * abs(tail)):
                 break
-    return head + prefactor * tail
+    value = head + prefactor * tail
+    bound = ((4.0 + abs(sigma) * math.log(table[-1][1])) * _EPS * abs(head)
+             + prefactor * ((MAX_TAIL_ORDER + 8) * _EPS * tail_abs + remainder))
+    if not bound < abs(value):
+        raise ValueError(f"no significant digit at s={s}: head {head:.3g} and tail cancel to "
+                         f"{value:.3g}, within the error bound {bound:.3g}")
+    return value
 
 
 def rational_finite_part(n: int, first_degree: int = 0, step: int = 1) -> Fraction:

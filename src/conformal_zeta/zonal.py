@@ -492,16 +492,19 @@ def gradient_pairing(f: ZonalField, g: ZonalField) -> ZonalField:
 
 
 def _normals(seed, count: int) -> np.ndarray:
-    """``count`` standard normals from ``default_rng(seed)``; for an array of
-    seeds, one such row per seed, each from its own generator."""
-    rows = [np.random.default_rng(s).standard_normal(count) for s in np.ravel(seed).tolist()]
-    return np.reshape(rows, np.shape(seed) + (count,))
+    """``count`` standard normals per seed, all drawn from one generator,
+    ``default_rng(list of the seeds)``.  A one-element entropy list seeds the
+    same stream as the seed alone, so an int seed draws ``default_rng(seed)``'s
+    numbers, and so does a one-seed array; an array of several seeds gives
+    rows of one stream, not the rows of its seeds drawn one at a time."""
+    return np.random.default_rng(np.ravel(seed).tolist()).standard_normal(np.shape(seed) + (count,))
 
 
 def random_zonal_coefficients(seed, l_max: int) -> np.ndarray:
     """The coefficients of ``random_zonal``: degrees 0..``l_max`` drawn with a
-    mild (1+l)^-1 decay, one row per seed of an array of seeds.  They depend on
-    no grid, so one draw can be synthesized on several (``floored_field``)."""
+    mild (1+l)^-1 decay.  An array of seeds gives one row per seed, all from
+    one generator (``_normals``).  They depend on no grid, so one draw can be
+    synthesized on several (``floored_field``)."""
     return _normals(seed, l_max + 1) / (1.0 + np.arange(l_max + 1))
 
 
@@ -520,7 +523,8 @@ def floored_field(grid: ZonalGrid, coeffs, amplitude: float, floor: float) -> Zo
 def random_zonal(grid: ZonalGrid, seed, l_max: int, amplitude: float, floor: float) -> ZonalField:
     """Seeded random band-limited field bounded below by ``floor``: the
     ``floored_field`` of ``random_zonal_coefficients(seed, l_max)``.  An array
-    of seeds gives the stack of the per-seed fields, synthesized together.
+    of seeds gives a stack, drawn from one generator (``_normals``) and
+    synthesized together; a one-seed array gives the int seed's field.
 
     Float64 limit: at n = 104 the synthesized field reaches about 1e33 at the
     poles, so after the shift to ``floor`` degree 0 dominates and the samples
@@ -538,8 +542,9 @@ def random_band_limited(grid: ZonalGrid, seed, l_max: int, amplitude: float) -> 
 
     Gaussian coefficient decay exp(-(l/5)^2) keeps products and
     exponentials of these fields resolvable on the grid; used by the
-    conformal-identity checks.  An array of seeds gives the stack of the
-    per-seed fields; a field that synthesizes to zero stays zero.
+    conformal-identity checks.  An array of seeds gives a stack, drawn from
+    one generator (``_normals``); a one-seed array gives the int seed's field,
+    and a field that synthesizes to zero stays zero.
     """
     ells = np.arange(l_max + 1)
     coeffs = _normals(seed, l_max + 1) * np.exp(-((ells / 5.0) ** 2))

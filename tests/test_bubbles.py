@@ -10,7 +10,7 @@ from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile,
                                     capped_bubble, concentration_sweep, fit_decay_rate,
                                     flat_profile_lp_mass, predicted_branch, smooth_cutoff)
-from conformal_zeta.params import sphere_volume
+from conformal_zeta.params import RATE_CAP_DEFAULT, sphere_volume
 from conformal_zeta.zonal import ZonalField, integrate
 
 from oracles import jacobi_rule_reference, radial_moment_reference, radial_moment_to_infinity
@@ -177,6 +177,31 @@ def test_rate_trichotomy(n, k):
     assert fit.exponent_fit == pytest.approx(want_exp, abs=0.05)
     assert fit.r2 >= 0.999
     assert fit.predicted == predicted_branch(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(6, 0), (8, 0), (8, 2), (4, 0), (6, 2)])
+def test_rate_sweep_takes_every_scale_in_one_call(n, k, monkeypatch):
+    # one quadrature of all 25 scales, each within 4 ulps of its scalar call:
+    # the per-scale sums of a wider product may round in another order
+    loop = np.array([bubble_moment(a, RATE_CAP_DEFAULT, k, n) for a in bubbles.RATE_ALPHAS])
+    calls, fitted = [], []
+    moment, fit = bubbles.bubble_moment, bubbles.fit_decay_rate
+    monkeypatch.setattr(bubbles, "bubble_moment", lambda *a: calls.append(a) or moment(*a))
+    monkeypatch.setattr(bubbles, "fit_decay_rate", lambda *a: fitted.append(a[1]) or fit(*a))
+    bubbles.decay_rate(n, k)
+    assert len(calls) == 1
+    assert np.abs(fitted[0] / loop - 1).max() <= 4 * np.finfo(float).eps
+
+
+def test_rate_sweep_refuses_overflow_as_the_moment_does():
+    # t^103 overflows past t = 982: the smallest scales of the n = 104 sweep
+    # with cap 2.5 reach 2500, with cap 0.9 none does
+    with pytest.raises(OverflowError):
+        bubble_moment(bubbles.RATE_ALPHAS[0], 2.5, 0, 104)
+    with pytest.raises(OverflowError, match="overflows at t = 2500"):
+        bubbles.decay_rate(104, 0, cap=2.5)
+    assert bubble_moment(bubbles.RATE_ALPHAS[0], 0.9, 0, 104) > 0
+    assert bubbles.decay_rate(104, 0, cap=0.9).exponent_fit > 0
 
 
 def test_fit_requires_enough_samples():

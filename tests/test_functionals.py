@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from conformal_zeta import acceptance
+from conformal_zeta.acceptance import run_suite
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.errors import ConsistencyError, ZeroFieldError
 from conformal_zeta.functionals import (_spectral_form, conformal_trace, dilation_factor,
                                         functional_report, mass_functional, sobolev_gap,
                                         yamabe_functional)
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import (ZonalField, constant_field, inner, laplacian, lp_norm,
-                                  make_grid, random_zonal)
+from conformal_zeta.zonal import (ZonalField, constant_field, floored_field, inner, laplacian,
+                                  lp_norm, make_grid, random_zonal, random_zonal_coefficients)
 from oracles import kernel_reference_tables
 
 
@@ -161,24 +163,45 @@ def _rounding_scale(u, shift):
     return ((np.abs(c) * c_scale) @ (grid.laplacian_eigenvalues + shift)).astype(float)
 
 
+def _stacked_gap_bound(stack, bg):
+    """Per field, how far two evaluations of ``sobolev_gap`` may differ by the
+    kernel's rounding alone: each moves the form by 2 k eps S and the norm
+    term by k eps of itself, k = 8."""
+    n = bg.params.n
+    const = n * (n - 2) / 4.0
+    norm_terms = const * bg.params.omega_n ** (2.0 / n) * lp_norm(stack, bg.params.p) ** 2
+    return 2 * 8 * np.finfo(float).eps * (2 * _rounding_scale(stack, const) + norm_terms)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_sobolev_gap_of_a_stack_matches_per_field(n, grid4, grid6, sphere4, sphere6):
-    # the stack and the lone field differ by the kernel's rounding alone: each
-    # evaluation moves the form by 2 k eps S and the norm term by k eps of
-    # itself, k = 8.  The gap cancels the two terms, near 1.5e5 at n = 6, down
-    # to O(1); the worst measured was 5.0 eps S, 9.4 eps of the form (n = 6)
+    # each row of the stack against the same values taken as a lone field: they
+    # differ by the kernel's rounding alone (``_stacked_gap_bound``).  The gap
+    # cancels the two terms, near 1.5e5 at n = 6, down to O(1); the worst
+    # measured was 5.0 eps S, 9.4 eps of the form (n = 6)
     grid = grid4 if n == 4 else grid6
     bg = sphere4 if n == 4 else sphere6
-    const = n * (n - 2) / 4.0
-    seeds = 2000 + np.arange(20)
-    stack = random_zonal(grid, seeds, 32, 1.0, 0.05)
+    stack = random_zonal(grid, 2000 + np.arange(20), 32, 1.0, 0.05)
     gaps = sobolev_gap(stack, bg)
     assert gaps.shape == (20,)
-    norm_terms = const * bg.params.omega_n ** (2.0 / n) * lp_norm(stack, bg.params.p) ** 2
-    bounds = 2 * 8 * np.finfo(float).eps * (2 * _rounding_scale(stack, const) + norm_terms)
-    for gap, seed, bound in zip(gaps, seeds, bounds):
-        one = sobolev_gap(random_zonal(grid, int(seed), 32, 1.0, 0.05), bg)
-        assert abs(gap - one) <= bound
+    for gap, row, bound in zip(gaps, stack.values, _stacked_gap_bound(stack, bg)):
+        assert abs(gap - sobolev_gap(ZonalField(grid, row), bg)) <= bound
+
+
+def test_sobolev_check_values_do_not_depend_on_the_slice_size(monkeypatch, sphere4, sphere6):
+    # the suite draws its 1000 Sobolev fields once and slices them into
+    # stacks, so the slice size moves each minimum by rounding alone: within
+    # the stacked-versus-lone bound of the fields near that minimum
+    names = ["sobolev_gap_random_n4", "sobolev_gap_random_n6"]
+    default = run_suite(names=names).checks
+    monkeypatch.setattr(acceptance, "_SOBOLEV_STACK", 40)
+    sliced = run_suite(names=names).checks
+    coeffs = random_zonal_coefficients(40000 + np.arange(1000), 48)
+    for bg, one, other in zip((sphere4, sphere6), default, sliced):
+        fields = floored_field(bg.grid, coeffs, 1.0, 0.05)
+        gaps = sobolev_gap(fields, bg)
+        near = ZonalField(bg.grid, fields.values[gaps <= gaps.min() + 1.0])
+        assert abs(one.value - other.value) <= _stacked_gap_bound(near, bg).max()
 
 
 @pytest.mark.parametrize("size", [97, 256])

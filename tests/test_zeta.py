@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conformal_zeta import zeta
 from conformal_zeta.params import MAX_DIMENSION, dim_params, sphere_volume
-from conformal_zeta.spectra import SpectrumQuery
+from conformal_zeta.spectra import SpectrumQuery, subcritical_eigenvalue
 from conformal_zeta.zeta import (MAX_TAIL_ORDER, _tail_coefficient_polys, bernoulli_polynomial,
                                  homogeneous_mass, hurwitz_zeta, spectral_zeta,
                                  spectral_zeta_at_one)
@@ -280,11 +280,77 @@ def test_series_beyond_the_absolute_tail_tolerance():
     # On S^64 at s = 0.5 the k=0 tail term is a Hurwitz zeta at w = -33, of order
     # x^33 ~ 1e97 at the split point x ~ 1000, so no absolute remainder bound is
     # met; the tail stops once the remainder is below half an ulp of the tail.
-    # Head and tail, about 8.6e10 each after the prefactor, cancel to the
-    # continued value -4.8e-45, which float64 keeps to a few ulps of the head.
-    value = spectral_zeta(SpectrumQuery(space="sphere", n=64), 0.5)
-    want = continued_sphere_zeta(64, Fraction(1, 2))
-    assert abs(value - want) <= 8 * np.finfo(float).eps * 8.6e10
+    # Head and tail, about 8.6e10 each after the prefactor, cancel to 0.0, but
+    # the continued value is -4.8e-45 (``continued_sphere_zeta``): no digit
+    # survives, and the error bound says so in place of a value
+    with pytest.raises(ValueError, match="within the error bound"):
+        spectral_zeta(SpectrumQuery(space="sphere", n=64), 0.5)
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+def test_series_refuses_values_without_a_significant_digit(n):
+    # at s = 0.5 the head reaches 7e12 (n = 12) to 7e15 (n = 40) and cancels
+    # against the tail to 0.0, -0.25 and 1.0, where ``continued_sphere_zeta``
+    # gives -2.48e-5, -5.16e-10 and -1.43e-24
+    with pytest.raises(ValueError, match="within the error bound"):
+        spectral_zeta(SpectrumQuery(space="sphere", n=n), 0.5)
+
+
+def test_series_returns_a_value_that_keeps_its_digits():
+    # on S^4 at s = 0.5 head (1.1e8) and tail cancel to -0.044, and the error,
+    # 7.1e-9, stays within a few eps of the head
+    value = spectral_zeta(SpectrumQuery(space="sphere", n=4), 0.5)
+    want = continued_sphere_zeta(4, Fraction(1, 2))
+    assert abs(value - want) <= 4 * np.finfo(float).eps * 1.12e8
+
+
+@pytest.mark.parametrize("n", [4, 6, 20, 50, 104])
+@pytest.mark.parametrize("space", ["sphere", "projective"])
+def test_series_near_its_expansion_point_is_never_refused(n, space):
+    # near s = 1 at least 6.6e-7 of the head survives the cancellation on S^4
+    # (3.3e-7 on RP^4, 1.5e-3 at n = 104), far above the few eps of the head
+    # that the error bound charges, so the residue's four evaluations return
+    q = SpectrumQuery(space=space, n=n)
+    for delta in (1e-4, -1e-4, 2e-4, -2e-4):
+        head = 2.0 / math.factorial(n - 1) * math.fsum(
+            x * lam ** (-delta) for x, lam in zeta._head_table(n, q.step))
+        assert abs(spectral_zeta(q, 1.0 + delta)) >= 3e-7 * head
+    assert abs(spectral_zeta_at_one(q).residue) < 1e-10
+
+
+def _spectral_zeta_per_degree(query, s):
+    """The reference for the head table: the head's eigenvalues taken degree
+    by degree on every call, and the same tail."""
+    n, sigma, step = query.n, s - 1.0, query.step
+    prefactor = 2.0 / math.factorial(n - 1)
+    head_terms = []
+    for l in range(0, zeta.HEAD_SIZE + 1, step):
+        x = l + (n - 1) / 2.0
+        lam = float(subcritical_eigenvalue(n, l))
+        head_terms.append(x * lam ** (-sigma))
+    head = prefactor * math.fsum(head_terms)
+    x_tail = step * (zeta.HEAD_SIZE // step + 1) + (n - 1) / 2.0
+    polys = _tail_coefficient_polys(n, MAX_TAIL_ORDER)
+    tail = 0.0
+    for k in range(MAX_TAIL_ORDER + 1):
+        w_k = (2 * k - 1) + (n - 2) * sigma
+        tail += zeta._eval_poly(polys[k], sigma) * zeta._step_sum_value(w_k, x_tail, step)
+        w_next = (2 * k + 1) + (n - 2) * sigma
+        if w_next > 1.5:
+            a_bound = sum(abs(c) * abs(sigma) ** j for j, c in enumerate(polys[k + 1]))
+            zeta_bound = x_tail ** (1.0 - w_next) / (w_next - 1.0) + x_tail ** (-w_next)
+            if 2.0 * a_bound * zeta_bound < max(zeta.TAIL_TOLERANCE,
+                                                0.25 * np.finfo(float).eps * abs(tail)):
+                break
+    return head + prefactor * tail
+
+
+@pytest.mark.parametrize("space, n, s", [("sphere", 4, 0.5), ("sphere", 4, 3.0),
+                                         ("sphere", 6, 1.3), ("projective", 8, 1.0001),
+                                         ("sphere", 104, 0.9999), ("projective", 20, 2.5)])
+def test_head_table_leaves_every_value_bit_for_bit(space, n, s):
+    q = SpectrumQuery(space=space, n=n)
+    assert spectral_zeta(q, s) == _spectral_zeta_per_degree(q, s)
 
 
 @pytest.mark.parametrize("n", [4, 6, 104])

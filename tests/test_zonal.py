@@ -580,15 +580,34 @@ def test_stack_broadcasts_against_a_field(grid4_small):
         assert lp_norm(stack, 4.0)[r] == pytest.approx(lp_norm(row, 4.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("make", [lambda g, s: random_zonal(g, s, 16, 0.5, 1e-3),
-                                  lambda g, s: random_band_limited(g, s, 16, 0.3)])
+def _floored_recipe(grid, normals):
+    rough = synthesize(grid, normals / (1.0 + np.arange(17))).values
+    return 1e-3 + 0.5 * (rough - rough.min(axis=-1, keepdims=True))
+
+
+def _band_limited_recipe(grid, normals):
+    rough = synthesize(grid, normals * np.exp(-((np.arange(17) / 5.0) ** 2))).values
+    return 0.3 * rough / np.abs(rough).max(axis=-1, keepdims=True)
+
+
+_SEEDED_FIELDS = [lambda g, s: random_zonal(g, s, 16, 0.5, 1e-3),
+                  lambda g, s: random_band_limited(g, s, 16, 0.3)]
+_SEEDED_RECIPES = [_floored_recipe, _band_limited_recipe]
+
+
+@pytest.mark.parametrize("make", _SEEDED_FIELDS)
 def test_seed_array_matches_per_seed_fields(grid4, make):
+    # one generator draws a seed array's rows: the stack is its recipe, written
+    # out, on the rows of default_rng(list(seeds)), bit for bit; and a one-seed
+    # array is the int seed's field, since a one-element entropy list seeds
+    # the same stream as the seed alone
+    recipe = _SEEDED_RECIPES[_SEEDED_FIELDS.index(make)]
     seeds = np.array([5, 17, 4000])
     stack = make(grid4, seeds).values
-    assert stack.shape == (3, grid4.size)
-    for row, seed in zip(stack, seeds):
-        one = make(grid4, int(seed)).values
-        assert np.abs(row - one).max() <= 1e-15 * np.abs(one).max()
+    normals = np.random.default_rng(list(seeds)).standard_normal((3, 17))
+    assert np.array_equal(stack, recipe(grid4, normals))
+    for seed in (5, 40243, 2**40 + 3):
+        assert np.array_equal(make(grid4, np.array([seed])).values[0], make(grid4, seed).values)
 
 
 def test_int_seed_fields_keep_their_arithmetic(grid4):
