@@ -11,12 +11,8 @@ starts child processes with OPENBLAS_CORETYPE set (unset for ``default``):
 one runs the Tier-1 tests, one runs ``run_suite()`` at N = 256 and reports
 the kernel's own name as OpenBLAS gives it ("unknown" where numpy's OpenBLAS
 does not export it).  It prints the Tier-1 summary and each check's value and
-margin per kernel, with the tests that failed, and exits 1 if any run or any
-check fails.
-
-A check's margin is its distance to the gate, in the check's units:
-tolerance - |value - expected| for a value with a tolerance, the distance to
-the nearer bound for an interval.  It is negative for a failing check.
+margin (``Check.margin``, the distance to its gate) per kernel, with the
+tests that failed, and exits 1 if any run or any check fails.
 """
 
 import json
@@ -48,19 +44,11 @@ def corename() -> str:
     return get().decode()
 
 
-def margin(check) -> float:
-    if isinstance(check.expected, tuple):
-        lo, hi = check.expected
-        return min(check.value - lo if lo is not None else math.inf,
-                   hi - check.value if hi is not None else math.inf)
-    return check.tolerance - abs(check.value - check.expected)
-
-
 def suite_document(report, kernel: str) -> dict:
     """A suite run as the child prints it: the kernel's name, and per check
     its value, margin and pass flag."""
     return {"kernel": kernel,
-            "checks": {c.name: [c.value, margin(c), c.passed] for c in report.checks}}
+            "checks": {c.name: [c.value, c.margin, c.passed] for c in report.checks}}
 
 
 def suite_child() -> None:

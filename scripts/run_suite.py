@@ -3,7 +3,9 @@
 
     python scripts/run_suite.py [--out report.json] [--grid-n 256]
 
-The checks run one after another in this process.  The JSON report goes to
+The checks run one after another in this process.  Each row shows the
+check's value and its margin, the distance to its gate (``Check.margin``;
+negative for a failing check).  The JSON report goes to
 ``acceptance_report.json`` next to this script (ignored by git) unless --out
 is given; exits 0 only when every registered check passes.
 """
@@ -28,7 +30,8 @@ def main():
     width = max(len(c.name) for c in report.checks)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"{status}  {c.name:<{width}}  value={c.value:+.9e}  [{c.provenance}]")
+        print(f"{status}  {c.name:<{width}}  value={c.value:+.9e}  margin={c.margin:+.2e}  "
+              f"[{c.provenance}]")
     print(f"\noverall: {'PASS' if report.overall_pass else 'FAIL'} "
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)})")
 

@@ -1,8 +1,8 @@
-"""Conformal background data: constants, grid, scalar curvature, normalized mass.
+"""Conformal background data: the round S^n carrying normalized-mass data.
 
 The normalized mass field is the stored primitive (it is the conformally
-covariant object); the plain mass field is always reconstructed on demand as
-m = m_nor - b_n * scal.
+covariant object); the scalar curvature is the round constant n(n-1), and the
+plain mass field is reconstructed on demand as m = m_nor - b_n n(n-1).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ ROUND_SPHERE_TOL = 1e-13
 class ConformalBackground:
     params: DimensionParams
     grid: ZonalGrid
-    scal: ZonalField
     mnor: ZonalField
 
     def __post_init__(self):
@@ -30,34 +29,23 @@ class ConformalBackground:
             raise GridMismatchError(
                 f"params are for n={self.params.n} but grid has n={self.grid.n}"
             )
-        for name in ("scal", "mnor"):
-            field = getattr(self, name)
-            if not field.grid.compatible(self.grid):
-                raise GridMismatchError(f"{name} lives on {field.grid}, expected {self.grid}")
+        if not self.mnor.grid.compatible(self.grid):
+            raise GridMismatchError(f"mnor lives on {self.mnor.grid}, expected {self.grid}")
 
     def mass_field(self) -> ZonalField:
-        """m = m_nor - b_n * scal."""
-        return ZonalField(self.grid, self.mnor.values - self.params.b_n * self.scal.values)
+        """m = m_nor - b_n n(n-1)."""
+        n = self.params.n
+        return ZonalField(self.grid, self.mnor.values - self.params.b_n * (n * (n - 1)))
 
     def is_round_sphere(self) -> bool:
-        """True when the normalized mass vanishes and scal is the round constant."""
-        n = self.params.n
-        return (
-            float(np.abs(self.mnor.values).max(initial=0.0)) <= ROUND_SPHERE_TOL
-            and float(np.abs(self.scal.values - n * (n - 1)).max()) <= ROUND_SPHERE_TOL
-        )
+        """True when the normalized mass vanishes."""
+        return float(np.abs(self.mnor.values).max(initial=0.0)) <= ROUND_SPHERE_TOL
 
 
 def round_sphere_background(
     n: int, grid: ZonalGrid, variant: str = "paper", mnor: ZonalField | None = None
 ) -> ConformalBackground:
-    """Round unit S^n: scal = n(n-1); normalized mass defaults to zero.
-
-    Passing ``mnor`` injects externally supplied normalized-mass data on the
-    round sphere (the only base geometry with in-scope mass data).
-    """
-    params = dim_params(n, variant)
-    scal = constant_field(grid, float(n * (n - 1)))
+    """Round unit S^n carrying the normalized mass ``mnor`` (zero by default)."""
     if mnor is None:
         mnor = constant_field(grid, 0.0)
-    return ConformalBackground(params=params, grid=grid, scal=scal, mnor=mnor)
+    return ConformalBackground(params=dim_params(n, variant), grid=grid, mnor=mnor)

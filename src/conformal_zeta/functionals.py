@@ -19,8 +19,8 @@ it: the discrete transform is orthonormal (B W B^T = I), so
 sum_l c_l^2 = u^T W u and sum_l l(l+n-1) c_l^2 = u^T W D u, and the two
 evaluations differ only by rounding (and by the coefficients the analysis
 filters as quadrature roundoff).  ``sobolev_gap``, ``conformal_trace`` and
-``yamabe_functional`` use it; the Yamabe functional adds the pointwise
-a_n int scal u^2 on the grid.
+``yamabe_functional`` use it: the background is the round S^n, so
+a_n scal = a_n n(n-1) = n(n-2)/4 is the same shift for all three.
 
 M is evaluated through BOTH displayed forms and the two must agree; this is a
 live guard on the b_n = a_n c_n coupling and the background's mass bookkeeping,
@@ -86,9 +86,20 @@ def yamabe_functional(u: ZonalField, bg: ConformalBackground):
     _check_nonzero(u)
     _check_grid(u, bg)
     norm_sq = _norm_sq(u, bg)
-    a_n = bg.params.a_n
-    quad = _spectral_form(u, 0.0) + a_n * inner(ZonalField(u.grid, u.values * u.values), bg.scal)
-    return quad / (a_n * norm_sq)
+    n, a_n = bg.params.n, bg.params.a_n
+    return _spectral_form(u, a_n * (n * (n - 1))) / (a_n * norm_sq)
+
+
+def _require_agreement(what: str, first, second):
+    """A one-line ConsistencyError, naming a stack's worst row, unless the two routes
+    agree to FORM_AGREEMENT_TOL relative to max(1, |first|) in every field."""
+    excess = np.abs(first - second) / np.maximum(1.0, np.abs(first))
+    if np.any(excess > FORM_AGREEMENT_TOL):
+        row = int(np.argmax(excess))
+        at = f" in row {row} of {excess.size}" if np.ndim(excess) else ""
+        pair = float(np.ravel(first)[row]), float(np.ravel(second)[row])
+        raise ConsistencyError(f"{what}{at}: {pair[0]!r} vs {pair[1]!r}, beyond the "
+                               f"relative tolerance {FORM_AGREEMENT_TOL:g}")
 
 
 def mass_functional(u: ZonalField, bg: ConformalBackground):
@@ -107,11 +118,7 @@ def mass_functional(u: ZonalField, bg: ConformalBackground):
     y_form = mnor_term - bg.params.b_n * (
         inner(u, yamabe_apply(u, bg)) / (bg.params.a_n * norm_sq)
     )
-    scale = np.maximum(1.0, np.abs(p_form))
-    if np.any(np.abs(p_form - y_form) > FORM_AGREEMENT_TOL * scale):
-        raise ConsistencyError(
-            f"mass-functional forms disagree: {p_form!r} vs {y_form!r}"
-        )
+    _require_agreement("mass-functional forms disagree (P form vs Y form)", p_form, y_form)
     return p_form
 
 
@@ -179,11 +186,7 @@ def functional_report(u: ZonalField, bg: ConformalBackground) -> FunctionalRepor
     trace_from_m = m_val * vol ** ((bg.params.n - 2.0) / bg.params.n)
     if bg.is_round_sphere():
         trace = conformal_trace(u, bg)
-        scale = max(1.0, abs(trace))
-        if abs(trace - trace_from_m) > FORM_AGREEMENT_TOL * scale:
-            raise ConsistencyError(
-                f"trace routes disagree: closed form {trace!r} vs functional {trace_from_m!r}"
-            )
+        _require_agreement("trace routes disagree (closed form vs functional)", trace, trace_from_m)
     else:
         trace = trace_from_m
     return FunctionalReport(

@@ -10,6 +10,9 @@ h = u^{4/(n-2)} g with u = e^{(n-2) phi / 2}):
   and the mass of u^{4/(n-2)} g is  -u^{-(n+2)/(n-2)} P_g u
 * normalized mass:  m_nor -> e^{-2 phi} m_nor  (weight -2 covariance)
 
+g is the background's round S^n, with scal_g = n(n-1); ``transform_background``
+returns the pair (scal_h, m_nor_h) of h = e^{2 phi} g, which is no background.
+
 All operations are pure; fields are never mutated.  Nonlinear composites
 (e^{phi} f and friends) are evaluated pointwise on the grid, so callers keep
 inputs band-limited to roughly a quarter of the grid size (standard
@@ -37,7 +40,7 @@ def _require_same_grid(*fields: ZonalField):
 
 def transformed_laplacian(f: ZonalField, phi: ZonalField, bg: ConformalBackground) -> ZonalField:
     """Laplacian of the metric e^{2 phi} g applied to f."""
-    _require_same_grid(f, phi, bg.scal)
+    _require_same_grid(f, phi, bg.mnor)
     n = bg.params.n
     cross = gradient_pairing(phi, f)
     vals = np.exp(-2.0 * phi.values) * (laplacian(f).values - (n - 2) * cross.values)
@@ -45,13 +48,14 @@ def transformed_laplacian(f: ZonalField, phi: ZonalField, bg: ConformalBackgroun
 
 
 def yamabe_apply(u: ZonalField, bg: ConformalBackground) -> ZonalField:
-    """Y_g u = D u + a_n scal u."""
-    _require_same_grid(u, bg.scal)
-    return ZonalField(u.grid, laplacian(u).values + bg.params.a_n * bg.scal.values * u.values)
+    """Y_g u = D u + a_n n(n-1) u."""
+    _require_same_grid(u, bg.mnor)
+    n = bg.params.n
+    return ZonalField(u.grid, laplacian(u).values + bg.params.a_n * (n * (n - 1)) * u.values)
 
 
 def p_operator_apply(u: ZonalField, bg: ConformalBackground) -> ZonalField:
-    """P_g u = c_n D u - m_g u, with m_g = m_nor - b_n scal."""
+    """P_g u = c_n D u - m_g u, with m_g = m_nor - b_n n(n-1)."""
     _require_same_grid(u, bg.mnor)
     mass = bg.mass_field()
     return ZonalField(u.grid, bg.params.c_n * laplacian(u).values - mass.values * u.values)
@@ -85,20 +89,12 @@ def normalized_mass_pushforward(mnor: ZonalField, phi: ZonalField) -> ZonalField
     return ZonalField(mnor.grid, np.exp(-2.0 * phi.values) * mnor.values)
 
 
-def transform_background(bg: ConformalBackground, phi: ZonalField) -> ConformalBackground:
-    """Background of the metric e^{2 phi} g.
-
-    The normalized mass transforms covariantly; the scalar curvature is
-    recomputed from the conformal factor through the Yamabe law.
-    """
+def transform_background(bg: ConformalBackground, phi: ZonalField) -> tuple[ZonalField, ZonalField]:
+    """(scal_h, m_nor_h) of h = e^{2 phi} g, by the Yamabe law and the covariant
+    pushforward; the mass field of h is m_nor_h - b_n scal_h."""
     n = bg.params.n
     u = ZonalField(phi.grid, np.exp((n - 2) / 2.0 * phi.values))
-    return ConformalBackground(
-        params=bg.params,
-        grid=bg.grid,
-        scal=transformed_scalar_curvature(u, bg),
-        mnor=normalized_mass_pushforward(bg.mnor, phi),
-    )
+    return transformed_scalar_curvature(u, bg), normalized_mass_pushforward(bg.mnor, phi)
 
 
 def mass_transport_ode(bg: ConformalBackground, phi: ZonalField) -> ZonalField:

@@ -20,9 +20,10 @@ the line search stalls (_MAX_TRIALS trials is the backstop).  ``backtracks``
 counts the rejected trials, the stalling one included.  On a stall a short
 Picard polish drives the residual itself to tolerance.  A polish step is the
 ascent's own step at unit length, u <- u + A^{-1} r, accepted only while the
-residual decreases.  Since P = A - (m_g + c_n n(n-2)/4), at ||u||_p = 1
+residual decreases.  On the round S^n, m_g = m_nor - c_n n(n-2)/4, so
+P = A - m_nor, and at ||u||_p = 1
 
-    u + A^{-1} r = A^{-1}[Lambda |u|^{p-2} u + (m_g + c_n n(n-2)/4) u],
+    u + A^{-1} r = A^{-1}[Lambda |u|^{p-2} u + m_nor u],
 
 which is the Picard map.  The ascent is needed first: the polish alone stalls
 far from the optimum on a background with mass data.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -86,16 +87,33 @@ def test_form_disagreement_in_one_field_of_a_stack_raises(grid4, sphere4, monkey
         fmod.mass_functional(stack, sphere4)
 
 
+def test_form_disagreement_in_a_stack_is_one_line_naming_the_worst_row(grid4, sphere4):
+    # b_n off its coupling a_n c_n: the forms differ by 1e-6 c_n int u D u / ||u||_p^2,
+    # largest for the most concentrated of the five dilations, row 3
+    params = dataclasses.replace(sphere4.params, b_n=sphere4.params.b_n * (1 + 1e-6))
+    bg = dataclasses.replace(sphere4, params=params)
+    stack = ZonalField(grid4, np.stack([dilation_factor(t, grid4).values
+                                        for t in (0.0, 0.25, 0.5, 1.5, 1.0)]))
+    with pytest.raises(ConsistencyError) as err:
+        mass_functional(stack, bg)
+    message = str(err.value)
+    assert "\n" not in message and "row 3 of 5" in message and "1e-10" in message
+
+
 def test_yamabe_functional_sphere_value(grid4, sphere4):
     got = yamabe_functional(constant_field(grid4, 1.0), sphere4)
     assert got == pytest.approx(12.0 * math.sqrt(sphere_volume(4)), rel=1e-12)
 
 
-def test_yamabe_functional_dilation_invariant(grid4, sphere4):
-    base = sphere4.params.yamabe_sphere
+@pytest.mark.parametrize("n", [4, 6, 20])
+def test_yamabe_functional_dilation_invariant(n, grid4, grid6):
+    # the sphere form reads the sharp constant to a few ulps along the orbit
+    grid = {4: grid4, 6: grid6}.get(n) or make_grid(n, 256)
+    bg = round_sphere_background(n, grid)
+    base = bg.params.yamabe_sphere
     for t in (0.5, 1.0, 2.0):
-        got = yamabe_functional(dilation_factor(t, grid4), sphere4)
-        assert got == pytest.approx(base, abs=1e-8)
+        got = yamabe_functional(dilation_factor(t, grid), bg)
+        assert got == pytest.approx(base, rel=1e-14)
 
 
 def test_yamabe_functional_sharp_lower_bound(grid4, sphere4):

@@ -187,8 +187,8 @@ def test_yamabe_covariance(n, grid4, grid6):
         f = smooth(grid, 400 + seed, 0.5)
         phi = smooth(grid, 500 + seed, 0.3)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
-        bg_h = transform_background(bg, phi)
-        lhs = transformed_laplacian(f, phi, bg).values + bg.params.a_n * bg_h.scal.values * f.values
+        scal_h, _ = transform_background(bg, phi)
+        lhs = transformed_laplacian(f, phi, bg).values + bg.params.a_n * scal_h.values * f.values
         rhs = np.exp(-(n + 2) / 2.0 * phi.values) * yamabe_apply(
             ZonalField(grid, u.values * f.values), bg).values
         worst = max(worst, np.abs(lhs - rhs).max())
@@ -205,13 +205,26 @@ def test_p_covariance_with_mass_data(n, grid4, grid6):
         f = smooth(grid, 600 + seed, 0.5)
         phi = smooth(grid, 700 + seed, 0.3)
         u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
-        bg_h = transform_background(bg, phi)
-        lhs = (bg.params.c_n * transformed_laplacian(f, phi, bg).values
-               - bg_h.mass_field().values * f.values)
+        scal_h, mnor_h = transform_background(bg, phi)
+        mass_h = mnor_h.values - bg.params.b_n * scal_h.values
+        lhs = bg.params.c_n * transformed_laplacian(f, phi, bg).values - mass_h * f.values
         rhs = np.exp(-(n + 2) / 2.0 * phi.values) * p_operator_apply(
             ZonalField(grid, u.values * f.values), bg).values
         worst = max(worst, np.abs(lhs - rhs).max())
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_transform_background_is_the_pair_of_laws(n, grid4, grid6):
+    # (scal_h, m_nor_h) of e^{2 phi} g are the two laws, bit for bit
+    grid = grid4 if n == 4 else grid6
+    bg = round_sphere_background(n, grid, variant="calibrated",
+                                 mnor=random_zonal(grid, 24, 12, 0.3, 0.05))
+    phi = smooth(grid, 800, 0.3)
+    scal_h, mnor_h = transform_background(bg, phi)
+    u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
+    assert np.array_equal(scal_h.values, transformed_scalar_curvature(u, bg).values)
+    assert np.array_equal(mnor_h.values, normalized_mass_pushforward(bg.mnor, phi).values)
 
 
 @pytest.mark.parametrize("n,variant,expect_zero", [

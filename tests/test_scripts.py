@@ -35,13 +35,24 @@ def test_run_suite_leaves_no_file_for_a_non_finite_report(tmp_path, monkeypatch)
     assert not out.exists()
 
 
-def test_run_suite_writes_the_whole_report(tmp_path, monkeypatch):
+def test_run_suite_writes_the_whole_report(tmp_path, monkeypatch, capsys):
     script = load_script("run_suite")
     monkeypatch.setattr(script, "run_suite", lambda grid_size: fake_report(0.5))
     out = tmp_path / "report.json"
     monkeypatch.setattr(sys, "argv", ["run_suite.py", "--out", str(out)])
     assert script.main() == 0
     assert json.loads(out.read_text())["checks"][0]["value"] == 0.5
+    # the margin to the gate, tolerance 1 - |0.5 - 0|, is printed next to the value
+    row = next(line for line in capsys.readouterr().out.splitlines() if "trace_const_n4" in line)
+    assert "value=+5.000000000e-01  margin=+5.00e-01" in row
+
+
+def test_check_margin_of_an_interval_is_the_distance_to_its_nearer_bound():
+    for expected, margin in (((None, 2.0), 0.5), ((0.0, None), 1.5), ((1.0, 3.0), 0.5),
+                             ((2.0, None), -0.5)):
+        check = Check(name="b", value=1.5, expected=expected, tolerance=0.0,
+                      passed=margin >= 0, provenance="derived")
+        assert check.margin == margin
 
 
 def test_benchmark_tracer_self_test_passes():
