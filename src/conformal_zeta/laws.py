@@ -112,32 +112,60 @@ def mass_transport_ode(bg: ConformalBackground, phi: ZonalField) -> ZonalField:
 
     The source term (n-2) Q_t phi does not depend on m, so it is evaluated once
     per distinct t: the stages k2 and k3 share t + h/2, and k4 shares its t + h
-    with the next step's k1.
+    with the next step's k1.  The stages, the sources and the stage arguments
+    are evaluated into buffers of the shape of phi's values, -2 phi is formed
+    once, and each operation is the one the textbook step takes, in its
+    order, so the march agrees with it bit for bit.
     """
     n = bg.params.n
     c_n = infinitesimal_transport_coefficient(n)
     lap_phi = laplacian(phi).values
     grad2 = gradient_pairing(phi, phi).values
     pvals = phi.values
+    neg2phi = -2.0 * pvals
+    shape = pvals.shape
+    k1, k2, k3, k4, arg = (np.empty(shape) for _ in range(5))
+    q_start, q_mid, q_end = (np.empty(shape) for _ in range(3))
 
-    def source(t):
-        q_phi = -c_n * np.exp(-2.0 * t * pvals) * (lap_phi - (n - 2) * t * grad2)
-        return (n - 2) * q_phi
+    def source(t, out):
+        """(n-2) Q_t phi = (n-2) (-c_n e^{-2 t phi} (D phi - (n-2) t |d phi|^2))."""
+        np.multiply(-2.0 * t, pvals, out=out)
+        np.exp(out, out=out)
+        np.multiply(-c_n, out, out=out)
+        np.multiply((n - 2) * t, grad2, out=arg)
+        np.subtract(lap_phi, arg, out=arg)
+        np.multiply(out, arg, out=out)
+        np.multiply(n - 2, out, out=out)
 
-    def rate(m, q):
-        return -2.0 * pvals * m + q
+    def rate(m, q, out):
+        """-2 phi m + q."""
+        np.multiply(neg2phi, m, out=out)
+        np.add(out, q, out=out)
 
-    m = bg.mass_field().values.copy()
+    def stage_arg(m, dt, k):
+        """m + dt k, in ``arg``."""
+        np.multiply(dt, k, out=arg)
+        return np.add(m, arg, out=arg)
+
+    m = np.broadcast_to(bg.mass_field().values, shape).copy()
     h = 1.0 / _TRANSPORT_STEPS
     t = 0.0
-    q_start = source(t)
+    source(t, q_start)
     for _ in range(_TRANSPORT_STEPS):
-        q_mid, q_end = source(t + h / 2), source(t + h)
-        k1 = rate(m, q_start)
-        k2 = rate(m + h / 2 * k1, q_mid)
-        k3 = rate(m + h / 2 * k2, q_mid)
-        k4 = rate(m + h * k3, q_end)
-        m = m + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        source(t + h / 2, q_mid)
+        source(t + h, q_end)
+        rate(m, q_start, k1)
+        rate(stage_arg(m, h / 2, k1), q_mid, k2)
+        rate(stage_arg(m, h / 2, k2), q_mid, k3)
+        rate(stage_arg(m, h, k3), q_end, k4)
+        # m + h/6 (((k1 + 2 k2) + 2 k3) + k4)
+        np.multiply(2, k2, out=arg)
+        np.add(k1, arg, out=arg)
+        np.multiply(2, k3, out=k2)
+        np.add(arg, k2, out=arg)
+        np.add(arg, k4, out=arg)
+        np.multiply(h / 6.0, arg, out=arg)
+        np.add(m, arg, out=m)
         t += h
-        q_start = q_end
+        q_start, q_end = q_end, q_start
     return ZonalField(phi.grid, m)

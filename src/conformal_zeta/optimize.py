@@ -49,18 +49,34 @@ its own step, line-search count, stage, residual, history and stop reason, and
 follows the one-field algorithm above step for step, with the same caps, read
 at call time.  In each round every unfinished row makes one trial: a
 line-search trial or a polish step.  All trials share one projection (clip,
-per-row L^p normalization, one application of P, the residual fields r).  The
-iterates u, their residual fields r and the directions are (B, N) stacks
-indexed by row; a row that takes its trial copies the candidate's rows into u
-and r.  A row that moved needs a new direction, and these rows share one
-``apply_multiplier`` on their rows of r; a row whose trial was rejected keeps
-its direction, so a stalled line search hands it to the first polish step.  A
-finished row leaves the round and costs no further transforms; the
-certificate (residual, constant mass, functional value) then runs once on the
-whole stack.  Row scalars live in Python lists: numpy masks and index arrays
-gave the same results bit for bit but were slower, 18-25 ms against 13-17 ms
-for the suite's lone bump start and 20-21 ms against 17-18 ms for its 10-seed
-stack (N = 256, 2-vCPU x86-64, minimum of 30 calls).
+per-row L^p normalization, the images P u, the residual fields r).  The
+iterates u, their images P u, their residual fields r, the directions d and
+their images P d are (B, N) stacks indexed by row; a row that takes its trial
+copies the candidate's rows into u, P u and r.  A row that moved needs a new
+direction, and these rows share one ``apply_multiplier`` on their rows of r;
+its image is pointwise, P d = A d - m_nor d = r - m_nor d.  A row whose trial
+was rejected keeps its direction, so a stalled line search hands it to the
+first polish step.  A finished row leaves the round and costs no further
+transforms; the certificate (residual, constant mass, functional value) then
+runs once on the whole stack.  Row scalars live in Python lists: numpy
+masks and index arrays gave the same results bit for bit but were slower,
+18-25 ms against 13-17 ms for the suite's lone bump start and 20-21 ms
+against 17-18 ms for its 10-seed stack (N = 256, 2-vCPU x86-64, minimum of 30
+calls).
+
+P is linear, so a line-search trial's image needs no transform:
+P(u + s d) / nu = (P u + s P d) / nu, nu the trial's L^p norm.  P is applied
+afresh, in one ``p_operator_apply`` per round, only at the start, to every
+polish trial and to a trial row that the positivity clip touches, where the
+clipped trial is no longer u + s d.  A fresh P carries the rounding of the
+iterate's samples, amplified by the Laplacian; a carried image does not, so
+the polish, a fixed-point iteration, would drive a carried residual below
+what the certificate recomputes.  Fresh polish trials keep the residual a run
+stops on the certificate's: with images carried through the polish too, the
+bump run from 1 + 0.3x stopped ``tolerance_met`` at tolerances 1e-14 and
+1e-13 while the certified residual stayed 78 and 7 times above them.  The
+suite's bump run takes 89 kernel products, against 201 with P applied to
+every trial.
 
 A stacked row agrees with the same start run alone within float64 rounding,
 not bit for bit: BLAS may sum a row of the kernel's wider GEMM in another
@@ -70,7 +86,9 @@ that can move a row's step counts by a few.
 
 P is applied through ``laws.p_operator_apply`` and A^{-1} through
 ``ZonalGrid.apply_multiplier``, the same operator layer the laws and the
-functionals use.
+functionals use; the pointwise images P d and P u + s P d run under the
+projection's overflow rule, so an overflow raises FloatingPointError and no
+numpy warning.
 """
 
 from __future__ import annotations
@@ -183,23 +201,36 @@ def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground):
     return _per_field(t), _per_field(gap)
 
 
-def _project(vals: np.ndarray, bg: ConformalBackground):
+def _project(vals: np.ndarray, bg: ConformalBackground, image: np.ndarray | None = None,
+             linear: np.ndarray | None = None):
     """Clip a (B, N) stack at the positivity floor, renormalize each row to
-    ||u||_p = 1 and apply P.
+    ||u||_p = 1 and take its image P u.
 
-    Returns (u, M(u), r, |r|): with ||u||_p = 1 the functional is -int u P u
-    and Lambda = -M(u), so the Euler-Lagrange residual field is
+    ``image`` holds P vals on the rows that the boolean ``linear`` marks.  P
+    is linear, so such a row that the clip leaves alone has the image
+    image / ||vals||_p, pointwise work only.  Every other row takes P afresh,
+    all of them in one ``p_operator_apply``.
+
+    Returns (u, P u, M(u), r, |r|): with ||u||_p = 1 the functional is
+    -int u P u and Lambda = -M(u), so the Euler-Lagrange residual field is
     r = -(P u + M(u) |u|^{p-2} u); |r| is its L2 size relative to ||P u||.
     Overflow and invalid values raise FloatingPointError, not numpy's warning.
     """
     p, w = bg.params.p, bg.grid.weights
     with np.errstate(over="raise", invalid="raise"):
         u = np.clip(vals, _POSITIVITY_FLOOR, None)
-        u /= lp_norm(ZonalField(bg.grid, u), p)[:, None]
-        pu = p_operator_apply(ZonalField(bg.grid, u), bg).values
+        norm = lp_norm(ZonalField(bg.grid, u), p)[:, None]
+        u /= norm
+        if image is None:
+            pu = p_operator_apply(ZonalField(bg.grid, u), bg).values
+        else:
+            pu = image / norm
+            fresh = ~linear | np.any(vals < _POSITIVITY_FLOOR, axis=1)
+            if fresh.any():
+                pu[fresh] = p_operator_apply(ZonalField(bg.grid, u[fresh]), bg).values
         m_val = -((u * pu) @ w)
         r = -(pu + m_val[:, None] * np.abs(u) ** (p - 2.0) * u)
-        return u, m_val, r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
+        return u, pu, m_val, r, np.sqrt((r * r) @ w) / np.sqrt((pu * pu) @ w)
 
 
 def seeded_start(grid: ZonalGrid, seed) -> ZonalField:
@@ -248,10 +279,14 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     # read at call time: tests lower the caps
     tol, max_iters, max_polish = cfg.tol_residual, _MAX_ITERS, _MAX_POLISH
 
-    # (B, N) stacks indexed by row: u, the residual fields ``grad`` at u, and
-    # the directions; each row's scalar state is a list entry
-    u, m_start, grad, res_start = _project(starts.values.reshape(-1, grid.size), bg)
-    direction = np.empty_like(u)
+    # P d = A d - m_nor d = r - m_nor d for a direction d = A^{-1} r
+    mnor = bg.mnor.values
+
+    # (B, N) stacks indexed by row: u, its image P u, the residual fields
+    # ``grad`` at u, the directions and their images; each row's scalar
+    # state is a list entry
+    u, pu, m_start, grad, res_start = _project(starts.values.reshape(-1, grid.size), bg)
+    direction, p_direction = np.empty_like(u), np.empty_like(u)
     rows = range(m_start.shape[0])
     m_val, residual = m_start.tolist(), [math.inf for _ in rows]
     step = [_STEP0 for _ in rows]
@@ -290,20 +325,27 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     fresh = [i for i, res in zip(rows, res_start.tolist()) if accepted(i, res)]
     going = []
     while fresh or going:
-        if fresh:
-            # one multiplier for every new direction; a line search's
-            # first-order gain at unit step is 2 <r, A^{-1} r>_w
-            r = grad[fresh]
-            mapped = grid.apply_multiplier(r, inv_sphere_op)
-            direction[fresh] = mapped
-            rates = 2.0 * _row_dot(r * w, mapped)
-            for i, rate in zip(fresh, rates.tolist()):
-                trials[i] = 0
-                gain_rate[i] = rate
-        # one projection for every row's trial
-        active = sorted(fresh + going)
-        trial = u[active] + np.array([step[i] for i in active])[:, None] * direction[active]
-        cand, m_cand, cand_grad, cand_res = _project(trial, bg)
+        with np.errstate(over="raise", invalid="raise"):
+            if fresh:
+                # one multiplier for every new direction, whose image is
+                # pointwise; a line search's first-order gain at unit step is
+                # 2 <r, A^{-1} r>_w
+                r = grad[fresh]
+                mapped = grid.apply_multiplier(r, inv_sphere_op)
+                direction[fresh] = mapped
+                p_direction[fresh] = r - mnor * mapped
+                rates = 2.0 * _row_dot(r * w, mapped)
+                for i, rate in zip(fresh, rates.tolist()):
+                    trials[i] = 0
+                    gain_rate[i] = rate
+            # one projection for every row's trial; a line-search trial's
+            # image is P u + s P d, a polish trial takes P afresh
+            active = sorted(fresh + going)
+            steps = np.array([step[i] for i in active])[:, None]
+            trial = u[active] + steps * direction[active]
+            image = pu[active] + steps * p_direction[active]
+        linear = np.array([not polish[i] for i in active])
+        cand, cand_pu, m_cand, cand_grad, cand_res = _project(trial, bg, image, linear)
         m_list, res_list = m_cand.tolist(), cand_res.tolist()
         if not all(map(math.isfinite, m_list)):
             raise FloatingPointError("optimizer produced a non-finite value")
@@ -336,7 +378,7 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
                     going.append(i)
                 continue
             # the row takes its trial
-            u[i], grad[i] = cand[j], cand_grad[j]
+            u[i], pu[i], grad[i] = cand[j], cand_pu[j], cand_grad[j]
             m_val[i] = m_list[j]
             if accepted(i, res_list[j]):
                 fresh.append(i)

@@ -496,8 +496,18 @@ def _normals(seed, count: int) -> np.ndarray:
     ``default_rng(list of the seeds)``.  A one-element entropy list seeds the
     same stream as the seed alone, so an int seed draws ``default_rng(seed)``'s
     numbers, and so does a one-seed array; an array of several seeds gives
-    rows of one stream, not the rows of its seeds drawn one at a time."""
-    return np.random.default_rng(np.ravel(seed).tolist()).standard_normal(np.shape(seed) + (count,))
+    rows of one stream, not the rows of its seeds drawn one at a time.
+
+    Integer seeds that all lie in [0, 2^32) go to ``default_rng`` as one
+    uint32 array: SeedSequence reads it as the same entropy words as the list,
+    without its per-int Python loop.  Any other seed (2^40 + 3, an object
+    array) goes as the list."""
+    seeds = np.ravel(seed)
+    if seeds.dtype.kind in "iu" and seeds.size and 0 <= seeds.min() and seeds.max() < 2**32:
+        entropy = seeds.astype(np.uint32)
+    else:
+        entropy = seeds.tolist()
+    return np.random.default_rng(entropy).standard_normal(np.shape(seed) + (count,))
 
 
 def random_zonal_coefficients(seed, l_max: int) -> np.ndarray:

@@ -134,10 +134,11 @@ def test_optimizer_seeds_run_as_one_stack(kernel_products):
     # the 10 sphere seeds take 1,118 kernel products one field at a time; as
     # one lockstep stack with a stacked certificate 171, with the line
     # search stopped at working precision 93, and with every row ending in
-    # the polish 97; drawn from one generator, the starts take 95
+    # the polish 97; drawn from one generator, the starts take 95, and with
+    # the line-search trials' images taken from P's linearity 55
     report = run_suite(names=["optimizer_*"])
     assert len(report.checks) == 3 and report.overall_pass
-    assert len(kernel_products) <= 100
+    assert len(kernel_products) <= 60
 
 
 def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
@@ -148,9 +149,9 @@ def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
     kernel_products.clear()
     report = run_suite()
     assert report.checks == suite_report.checks
-    # 456: 467 with each seed drawn by its own generator, 607 before the
-    # working-precision stop
-    assert len(kernel_products) <= 480
+    # 304: 456 with P applied to every line-search trial, 467 with each seed
+    # drawn by its own generator, 607 before the working-precision stop
+    assert len(kernel_products) <= 320
 
 
 def test_bump_values_survive_the_working_precision_stop(suite_report):

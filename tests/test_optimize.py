@@ -8,6 +8,7 @@ import conformal_zeta.optimize as optimize
 from conformal_zeta.acceptance import SUITE_SEED
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.functionals import dilation_factor, mass_functional
+from conformal_zeta.laws import p_operator_apply
 from conformal_zeta.optimize import (OptimizerConfig, constant_mass_check,
                                      euler_lagrange_residual, fit_dilation_orbit,
                                      maximize_mass_functional, maximize_stack)
@@ -267,6 +268,15 @@ def test_bump_run_hands_over_to_the_polish_sooner(bump4):
     assert res.backtracks <= 30
 
 
+def test_bump_run_applies_p_only_where_it_must(bump4, kernel_products):
+    # the suite's bump run: 201 kernel products with P applied to every
+    # trial; 89 with P applied at the start, in the polish and to clipped
+    # rows, and a line-search trial's image taken from P's linearity
+    res = maximize_mass_functional(bump4, OptimizerConfig(seed=SUITE_SEED))
+    assert res.stop_reason == "tolerance_met"
+    assert len(kernel_products) <= 100
+
+
 def test_bump_seeds_stop_after_a_polish_step(grid4, bump4):
     # a row whose ascent crosses the tolerance ascends on to its plateau, so
     # every row ends in a polish step; stopped inside the ascent, 8 of these
@@ -299,3 +309,37 @@ def test_capped_ascent_hands_its_residual_to_the_polish(grid4, bump4, monkeypatc
     res = maximize_mass_functional(bump4, cfg, start=start)
     assert capped.ascent_steps == res.ascent_steps == 2
     assert res.polish_steps == 0 or res.residual < capped.residual
+
+
+def test_line_search_images_come_from_linearity(grid4, bump4):
+    # a trial u + s d along d = A^{-1} r has the image (P u + s P d) / nu, with
+    # P d = r - m_nor d: for an unclipped ascent row it agrees with P taken
+    # afresh within one ulp of c_n lambda_max ||u||, the most P can make of a
+    # rounding of u's samples (the fresh side is the noisier one); a polish
+    # row and a clipped row take P afresh, bit for bit, in one application
+    c_n, eps, w = bump4.params.c_n, np.finfo(float).eps, grid4.weights
+    eigen = grid4.laplacian_eigenvalues
+    u, pu, _, r, _ = optimize._project(optimize.seeded_start(grid4, SUITE_SEED + np.arange(3)).values,
+                                       bump4)
+    assert np.array_equal(pu, p_operator_apply(ZonalField(grid4, u), bump4).values)
+    d = grid4.apply_multiplier(r, 1.0 / (c_n * (eigen + 2.0)))  # A^{-1} r, n(n-2)/4 = 2
+    steps = np.array([[0.5], [0.5], [40.0]])  # the last row dips below the floor
+    trial, image = u + steps * d, pu + steps * (r - bump4.mnor.values * d)
+    assert not np.any(trial[:2] < optimize._POSITIVITY_FLOOR)
+    assert np.any(trial[2] < optimize._POSITIVITY_FLOOR)
+    got, got_pu, *_ = optimize._project(trial, bump4, image, np.array([True, False, True]))
+    fresh = p_operator_apply(ZonalField(grid4, got), bump4).values
+    gap = np.sqrt((got_pu[0] - fresh[0]) ** 2 @ w)
+    assert 0 < gap <= eps * c_n * eigen[-1] * np.sqrt(got[0] ** 2 @ w)
+    assert np.array_equal(got_pu[1:], p_operator_apply(ZonalField(grid4, got[1:]), bump4).values)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-13])
+def test_a_tolerance_stop_is_certified(grid4, bump4, tol):
+    # polish trials take P afresh, so the residual a run stops on is the one
+    # the certificate recomputes; with images carried through the polish too,
+    # the carried residual fell below these tolerances while the certified
+    # one stayed 78 and 7 times above them: tolerance_met, converged false
+    start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
+    res = maximize_mass_functional(bump4, OptimizerConfig(tol_residual=tol), start=start)
+    assert res.converged == (res.stop_reason == "tolerance_met")

@@ -600,14 +600,25 @@ def test_seed_array_matches_per_seed_fields(grid4, make):
     # one generator draws a seed array's rows: the stack is its recipe, written
     # out, on the rows of default_rng(list(seeds)), bit for bit; and a one-seed
     # array is the int seed's field, since a one-element entropy list seeds
-    # the same stream as the seed alone
+    # the same stream as the seed alone; seeds on either side of 2^32, where
+    # the draw stops passing the seeds as a uint32 array, included
     recipe = _SEEDED_RECIPES[_SEEDED_FIELDS.index(make)]
     seeds = np.array([5, 17, 4000])
     stack = make(grid4, seeds).values
     normals = np.random.default_rng(list(seeds)).standard_normal((3, 17))
     assert np.array_equal(stack, recipe(grid4, normals))
-    for seed in (5, 40243, 2**40 + 3):
+    for seed in (5, 40243, 2**32 - 1, 2**32, 2**40 + 3):
         assert np.array_equal(make(grid4, np.array([seed])).values[0], make(grid4, seed).values)
+
+
+@pytest.mark.parametrize("seed", [np.arange(1000), np.array([5, 2**32 - 1]),
+                                  np.array([5, 2**32]), np.array([2**64 - 1], dtype=np.uint64),
+                                  np.array([3, 2**70], dtype=object)])
+def test_normals_are_the_seed_lists_stream(seed):
+    # seed arrays that lie in [0, 2^32) go to the generator as a uint32 array,
+    # any other as the list; both must draw the list's numbers bit for bit
+    want = np.random.default_rng(np.ravel(seed).tolist()).standard_normal(np.shape(seed) + (5,))
+    assert np.array_equal(zonal._normals(seed, 5), want)
 
 
 def test_int_seed_fields_keep_their_arithmetic(grid4):
