@@ -20,7 +20,9 @@ sum_l c_l^2 = u^T W u and sum_l l(l+n-1) c_l^2 = u^T W D u, and the two
 evaluations differ only by rounding (and by the coefficients the analysis
 filters as quadrature roundoff).  ``sobolev_gap``, ``conformal_trace`` and
 ``yamabe_functional`` use it: the background is the round S^n, so
-a_n scal = a_n n(n-1) = n(n-2)/4 is the same shift for all three.
+a_n scal = a_n n(n-1) = n(n-2)/4 (``DimensionParams.sphere_shift``) is the
+same shift for all three.  Each refuses a form that overflows, and the gap
+and Y refuse an L^p norm that leaves the float range.
 
 M is evaluated through BOTH displayed forms and the two must agree; this is a
 live guard on the b_n = a_n c_n coupling and the background's mass bookkeeping,
@@ -47,13 +49,11 @@ from .zonal import ZonalField, ZonalGrid, inner, lp_norm
 FORM_AGREEMENT_TOL = 1e-10
 
 
-def _check_nonzero(u: ZonalField):
-    """Reject u when it, or any field of a stack, is zero at every node."""
+def _check_field(u: ZonalField, bg: ConformalBackground):
+    """Reject u when it, or any field of a stack, is zero at every node, or
+    when it lives on another grid than the background."""
     if not np.all(np.any(u.values, axis=-1)):
         raise ZeroFieldError("functional undefined for the zero field")
-
-
-def _check_grid(u: ZonalField, bg: ConformalBackground):
     if not u.grid.compatible(bg.grid):
         raise GridMismatchError(f"{u.grid} vs {bg.grid}")
 
@@ -81,13 +81,21 @@ def _spectral_form(u: ZonalField, shift: float):
     return float(form) if form.ndim == 0 else form
 
 
+def _sphere_form(u: ZonalField, bg: ConformalBackground, what: str):
+    """int u (D + n(n-2)/4) u for the functional ``what``, refused when it
+    overflows (an underflow to 0 is the form's float64 value)."""
+    form = _spectral_form(u, bg.params.sphere_shift)
+    if not np.all(np.isfinite(form)):
+        raise ValueError(f"{what} of the field needs int u (D + n(n-2)/4) u = {form!r}: "
+                         "its values are too large for float64")
+    return form
+
+
 def yamabe_functional(u: ZonalField, bg: ConformalBackground):
     """Y(u); for a stack of fields, an array of their values."""
-    _check_nonzero(u)
-    _check_grid(u, bg)
+    _check_field(u, bg)
     norm_sq = _norm_sq(u, bg)
-    n, a_n = bg.params.n, bg.params.a_n
-    return _spectral_form(u, a_n * (n * (n - 1))) / (a_n * norm_sq)
+    return _sphere_form(u, bg, "the Yamabe functional") / (bg.params.a_n * norm_sq)
 
 
 def _require_agreement(what: str, first, second):
@@ -110,8 +118,7 @@ def mass_functional(u: ZonalField, bg: ConformalBackground):
     FORM_AGREEMENT_TOL, in any field of a stack, raises ConsistencyError.
     For a stack of fields, an array of their values.
     """
-    _check_nonzero(u)
-    _check_grid(u, bg)
+    _check_field(u, bg)
     norm_sq = _norm_sq(u, bg)
     p_form = -inner(u, p_operator_apply(u, bg)) / norm_sq
     mnor_term = inner(ZonalField(u.grid, u.values * u.values), bg.mnor) / norm_sq
@@ -128,16 +135,10 @@ def conformal_trace(u: ZonalField, bg: ConformalBackground) -> float:
     Only valid on round-sphere backgrounds (the closed form is
     sphere-specific); backgrounds carrying normalized mass are rejected.
     """
-    _check_nonzero(u)
-    _check_grid(u, bg)
+    _check_field(u, bg)
     if not bg.is_round_sphere():
         raise ValueError("the closed-form trace applies to round-sphere backgrounds only")
-    n = bg.params.n
-    trace = -bg.params.c_n * _spectral_form(u, n * (n - 2) / 4.0)
-    if not np.all(np.isfinite(trace)):
-        raise ValueError(f"the trace of the field is {trace!r}: "
-                         "its values are too large for float64")
-    return trace
+    return -bg.params.c_n * _sphere_form(u, bg, "the trace")
 
 
 def sobolev_gap(u: ZonalField, bg: ConformalBackground):
@@ -145,12 +146,10 @@ def sobolev_gap(u: ZonalField, bg: ConformalBackground):
 
     For a stack of fields, an array of their gaps.
     """
-    _check_nonzero(u)
-    _check_grid(u, bg)
-    n = bg.params.n
-    const = n * (n - 2) / 4.0
-    lhs = _spectral_form(u, const)
-    return lhs - const * bg.params.omega_n ** (2.0 / n) * lp_norm(u, bg.params.p) ** 2
+    _check_field(u, bg)
+    norm_sq = _norm_sq(u, bg)
+    form = _sphere_form(u, bg, "the Sobolev gap")
+    return form - bg.params.sphere_shift * bg.params.omega_n ** (2.0 / bg.params.n) * norm_sq
 
 
 def dilation_factor(t: float, grid: ZonalGrid) -> ZonalField:

@@ -50,8 +50,7 @@ def transformed_laplacian(f: ZonalField, phi: ZonalField, bg: ConformalBackgroun
 def yamabe_apply(u: ZonalField, bg: ConformalBackground) -> ZonalField:
     """Y_g u = D u + a_n n(n-1) u."""
     _require_same_grid(u, bg.mnor)
-    n = bg.params.n
-    return ZonalField(u.grid, laplacian(u).values + bg.params.a_n * (n * (n - 1)) * u.values)
+    return ZonalField(u.grid, laplacian(u).values + bg.params.sphere_shift * u.values)
 
 
 def p_operator_apply(u: ZonalField, bg: ConformalBackground) -> ZonalField:
@@ -71,16 +70,17 @@ def transformed_scalar_curvature(u: ZonalField, bg: ConformalBackground) -> Zona
     return ZonalField(u.grid, vals)
 
 
-def mass_pushforward(u: ZonalField, bg: ConformalBackground) -> ZonalField:
-    """Mass field of the conformally changed metric u^{4/(n-2)} g.
+def pushed_mass(u: np.ndarray, pu: np.ndarray, n: int) -> np.ndarray:
+    """m_new = -u^{-(n+2)/(n-2)} P_g u from the samples of u > 0 and P_g u."""
+    return -(u ** (-(n + 2.0) / (n - 2.0))) * pu
 
-    m_new = -u^{-(n+2)/(n-2)} P_g u; requires u > 0 on the grid.
-    """
+
+def mass_pushforward(u: ZonalField, bg: ConformalBackground) -> ZonalField:
+    """Mass field of the conformally changed metric u^{4/(n-2)} g; requires
+    u > 0 on the grid."""
     if np.any(u.values <= 0):
         raise ValueError("conformal factor must be positive everywhere")
-    n = bg.params.n
-    pu = p_operator_apply(u, bg)
-    return ZonalField(u.grid, -(u.values ** (-(n + 2.0) / (n - 2.0))) * pu.values)
+    return ZonalField(u.grid, pushed_mass(u.values, p_operator_apply(u, bg).values, bg.params.n))
 
 
 def normalized_mass_pushforward(mnor: ZonalField, phi: ZonalField) -> ZonalField:

@@ -57,12 +57,12 @@ direction, and these rows share one ``apply_multiplier`` on their rows of r;
 its image is pointwise, P d = A d - m_nor d = r - m_nor d.  A row whose trial
 was rejected keeps its direction, so a stalled line search hands it to the
 first polish step.  A finished row leaves the round and costs no further
-transforms; the certificate (residual, constant mass, functional value) then
-runs once on the whole stack.  Row scalars live in Python lists: numpy
-masks and index arrays gave the same results bit for bit but were slower,
-18-25 ms against 13-17 ms for the suite's lone bump start and 20-21 ms
-against 17-18 ms for its 10-seed stack (N = 256, 2-vCPU x86-64, minimum of 30
-calls).
+transforms; the certificate (``certify``: Lambda, the residual and the mass
+statistics from one P u) and the functional value then run once on the
+whole stack.  Row scalars live in Python lists: numpy masks and index arrays
+gave the same results bit for bit but were slower, 18-25 ms against 13-17 ms
+for the suite's lone bump start and 20-21 ms against 17-18 ms for its 10-seed
+stack (N = 256, 2-vCPU x86-64, minimum of 30 calls).
 
 P is linear, so a line-search trial's image needs no transform:
 P(u + s d) / nu = (P u + s P d) / nu, nu the trial's L^p norm.  P is applied
@@ -75,7 +75,7 @@ what the certificate recomputes.  Fresh polish trials keep the residual a run
 stops on the certificate's: with images carried through the polish too, the
 bump run from 1 + 0.3x stopped ``tolerance_met`` at tolerances 1e-14 and
 1e-13 while the certified residual stayed 78 and 7 times above them.  The
-suite's bump run takes 89 kernel products, against 201 with P applied to
+suite's bump run takes 87 kernel products, against 201 with P applied to
 every trial.
 
 A stacked row agrees with the same start run alone within float64 rounding,
@@ -86,9 +86,10 @@ that can move a row's step counts by a few.
 
 P is applied through ``laws.p_operator_apply`` and A^{-1} through
 ``ZonalGrid.apply_multiplier``, the same operator layer the laws and the
-functionals use; the pointwise images P d and P u + s P d run under the
-projection's overflow rule, so an overflow raises FloatingPointError and no
-numpy warning.
+functionals use, with the shift n(n-2)/4 of ``DimensionParams.sphere_shift``.
+The pointwise images P d and P u + s P d and the certificate's statistics run
+under the projection's overflow rule, so an overflow raises
+FloatingPointError and no numpy warning.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ import numpy as np
 
 from .background import ConformalBackground
 from .functionals import dilation_factor, mass_functional
-from .laws import mass_pushforward, p_operator_apply
+from .laws import p_operator_apply, pushed_mass
 from .params import OPTIMIZER_SEED_DEFAULT, OPTIMIZER_TOL_DEFAULT
 from .zonal import ZonalField, ZonalGrid, _per_field, lp_norm, random_band_limited
 
@@ -144,39 +145,31 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def euler_lagrange_residual(u: ZonalField, bg: ConformalBackground):
-    """(Lambda, residual) of P u = Lambda u^{p-1} with the Rayleigh Lambda.
+def certify(u: ZonalField, bg: ConformalBackground):
+    """(Lambda, residual, mass mean, mass deviation) of u > 0, from one P u.
 
-    Floats for one field, arrays of B values for a stack.
+    Lambda = int u P u / int u^p, residual = ||P u - Lambda u^{p-1}|| / ||P u||;
+    a maximizer's mass field (``laws.pushed_mass``) is constant, and its mean
+    and relative deviation are taken in dV_new = u^p dV.  Floats for one field,
+    arrays of B values for a stack; an overflow raises FloatingPointError.
     """
     if np.any(u.values <= 0):
-        raise ValueError("Euler-Lagrange residual needs u > 0")
-    p = bg.params.p
-    w = u.grid.weights
-    uv = u.values
+        raise ValueError("the certificate needs u > 0")
+    p, w, uv = bg.params.p, u.grid.weights, u.values
     pu = p_operator_apply(u, bg).values
-    lam = ((uv * pu) @ w) / ((uv**p) @ w)
-    mismatch = pu - lam[..., None] * uv ** (p - 1.0)
-    residual = np.sqrt((mismatch**2) @ w) / np.sqrt((pu**2) @ w)
-    return _per_field(lam), _per_field(residual)
-
-
-def constant_mass_check(u: ZonalField, bg: ConformalBackground):
-    """Mean and relative deviation of the pushed-forward mass field.
-
-    Statistics are taken in the volume element of the new metric,
-    dV_new = u^p dV.  Floats for one field, arrays of B values for a stack.
-    """
-    if np.any(u.values <= 0):
-        raise ValueError("constant-mass check needs u > 0")
-    mass = mass_pushforward(u, bg).values
-    wnew = u.values ** bg.params.p * u.grid.weights
-    total = wnew.sum(axis=-1)
-    mean = _row_dot(mass, wnew) / total
-    var = _row_dot((mass - np.expand_dims(mean, -1)) ** 2, wnew) / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reldev = np.where(mean != 0, np.sqrt(var) / np.abs(mean), np.inf)
-    return _per_field(mean), _per_field(reldev)
+    with np.errstate(over="raise", invalid="raise"):
+        up = uv**p
+        lam = ((uv * pu) @ w) / (up @ w)
+        mismatch = pu - lam[..., None] * uv ** (p - 1.0)
+        residual = np.sqrt((mismatch**2) @ w) / np.sqrt((pu**2) @ w)
+        mass = pushed_mass(uv, pu, bg.params.n)
+        wnew = up * w
+        total = wnew.sum(axis=-1)
+        mean = _row_dot(mass, wnew) / total
+        var = _row_dot((mass - np.expand_dims(mean, -1)) ** 2, wnew) / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reldev = np.where(mean != 0, np.sqrt(var) / np.abs(mean), np.inf)
+    return _per_field(lam), _per_field(residual), _per_field(mean), _per_field(reldev)
 
 
 def fit_dilation_orbit(u: ZonalField, bg: ConformalBackground):
@@ -270,12 +263,9 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
     cfg = cfg or OptimizerConfig()
     if np.any(starts.values <= 0):
         raise ValueError("starting field must be positive")
-    p = bg.params.p
-    grid = bg.grid
-    w = grid.weights
-    n, c_n = bg.params.n, bg.params.c_n
-    # A^{-1} = (c_n D + shift)^{-1}, diagonal in the Gegenbauer basis
-    inv_sphere_op = 1.0 / (c_n * (grid.laplacian_eigenvalues + n * (n - 2) / 4.0))
+    grid, w = bg.grid, bg.grid.weights
+    # A^{-1} = (c_n (D + n(n-2)/4))^{-1}, diagonal in the Gegenbauer basis
+    inv_sphere_op = 1.0 / (bg.params.c_n * (grid.laplacian_eigenvalues + bg.params.sphere_shift))
     # read at call time: tests lower the caps
     tol, max_iters, max_polish = cfg.tol_residual, _MAX_ITERS, _MAX_POLISH
 
@@ -384,8 +374,7 @@ def maximize_stack(bg: ConformalBackground, starts: ZonalField,
                 fresh.append(i)
 
     final = ZonalField(grid, u)
-    lam, certified = euler_lagrange_residual(final, bg)
-    mass_mean, mass_reldev = constant_mass_check(final, bg)
+    lam, certified, mass_mean, mass_reldev = certify(final, bg)
     # report the canonical (cross-checked) functional value at the optimum
     value = mass_functional(final, bg)
     return [

@@ -73,6 +73,7 @@ class DimensionParams:
     b_n      : a_n * c_n, the normalized-mass curvature coupling
     omega_n  : volume of the unit round S^n
     yamabe_sphere : n(n-1) omega_n^{2/n}, the sharp constant on the sphere
+    sphere_shift  : n(n-2)/4 = a_n n(n-1), a_n scal of the round S^n (a property)
     variant  : "paper" or "calibrated" (c_n, b_n doubled)
     """
 
@@ -85,6 +86,10 @@ class DimensionParams:
     omega_n: float
     yamabe_sphere: float
     variant: str
+
+    @property
+    def sphere_shift(self) -> float:
+        return self.n * (self.n - 2) / 4.0
 
 
 def dim_params(n: int, variant: str = "paper") -> DimensionParams:

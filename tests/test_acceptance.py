@@ -134,11 +134,13 @@ def test_optimizer_seeds_run_as_one_stack(kernel_products):
     # the 10 sphere seeds take 1,118 kernel products one field at a time; as
     # one lockstep stack with a stacked certificate 171, with the line
     # search stopped at working precision 93, and with every row ending in
-    # the polish 97; drawn from one generator, the starts take 95, and with
-    # the line-search trials' images taken from P's linearity 55
+    # the polish 97; drawn from one generator, the starts take 95, with
+    # the line-search trials' images taken from P's linearity 55, and with
+    # one P for the whole certificate 53 (57 under OpenBLAS's Sandybridge
+    # and Prescott GEMMs)
     report = run_suite(names=["optimizer_*"])
     assert len(report.checks) == 3 and report.overall_pass
-    assert len(kernel_products) <= 60
+    assert len(kernel_products) <= 58
 
 
 def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
@@ -149,9 +151,11 @@ def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
     kernel_products.clear()
     report = run_suite()
     assert report.checks == suite_report.checks
-    # 304: 456 with P applied to every line-search trial, 467 with each seed
-    # drawn by its own generator, 607 before the working-precision stop
-    assert len(kernel_products) <= 320
+    # 300: 304 with the certificate's residual and mass check each applying
+    # P, 456 with P applied to every line-search trial, 467 with each seed
+    # drawn by its own generator, 607 before the working-precision stop; up
+    # to 306 under OpenBLAS's other GEMM kernels
+    assert len(kernel_products) <= 316
 
 
 def test_bump_values_survive_the_working_precision_stop(suite_report):

@@ -19,7 +19,7 @@ from conformal_zeta.fieldio import field_document, write_field
 from conformal_zeta.functionals import FunctionalReport
 from conformal_zeta.params import MAX_DIMENSION, DimensionParams
 from conformal_zeta.zeta import LaurentValue
-from conformal_zeta.zonal import MAX_GRID_SIZE, constant_field, make_grid
+from conformal_zeta.zonal import MAX_GRID_SIZE, ZonalField, constant_field, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +445,24 @@ def test_optimizer_overflow_on_a_large_mass_field_is_one_line(capsys, tmp_path, 
     mass = tmp_path / "m.json"
     out_path = tmp_path / "out.json"
     write_field(mass, constant_field(small_grid, 1e100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["optimize", "--n", "4", "--grid-n", "32", "--mass-field", str(mass),
+                     "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical error: ")
+    assert not out_path.exists()
+
+
+def test_certificate_overflow_on_a_large_bump_mass_field_is_one_line(capsys, tmp_path,
+                                                                     small_grid):
+    # the run stops, but the pushed-forward mass field of the final iterate
+    # overflows in the certificate's variance
+    mass = tmp_path / "m.json"
+    out_path = tmp_path / "out.json"
+    write_field(mass, ZonalField(small_grid, 1e60 * np.exp(-small_grid.theta**2 / 0.1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         code = main(["optimize", "--n", "4", "--grid-n", "32", "--mass-field", str(mass),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ def test_report_takes_two_laplacians_and_three_analyses(grid4, sphere4, kernel_p
     kernel_products.clear()
     functional_report(u, sphere4)
     assert len(kernel_products) == 2 * 2 + 3
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e100, 1e200])
+@pytest.mark.parametrize("functional", [sobolev_gap, conformal_trace, yamabe_functional])
+def test_sphere_functionals_refuse_a_field_past_the_float_range(functional, scale, grid4,
+                                                                 sphere4):
+    # ||u||_4^2 underflows at 1e-200 and overflows at 1e100 and 1e200, and
+    # int u (D + 2) u overflows at 1e200.  Unguarded, the gap read 0.0, -inf
+    # and nan.  The trace takes no norm, so it keeps 1e-200 (as -0.0) and
+    # 1e100: it is 2-homogeneous
+    u = random_zonal(grid4, 55, 10, 1.0, 0.3)
+    scaled = ZonalField(grid4, scale * u.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        if functional is conformal_trace and scale < 1e200:
+            want = scale**2 * conformal_trace(u, sphere4)
+            assert conformal_trace(scaled, sphere4) == pytest.approx(want, rel=1e-14)
+        else:
+            with pytest.raises(ValueError):
+                functional(scaled, sphere4)
 
 
 def test_zero_guard_holds_per_row(grid4, sphere4):

@@ -43,6 +43,14 @@ def test_coupling_product_identity(n, variant):
     assert p.b_n == pytest.approx(p.a_n * p.c_n, rel=1e-15)
 
 
+@pytest.mark.parametrize("variant", ["paper", "calibrated"])
+def test_sphere_shift_is_both_spellings_bit_for_bit(variant):
+    # the round sphere's shift n(n-2)/4 = a_n n(n-1), defined once
+    for n in range(4, MAX_DIMENSION + 1, 2):
+        p = dim_params(n, variant)
+        assert p.sphere_shift == p.a_n * (n * (n - 1)) == n * (n - 2) / 4.0
+
+
 @pytest.mark.parametrize("bad", [5, 3, 2, 0, -4, 7])
 def test_rejects_bad_dimensions(bad):
     with pytest.raises(ValueError):
