@@ -3,9 +3,11 @@
 
     python scripts/run_suite.py [--out report.json] [--grid-n 256]
 
-The checks run one after another in this process.  Each row shows the
-check's value and its margin, the distance to its gate (``Check.margin``;
-negative for a failing check).  The JSON report goes to
+The Sobolev and optimizer producers run in a forked worker beside the
+others where two CPUs are usable (``acceptance.run_suite``).  Each row shows
+the check's value and its margin, the distance to its gate (``Check.margin``;
+negative for a failing check); then each producer's wall time and the
+process that ran it.  The JSON report goes to
 ``acceptance_report.json`` next to this script (ignored by git) unless --out
 is given; exits 0 only when every registered check passes.
 """
@@ -34,6 +36,11 @@ def main():
               f"[{c.provenance}]")
     print(f"\noverall: {'PASS' if report.overall_pass else 'FAIL'} "
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)})")
+    producers = report.environment.get("producers", {})
+    if producers:
+        print("\nproducer wall times:")
+    for name, run in producers.items():
+        print(f"  {name:<10}  {1e3 * run['seconds']:8.1f} ms  ({run['process']})")
 
     # serialize in full first, so a non-finite value leaves no truncated file
     text = json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n"

@@ -18,10 +18,17 @@ fp/vol + 12 b_4 = 1/(24 pi^2), the values of the exact-rational finite part
 
 from __future__ import annotations
 
+import ctypes
 import datetime as _dt
+import functools
 import math
+import os
+import pickle
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,6 +357,116 @@ CHECK_NAMES = tuple(sorted(name for _, names in _PRODUCERS for name in names))
 KNOWN_DISPUTED_CHECKS = ()
 
 
+# The producers a forked worker runs beside the others (``run_suite``).  Warm,
+# they take about half of the run's time, and neither fills a per-process
+# cache; the zeta head table, the decay-rate rules and make_grid's memo are
+# filled by the others, in this process, and so stay filled from run to run.
+_WORKER_PRODUCERS = (_sobolev_checks, _optimizer_checks)
+
+
+class _Run(NamedTuple):
+    producer: str
+    checks: list[Check]
+    seconds: float
+    process: str  # main | worker
+
+
+def _label(producer) -> str:
+    return producer.__name__.removeprefix("_").removesuffix("_checks")
+
+
+def _timed(producers, env, process: str) -> list[_Run]:
+    """Run each producer in turn, timing it."""
+    runs = []
+    for fn in producers:
+        start = time.perf_counter()
+        checks = fn(env)
+        runs.append(_Run(_label(fn), checks, time.perf_counter() - start, process))
+    return runs
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where
+    numpy carries no such library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _fork_available() -> bool:
+    """Whether a forked worker can run beside this process: os.fork exists, at
+    least two CPUs are usable, and the BLAS threads can be shared out between
+    the two processes."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and _openblas_threads() is not None)
+
+
+def _fork_worker(producers, env) -> tuple[int, int]:
+    """Fork a worker that runs ``producers`` on the grids of ``env`` (shared
+    copy-on-write) and pickles their runs, or the exception one raised, into a
+    pipe.  Returns the worker's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    # the worker leaves by os._exit, so it never returns into the caller's code
+    # and never flushes the stdio buffers it inherited
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (_timed(producers, env, "worker"), None)
+        except BaseException as exc:  # sent to the caller, which raises it
+            outcome = (None, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_split(worker, main, env) -> list[_Run]:
+    """Run ``worker`` in a forked worker and ``main`` here, at the same time.
+
+    Each process runs its GEMMs on half the usable CPUs, at least one, and
+    this process gets its BLAS thread count back afterwards: OpenBLAS's
+    threads wait for work by spinning, so two processes each running as many
+    as there are CPUs slowed the suite at N = 512 to twice its one-process
+    time.
+    """
+    get_threads, set_threads = _openblas_threads()
+    threads = get_threads()
+    set_threads(max(1, min(threads, len(os.sched_getaffinity(0)) // 2)))
+    try:
+        pid, read_fd = _fork_worker(worker, env)
+        try:
+            try:
+                runs = _timed(main, env, "main")
+            finally:
+                # drained before the worker is reaped, also when a producer
+                # here raised, so a worker blocked on a full pipe can finish
+                with os.fdopen(read_fd, "rb") as pipe:
+                    payload = pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        set_threads(threads)
+    if code != 0:
+        raise RuntimeError(f"the suite's worker process exited with code {code}")
+    theirs, error = pickle.loads(payload)
+    if error is not None:
+        raise error
+    return runs + theirs
+
+
 def _matches(name: str, pattern: str) -> bool:
     return name.startswith(pattern[:-1]) if pattern.endswith("*") else name == pattern
 
@@ -358,10 +475,18 @@ def run_suite(names: list[str] | None = None, jobs: int = 1,
               grid_size: int = zonal.DEFAULT_GRID_SIZE) -> ReportDocument:
     """Run the acceptance checks (optionally filtered by exact name or prefix).
 
-    The producers hold the GIL, so they run one after another; ``jobs`` is
-    accepted for existing callers and ignored.  Raises ValueError when
-    ``names`` is empty or one of its patterns matches no registered check, so
-    a misspelt filter cannot pass vacuously.
+    When the selected producers include the Sobolev or optimizer producer
+    (``_WORKER_PRODUCERS``) and one of the others, and ``_fork_available()``
+    (``os.fork``, two usable CPUs and numpy's bundled OpenBLAS), those two run
+    in a forked worker while this process runs the rest, each on half the
+    BLAS threads; a worker's exception is raised here with its type and
+    message.  Otherwise every producer runs here, one after another.  The
+    check values are the same either way, and ``jobs`` is accepted for
+    existing callers and ignored.  The report's ``environment["producers"]``
+    holds each producer's wall time and the process that ran it.
+
+    Raises ValueError when ``names`` is empty or one of its patterns matches
+    no registered check, so a misspelt filter cannot pass vacuously.
     """
     selected = set(CHECK_NAMES)
     if names is not None:
@@ -373,13 +498,22 @@ def run_suite(names: list[str] | None = None, jobs: int = 1,
         "grid4": make_grid(4, grid_size),
         "grid6": make_grid(6, grid_size),
     }
+    chosen = [fn for fn, emits in _PRODUCERS if selected.intersection(emits)]
+    worker = [fn for fn in chosen if fn in _WORKER_PRODUCERS]
+    main = [fn for fn in chosen if fn not in _WORKER_PRODUCERS]
+    if worker and main and _fork_available():
+        runs = _run_split(worker, main, env)
+    else:
+        runs = _timed(chosen, env, "main")
+    by_producer = {run.producer: run for run in runs}
+    runs = [by_producer[_label(fn)] for fn in chosen]
     # a full run keeps every check, so the registry test sees an unregistered one
-    checks = sorted((c for fn, emits in _PRODUCERS if selected.intersection(emits)
-                     for c in fn(env) if names is None or c.name in selected),
-                    key=lambda c: c.name)
+    checks = sorted((c for run in runs for c in run.checks
+                     if names is None or c.name in selected), key=lambda c: c.name)
+    producers = {run.producer: {"seconds": run.seconds, "process": run.process} for run in runs}
     return ReportDocument(
         checks=tuple(checks),
         environment={"grid_N": grid_size, "constant_variant": "per-check (paper unless noted)",
-                     "seed": SUITE_SEED},
+                     "seed": SUITE_SEED, "producers": producers},
         overall_pass=all(c.passed for c in checks),
     )

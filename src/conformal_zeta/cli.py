@@ -183,7 +183,11 @@ def run(argv=None) -> int:
 
         bg = _background(args)
         opt_cfg = optimize.OptimizerConfig(tol_residual=args.tol, seed=args.seed)
-        res = optimize.maximize_mass_functional(bg, opt_cfg)
+        try:
+            res = optimize.maximize_mass_functional(bg, opt_cfg)
+        except FloatingPointError as exc:
+            cause = "; the --mass-field values are too large for it" if args.mass_field else ""
+            raise FloatingPointError(f"the optimizer left the float range ({exc}){cause}") from exc
         _emit(fieldio.result_document(res), args.out)
         return EXIT_OK if res.converged else EXIT_CHECK_FAILURE
 

@@ -58,16 +58,17 @@ def _check_field(u: ZonalField, bg: ConformalBackground):
         raise GridMismatchError(f"{u.grid} vs {bg.grid}")
 
 
-def _norm_sq(u: ZonalField, bg: ConformalBackground):
-    """||u||_p^2, refused when it underflows to 0 or overflows: the scale-invariant
-    functionals divide by it."""
+def _lp_norm(u: ZonalField, bg: ConformalBackground):
+    """(||u||_p, ||u||_p^2), refused when the square underflows to 0 or
+    overflows: the scale-invariant functionals divide by it."""
     p = bg.params.p
     with np.errstate(over="ignore"):
-        norm_sq = lp_norm(u, p) ** 2
+        norm = lp_norm(u, p)
+        norm_sq = norm**2
     if not np.all((norm_sq > 0.0) & np.isfinite(norm_sq)):
         raise ValueError(f"the squared L^{p:g} norm of the field is {norm_sq!r}: "
                          "its values are too small or too large for float64")
-    return norm_sq
+    return norm, norm_sq
 
 
 def _spectral_form(u: ZonalField, shift: float):
@@ -91,11 +92,21 @@ def _sphere_form(u: ZonalField, bg: ConformalBackground, what: str):
     return form
 
 
+def _yamabe(form, norm_sq, bg: ConformalBackground):
+    """Y from the sphere form and ||u||_p^2."""
+    return form / (bg.params.a_n * norm_sq)
+
+
+def _gap(form, norm_sq, bg: ConformalBackground):
+    """The Sobolev gap from the sphere form and ||u||_p^2."""
+    return form - bg.params.sphere_shift * bg.params.omega_n ** (2.0 / bg.params.n) * norm_sq
+
+
 def yamabe_functional(u: ZonalField, bg: ConformalBackground):
     """Y(u); for a stack of fields, an array of their values."""
     _check_field(u, bg)
-    norm_sq = _norm_sq(u, bg)
-    return _sphere_form(u, bg, "the Yamabe functional") / (bg.params.a_n * norm_sq)
+    _, norm_sq = _lp_norm(u, bg)
+    return _yamabe(_sphere_form(u, bg, "the Yamabe functional"), norm_sq, bg)
 
 
 def _require_agreement(what: str, first, second):
@@ -119,7 +130,7 @@ def mass_functional(u: ZonalField, bg: ConformalBackground):
     For a stack of fields, an array of their values.
     """
     _check_field(u, bg)
-    norm_sq = _norm_sq(u, bg)
+    _, norm_sq = _lp_norm(u, bg)
     p_form = -inner(u, p_operator_apply(u, bg)) / norm_sq
     mnor_term = inner(ZonalField(u.grid, u.values * u.values), bg.mnor) / norm_sq
     y_form = mnor_term - bg.params.b_n * (
@@ -147,9 +158,8 @@ def sobolev_gap(u: ZonalField, bg: ConformalBackground):
     For a stack of fields, an array of their gaps.
     """
     _check_field(u, bg)
-    norm_sq = _norm_sq(u, bg)
-    form = _sphere_form(u, bg, "the Sobolev gap")
-    return form - bg.params.sphere_shift * bg.params.omega_n ** (2.0 / bg.params.n) * norm_sq
+    _, norm_sq = _lp_norm(u, bg)
+    return _gap(_sphere_form(u, bg, "the Sobolev gap"), norm_sq, bg)
 
 
 def dilation_factor(t: float, grid: ZonalGrid) -> ZonalField:
@@ -174,24 +184,29 @@ class FunctionalReport:
 
 
 def functional_report(u: ZonalField, bg: ConformalBackground) -> FunctionalReport:
-    """All functionals of u in one record.
+    """All functionals of u in one record, each the value its own function
+    returns, bit for bit.
 
-    The trace entry uses the sphere closed form when the background is the
-    round sphere (so the M * vol^{2m/n} identity is a genuine cross-check
-    there) and the mass-functional route otherwise.
+    The mass functional keeps its two operator forms; the trace, Y and the
+    gap share one sphere form, and Y, the gap and the volume one L^p norm: 3
+    analyses in all.  The trace entry uses the sphere closed form when the
+    background is the round sphere (so the M * vol^{2m/n} identity is a
+    genuine cross-check there) and the mass-functional route otherwise.
     """
     m_val = mass_functional(u, bg)
-    vol = lp_norm(u, bg.params.p) ** bg.params.p
+    norm, norm_sq = _lp_norm(u, bg)
+    vol = norm**bg.params.p
+    form = _sphere_form(u, bg, "the functional report")
     trace_from_m = m_val * vol ** ((bg.params.n - 2.0) / bg.params.n)
     if bg.is_round_sphere():
-        trace = conformal_trace(u, bg)
+        trace = -bg.params.c_n * form
         _require_agreement("trace routes disagree (closed form vs functional)", trace, trace_from_m)
     else:
         trace = trace_from_m
     return FunctionalReport(
         mass_functional=m_val,
-        yamabe_functional=yamabe_functional(u, bg),
+        yamabe_functional=_yamabe(form, norm_sq, bg),
         trace=trace,
         volume=vol,
-        sobolev_gap=sobolev_gap(u, bg),
+        sobolev_gap=_gap(form, norm_sq, bg),
     )

@@ -6,13 +6,20 @@ real-projective-space targets were corrected to the oracle values (+1/36 and
 1/(24 pi^2)); see the README for the former values and where they came from.
 """
 
+import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conformal_zeta import laws
+from conformal_zeta import acceptance, bubbles, functionals, laws, optimize
 from conformal_zeta.acceptance import (_PRODUCERS, CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
-                                       run_suite)
+                                       _fork_available, _openblas_threads, run_suite)
+from conformal_zeta.errors import ConsistencyError, SchemaError
 from conformal_zeta.zeta import rational_finite_part
 from conformal_zeta.zonal import DEFAULT_GRID_SIZE
 
@@ -116,10 +123,18 @@ def test_covariance_filter_skips_transport_march(monkeypatch, suite_report):
 
 def test_seeded_loops_run_as_stacks(kernel_products):
     # 2 x 1000 Sobolev fields, 100 covariance pairs and 20 transport seeds
-    # take 8,896 kernel products one field at a time; as stacks, under 300
-    report = run_suite(names=["sobolev_*", "covariance_*", "mass_transport_ode"])
-    assert len(report.checks) == 7 and report.overall_pass
-    assert len(kernel_products) <= 300
+    # take 8,896 kernel products one field at a time; as stacks, under 300.
+    # Each producer runs alone, in this process, where the fixture counts:
+    # a run that selects the Sobolev producer and another forks a worker
+    checks = total = 0
+    for pattern in ("sobolev_*", "covariance_*", "mass_transport_ode"):
+        kernel_products.clear()
+        report = run_suite(names=[pattern])
+        assert report.overall_pass
+        checks += len(report.checks)
+        total += len(kernel_products)
+    assert checks == 7
+    assert total <= 300
 
 
 def test_sobolev_checks_analyze_each_stack_once(kernel_products):
@@ -148,13 +163,17 @@ def test_a_second_run_builds_no_grid(request, suite_report, kernel_products):
     # transform builds a table
     run_suite()
     request.getfixturevalue("refuse_grid_build")
-    kernel_products.clear()
     report = run_suite()
     assert report.checks == suite_report.checks
-    # 300: 304 with the certificate's residual and mass check each applying
-    # P, 456 with P applied to every line-search trial, 467 with each seed
-    # drawn by its own generator, 607 before the working-precision stop; up
-    # to 306 under OpenBLAS's other GEMM kernels
+    # the products of each producer's own run, in this process, where the
+    # fixture counts (a full run forks a worker); 300: 304 with the
+    # certificate's residual and mass check each applying P, 456 with P
+    # applied to every line-search trial, 467 with each seed drawn by its own
+    # generator, 607 before the working-precision stop; up to 306 under
+    # OpenBLAS's other GEMM kernels
+    kernel_products.clear()
+    for _, names in _PRODUCERS:
+        run_suite(names=list(names))
     assert len(kernel_products) <= 316
 
 
@@ -171,3 +190,193 @@ def test_bump_values_survive_the_working_precision_stop(suite_report):
     assert values["positive_bump_sweep_margin"] == pytest.approx(0.00041189397685267165,
                                                                  rel=1e-13, abs=0)
     assert values["positive_bump_constant_mass_reldev"] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the forked worker: a run selecting the Sobolev or optimizer producer and one
+# of the others runs those two in a worker process
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the Sobolev producer in the worker and the flat-norm producer here
+SPLIT = ["sobolev_*", "flat_norm_identity"]
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call made from here on."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _python(script):
+    """Run ``script`` in a fresh interpreter with stdout on a block-buffered
+    pipe; its stdout."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_the_worker_runs_the_sobolev_and_optimizer_producers(suite_report):
+    producers = suite_report.environment["producers"]
+    assert list(producers) == ["zeta", "covariance", "transport", "sobolev", "optimizer",
+                               "bump", "rate", "flat_norm"]
+    worker = {"sobolev", "optimizer"} if _fork_available() else set()
+    assert {name for name, run in producers.items() if run["process"] == "worker"} == worker
+    assert all(run["seconds"] > 0 for run in producers.values())
+
+
+def _consistency_error(*args, **kwargs):
+    raise ConsistencyError("mass-functional forms disagree (P form vs Y form): 1.0 vs 2.0")
+
+
+@pytest.mark.parametrize("module, name, refusal, error", [
+    (functionals, "sobolev_gap", _consistency_error, ConsistencyError),
+    (optimize, "maximize_stack", _refuse, AssertionError),
+], ids=["consistency", "assertion"])
+def test_a_worker_exception_reaches_the_caller(monkeypatch, forks, module, name, refusal,
+                                              error):
+    monkeypatch.setattr(module, name, refusal)
+    with pytest.raises(error) as raised:
+        run_suite(names=["sobolev_*", "optimizer_*", "flat_norm_identity"])
+    assert type(raised.value) is error
+    with pytest.raises(error) as expected:
+        refusal()
+    assert str(raised.value) == str(expected.value)
+    assert len(forks) == _fork_available()
+    assert_no_child_left()
+
+
+def test_a_run_reaps_its_worker(forks, suite_report):
+    report = run_suite(names=SPLIT)
+    assert len(forks) == _fork_available()
+    full = {c.name: c for c in suite_report.checks}
+    assert report.checks == tuple(full[c.name] for c in report.checks)
+    assert len(report.checks) == 4
+    assert_no_child_left()
+
+
+def test_a_failure_here_drains_and_reaps_the_worker(monkeypatch, forks):
+    # the worker's payload is past the 64 KB pipe buffer, and this process's
+    # producer raises before reading it: the worker must still finish
+    def long_refusal(*args, **kwargs):
+        raise ConsistencyError("x" * 200_000)
+
+    def fail(*args, **kwargs):
+        raise ValueError("a producer here failed")
+
+    monkeypatch.setattr(functionals, "sobolev_gap", long_refusal)
+    monkeypatch.setattr(bubbles, "flat_profile_lp_mass", fail)
+    with pytest.raises(ValueError, match="a producer here failed"):
+        run_suite(names=SPLIT)
+    assert len(forks) == _fork_available()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
+def test_the_two_processes_share_the_blas_threads_and_give_them_back(monkeypatch):
+    # each process runs its GEMMs on half the CPUs, and this one gets its
+    # thread count back, also when a producer raised
+    get_threads, _ = _openblas_threads()
+    threads = get_threads()
+    seen = []
+    flat_profile_lp_mass = bubbles.flat_profile_lp_mass
+
+    def recording(*args):
+        seen.append(get_threads())
+        return flat_profile_lp_mass(*args)
+
+    monkeypatch.setattr(bubbles, "flat_profile_lp_mass", recording)
+    run_suite(names=SPLIT)
+    assert set(seen) == {max(1, min(threads, len(os.sched_getaffinity(0)) // 2))}
+    assert get_threads() == threads
+    monkeypatch.setattr(functionals, "sobolev_gap", _consistency_error)
+    with pytest.raises(ConsistencyError):
+        run_suite(names=SPLIT)
+    assert get_threads() == threads
+
+
+def test_no_fork_without_a_blas_thread_count_to_share(monkeypatch, forks, suite_report):
+    monkeypatch.setattr(acceptance, "_openblas_threads", lambda: None)
+    report = run_suite(names=SPLIT)
+    assert forks == []
+    full = {c.name: c for c in suite_report.checks}
+    assert report.checks == tuple(full[c.name] for c in report.checks)
+
+
+@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
+def test_a_worker_that_dies_is_an_error(monkeypatch):
+    monkeypatch.setattr(functionals, "sobolev_gap", lambda *args: os._exit(5))
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        run_suite(names=SPLIT)
+    assert_no_child_left()
+
+
+def test_stdout_buffered_before_a_run_is_written_once():
+    # stdout on a pipe is block-buffered, so the line is still in the buffer
+    # when the worker is forked; the worker leaves without flushing it
+    out = _python(f"""
+print("buffered before the run")
+from conformal_zeta.acceptance import run_suite
+run_suite(names={SPLIT!r}, grid_size=64)
+""")
+    assert out == "buffered before the run\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_usable_cpu_runs_in_process_with_the_same_values(suite_report):
+    out = _python("""
+import json
+import os
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def refuse():
+    raise AssertionError("forked on one CPU")
+
+
+os.fork = refuse
+from conformal_zeta.acceptance import run_suite
+
+report = run_suite()
+print(json.dumps({"values": [[c.name, repr(c.value)] for c in report.checks],
+                  "processes": sorted({run["process"]
+                                       for run in report.environment["producers"].values()})}))
+""")
+    result = json.loads(out)
+    assert result["values"] == [[c.name, repr(c.value)] for c in suite_report.checks]
+    assert result["processes"] == ["main"]
+
+
+@pytest.mark.parametrize("names", [list(names) for _, names in _PRODUCERS]
+                         + [["sobolev_*", "optimizer_*"], ["zeta_*", "rate_*"]],
+                         ids=[fn.__name__ for fn, _ in _PRODUCERS] + ["worker-side", "main-side"])
+def test_a_filter_from_one_side_never_forks(forks, names):
+    run_suite(names=names)
+    assert forks == []
+
+
+def test_a_schema_error_does_not_survive_pickling():
+    # a worker's exception reaches the caller pickled: rebuilt from its args,
+    # with its attributes restored.  SchemaError's one arg is the joined
+    # "path: message", which its constructor prefixes with the default path
+    # "$" again.  No producer raises it, so the type-and-message round trip
+    # holds for what the producers raise, not for every exception
+    err = pickle.loads(pickle.dumps(SchemaError("expected a number", "--n")))
+    assert type(err) is SchemaError and err.path == "--n"
+    assert str(err) == "$: --n: expected a number"

@@ -9,12 +9,13 @@ from conformal_zeta import acceptance
 from conformal_zeta.acceptance import run_suite
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.errors import ConsistencyError, ZeroFieldError
-from conformal_zeta.functionals import (_spectral_form, conformal_trace, dilation_factor,
-                                        functional_report, mass_functional, sobolev_gap,
-                                        yamabe_functional)
+from conformal_zeta.functionals import (FunctionalReport, _spectral_form, conformal_trace,
+                                        dilation_factor, functional_report, mass_functional,
+                                        sobolev_gap, yamabe_functional)
 from conformal_zeta.params import sphere_volume
-from conformal_zeta.zonal import (ZonalField, constant_field, floored_field, inner, laplacian,
-                                  lp_norm, make_grid, random_zonal, random_zonal_coefficients)
+from conformal_zeta.zonal import (ZonalField, ZonalGrid, constant_field, floored_field, inner,
+                                  laplacian, lp_norm, make_grid, random_zonal,
+                                  random_zonal_coefficients)
 from oracles import kernel_reference_tables
 
 
@@ -260,11 +261,41 @@ def test_quadratic_forms_take_one_kernel_product(functional, grid4, sphere4, ker
         assert kernel_products == [u.values.shape]
 
 
-def test_report_takes_two_laplacians_and_three_analyses(grid4, sphere4, kernel_products):
+def test_report_takes_two_laplacians_and_three_analyses(grid4, sphere4, kernel_products,
+                                                          monkeypatch):
+    # the mass functional's two Laplacians, then one analysis for the trace,
+    # Y and the gap together: 3 analyses and 2 syntheses, where a call of
+    # each functional took 5 analyses
     u = random_zonal(grid4, 77, 12, 0.6, 0.2)
+    analyses = []
+    analyze = ZonalGrid.analyze
+
+    def counted(self, values):
+        analyses.append(np.shape(values))
+        return analyze(self, values)
+
+    monkeypatch.setattr(ZonalGrid, "analyze", counted)
     kernel_products.clear()
     functional_report(u, sphere4)
-    assert len(kernel_products) == 2 * 2 + 3
+    assert len(analyses) == 3
+    assert len(kernel_products) == 3 + 2
+
+
+@pytest.mark.parametrize("mass", [False, True], ids=["sphere", "mass"])
+def test_report_values_are_the_functionals_bit_for_bit(grid4, mass):
+    mnor = random_zonal(grid4, 78, 8, 0.2, 0.01) if mass else None
+    bg = round_sphere_background(4, grid4, variant="paper", mnor=mnor)
+    u = random_zonal(grid4, 79, 12, 0.6, 0.2)
+    rep = functional_report(u, bg)
+    m_val = mass_functional(u, bg)
+    vol = lp_norm(u, 4.0) ** 4.0
+    assert rep == FunctionalReport(
+        mass_functional=m_val,
+        yamabe_functional=yamabe_functional(u, bg),
+        trace=conformal_trace(u, bg) if not mass else m_val * vol**0.5,
+        volume=vol,
+        sobolev_gap=sobolev_gap(u, bg),
+    )
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e100, 1e200])

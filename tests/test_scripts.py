@@ -47,6 +47,21 @@ def test_run_suite_writes_the_whole_report(tmp_path, monkeypatch, capsys):
     assert "value=+5.000000000e-01  margin=+5.00e-01" in row
 
 
+def test_run_suite_prints_each_producers_wall_time(tmp_path, monkeypatch, capsys):
+    script = load_script("run_suite")
+    producers = {"zeta": {"seconds": 0.0046, "process": "main"},
+                 "sobolev": {"seconds": 0.0189, "process": "worker"}}
+    report = ReportDocument(checks=fake_report(0.5).checks,
+                            environment={"producers": producers}, overall_pass=True)
+    monkeypatch.setattr(script, "run_suite", lambda grid_size: report)
+    monkeypatch.setattr(sys, "argv", ["run_suite.py", "--out", str(tmp_path / "report.json")])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    rows = out.split("producer wall times:\n")[1].splitlines()[:2]
+    assert [row.split() for row in rows] == [["zeta", "4.6", "ms", "(main)"],
+                                             ["sobolev", "18.9", "ms", "(worker)"]]
+
+
 def test_check_margin_of_an_interval_is_the_distance_to_its_nearer_bound():
     for expected, margin in (((None, 2.0), 0.5), ((0.0, None), 1.5), ((1.0, 3.0), 0.5),
                              ((2.0, None), -0.5)):
