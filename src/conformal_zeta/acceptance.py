@@ -413,7 +413,12 @@ def _fork_worker(producers, env) -> tuple[int, int]:
     copy-on-write) and pickles their runs, or the exception one raised, into a
     pipe.  Returns the worker's pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid:
         os.close(write_fd)
         return pid, read_fd

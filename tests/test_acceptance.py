@@ -319,6 +319,20 @@ def test_no_fork_without_a_blas_thread_count_to_share(monkeypatch, forks, suite_
 
 
 @pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
+def test_a_failed_fork_closes_the_pipe_and_gives_the_threads_back(monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    get_threads, _ = _openblas_threads()
+    threads, fds = get_threads(), sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", no_process)
+    with pytest.raises(BlockingIOError):
+        run_suite(names=SPLIT)
+    assert get_threads() == threads
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
 def test_a_worker_that_dies_is_an_error(monkeypatch):
     monkeypatch.setattr(functionals, "sobolev_gap", lambda *args: os._exit(5))
     with pytest.raises(RuntimeError, match="exited with code 5"):
