@@ -13,7 +13,7 @@ import numpy as np
 
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import concentration_sweep
-from conformal_zeta.optimize import OptimizerConfig, maximize_mass_functional
+from conformal_zeta.optimize import maximize_mass_functional, seeded_start
 from conformal_zeta.params import DEFAULT_GRID_SIZE, OPTIMIZER_SEED_DEFAULT, SWEEP_EPSILON_DEFAULT
 from conformal_zeta.zonal import ZonalField, make_grid
 
@@ -40,7 +40,7 @@ def main():
         orbit_value = -bg.params.b_n * bg.params.yamabe_sphere
         rows = concentration_sweep(alphas, args.epsilon, bg)
         best = max(rows, key=lambda r: r.margin)
-        res = maximize_mass_functional(bg, OptimizerConfig(seed=args.seed))
+        res = maximize_mass_functional(bg, seeded_start(grid, args.seed))
         print(f"\n== {label} ==")
         print(f"  orbit value          : {orbit_value:+.6e}")
         print(f"  best sweep margin    : {best.margin:+.3e} at alpha={best.alpha:.3f}")

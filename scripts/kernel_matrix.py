@@ -33,12 +33,12 @@ SUITE = ["-c", "import kernel_matrix; kernel_matrix.suite_child()"]
 def corename() -> str:
     """The GEMM kernel numpy's OpenBLAS runs on, by its own name."""
     import ctypes
-    import numpy
 
-    libs = sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    from conformal_zeta.acceptance import bundled_openblas
+
     try:
-        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
+        get = bundled_openblas().scipy_openblas_get_corename64_
+    except AttributeError:  # no bundled library, or one that does not export it
         return "unknown"
     get.argtypes, get.restype = [], ctypes.c_char_p
     return get().decode()

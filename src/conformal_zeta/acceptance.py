@@ -123,8 +123,8 @@ def _interval_check(name, value, lo, hi, provenance, note="") -> Check:
 
 def _zeta_checks(env) -> list[Check]:
     out = []
-    for n in (4, 6):
-        lv = zeta.spectral_zeta_at_one(SpectrumQuery(space="sphere", n=n))
+    sphere = {n: zeta.spectral_zeta_at_one(SpectrumQuery(space="sphere", n=n)) for n in (4, 6)}
+    for n, lv in sphere.items():
         out.append(_interval_check(f"zeta_residue_sphere_n{n}", abs(lv.residue),
                                    None, 1e-10, "paper",
                                    "regularity of the series at its expansion point"))
@@ -149,9 +149,8 @@ def _zeta_checks(env) -> list[Check]:
         bg = round_sphere_background(n, grid, variant="paper")
         tr = functionals.conformal_trace(constant_field(grid, 1.0), bg)
         out.append(_scalar_check(f"trace_const_n{n}", tr, float(target), 1e-12, "paper"))
-        fp = zeta._finite_part(SpectrumQuery(space="sphere", n=n))
-        out.append(_scalar_check(f"trace_ratio_n{n}", fp / tr, 2.0, 1e-6, "derived",
-                                 "series finite part over printed-constant trace"))
+        out.append(_scalar_check(f"trace_ratio_n{n}", sphere[n].finite_part / tr, 2.0, 1e-6,
+                                 "derived", "series finite part over printed-constant trace"))
 
     # calibration identity for the homogeneous sphere mass
     for n in (4, 6):
@@ -167,14 +166,14 @@ def _zeta_checks(env) -> list[Check]:
                                  "paper constants leave -b_n n(n-1)"))
 
     # projective-space positivity and the registered value
-    for variant in ("paper", "calibrated"):
-        hm = zeta.homogeneous_mass(rp_q, dim_params(4, variant))
+    rp_mass = {variant: zeta.homogeneous_mass(rp_q, dim_params(4, variant)).normalized_mass
+               for variant in ("paper", "calibrated")}
+    for variant, mass in rp_mass.items():
         out.append(_interval_check(f"projective_mass_positive_{variant}",
-                                   hm.normalized_mass, 0.0, None, "paper",
+                                   mass, 0.0, None, "paper",
                                    "positive-mass claim for real projective space"))
-    hm = zeta.homogeneous_mass(rp_q, dim_params(4, "paper"))
     out.append(_scalar_check(
-        "projective_normalized_mass_value", hm.normalized_mass,
+        "projective_normalized_mass_value", rp_mass["paper"],
         1 / (24 * math.pi**2), 1e-9, "derived",
         "fp/vol + 12 b_4 with fp = 1/36 and vol = omega_4/2 (paper constants)"))
     return out
@@ -226,14 +225,12 @@ def _transport_checks(env) -> list[Check]:
     n = 4
     grid = env["grid4"]
     bg = round_sphere_background(n, grid, variant="calibrated")
-    worst = 0.0
-    phis = random_band_limited(grid, 21000 + np.arange(20), _LAW_LMAX, _PHI_AMPLITUDE).values
-    for a in range(0, len(phis), _LAW_STACK):
-        phi = ZonalField(grid, phis[a:a + _LAW_STACK])
-        u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
-        closed = laws.mass_pushforward(u, bg).values
-        marched = laws.mass_transport_ode(bg, phi).values
-        worst = max(worst, float(np.abs(closed - marched).max()))
+    # the 20 seeds, fewer than _LAW_STACK, go through as one stack
+    phi = random_band_limited(grid, 21000 + np.arange(20), _LAW_LMAX, _PHI_AMPLITUDE)
+    u = ZonalField(grid, np.exp((n - 2) / 2.0 * phi.values))
+    closed = laws.mass_pushforward(u, bg).values
+    marched = laws.mass_transport_ode(bg, phi).values
+    worst = float(np.abs(closed - marched).max())
     return [_interval_check("mass_transport_ode", worst, None, 1e-6, "derived",
                             "4th-order march of the infinitesimal law, 64 steps, 20 seeds")]
 
@@ -292,7 +289,7 @@ def _bump_checks(env) -> list[Check]:
     # concentration scales the N=256 grid resolves (several nodes per core)
     rows = bubbles.concentration_sweep(np.logspace(np.log10(0.02), np.log10(0.3), 12), 0.3, bg)
     best_margin = max(r.margin for r in rows)
-    res = optimize.maximize_mass_functional(bg, optimize.OptimizerConfig(seed=SUITE_SEED))
+    res = optimize.maximize_mass_functional(bg, optimize.seeded_start(grid, SUITE_SEED))
     return [
         _interval_check("positive_bump_sweep_margin", best_margin, 0.0, None, "paper",
                         "glued-bubble sweep on the positive-mass bump background"),
@@ -385,15 +382,24 @@ def _timed(producers, env, process: str) -> list[_Run]:
     return runs
 
 
+def bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, loaded by ctypes, or None where numpy carries
+    no such library or it does not load."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    try:
+        return ctypes.CDLL(str(libs[0]))
+    except (IndexError, OSError):
+        return None
+
+
 @functools.lru_cache(maxsize=1)
 def _openblas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None where
-    numpy carries no such library."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    numpy carries no such library or it exports no thread-count calls."""
+    lib = bundled_openblas()
     try:
-        lib = ctypes.CDLL(str(libs[0]))
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:  # lib is None, or lacks the calls
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
@@ -430,7 +436,12 @@ def _fork_worker(producers, env) -> tuple[int, int]:
         try:
             outcome = (_timed(producers, env, "worker"), None)
         except BaseException as exc:  # sent to the caller, which raises it
-            outcome = (None, exc)
+            try:  # as itself only if a pickled copy keeps its type and message
+                copy = pickle.loads(pickle.dumps(exc))
+            except Exception:
+                copy = None
+            same = type(copy) is type(exc) and str(copy) == str(exc)
+            outcome = (None, exc if same else RuntimeError(f"{type(exc).__qualname__}: {exc}"))
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(outcome, pipe)
         status = 0
@@ -485,9 +496,10 @@ def run_suite(names: list[str] | None = None, jobs: int = 1,
     (``os.fork``, two usable CPUs and numpy's bundled OpenBLAS), those two run
     in a forked worker while this process runs the rest, each on half the
     BLAS threads; a worker's exception is raised here with its type and
-    message.  Otherwise every producer runs here, one after another.  The
-    check values are the same either way, and ``jobs`` is accepted for
-    existing callers and ignored.  The report's ``environment["producers"]``
+    message, or as a RuntimeError naming them where pickling would lose
+    them.  Otherwise every producer runs here, one after another.  The check
+    values are the same either way, and ``jobs`` is accepted for existing
+    callers and ignored.  The report's ``environment["producers"]``
     holds each producer's wall time and the process that ran it.
 
     Raises ValueError when ``names`` is empty or one of its patterns matches

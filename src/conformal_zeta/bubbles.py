@@ -44,30 +44,16 @@ _JACOBI_NODES = 40
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ProfileParams:
-    """Concentration scale, cap half-width, and sphere dimension."""
-
-    alpha: float
-    epsilon: float
-    n: int
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        check_cap_half_width(self.epsilon)
-        check_dimension(self.n)
-
-
 def check_cap_half_width(epsilon: float) -> None:
-    """Raise ValueError unless 0 < epsilon < pi/2 (``ProfileParams.epsilon``)."""
+    """Raise ValueError unless the cap half-width has 0 < epsilon < pi/2."""
     if not (0.0 < epsilon < math.pi / 2.0):
         raise ValueError("epsilon must lie in (0, pi/2) so the support fits a hemisphere")
 
 
-def bubble_profile(alpha: float, r, n: int):
-    """((r^2 + alpha^2)/alpha)^{(2-n)/2}; scalar or array in r."""
-    if alpha <= 0:
+def bubble_profile(alpha, r, n: int):
+    """((r^2 + alpha^2)/alpha)^{(2-n)/2}; scalar or array in alpha and r, broadcast."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0):
         raise ValueError("alpha must be positive")
     r = np.asarray(r, dtype=float)
     out = ((r * r + alpha * alpha) / alpha) ** ((2.0 - n) / 2.0)
@@ -115,15 +101,16 @@ def smooth_cutoff(epsilon: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def capped_bubble(params: ProfileParams, grid) -> ZonalField:
-    """The glued profile eta(theta) u_alpha(theta) on the grid, zero past 2 eps."""
+def capped_bubble(alpha, epsilon: float, grid) -> ZonalField:
+    """The glued profile eta(theta) u_alpha(theta) on the grid, zero past 2 eps;
+    an array of scales gives one row per scale, all under one cutoff."""
     from .zonal import ZonalField
 
-    if grid.n != params.n:
-        raise ValueError(f"grid has n={grid.n}, params have n={params.n}")
+    alpha = np.asarray(alpha, dtype=float)
+    check_cap_half_width(epsilon)
     theta = grid.theta
-    vals = smooth_cutoff(params.epsilon, theta) * bubble_profile(params.alpha, theta, params.n)
-    return ZonalField(grid, vals)
+    profile = bubble_profile(alpha[..., None] if alpha.ndim else alpha, theta, grid.n)
+    return ZonalField(grid, smooth_cutoff(epsilon, theta) * profile)
 
 
 def bubble_moment(alpha, epsilon: float, k: float, n: int):
@@ -298,27 +285,26 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
 
     Per alpha: M(psi_alpha), the sphere orbit value -b_n * Y(S^n), their
     margin, and mu = min of the normalized-mass data over the support cap.
-    The bubbles go through the mass functional as one stack.
+    The bubbles are built as one stack (``capped_bubble``) and go through the
+    mass functional as one.  Raises ZeroFieldError, naming the first such
+    scale, when a bubble is zero at every node.
     """
     from .functionals import mass_functional
-    from .zonal import ZonalField
 
-    n = bg.params.n
     sphere_value = -bg.params.b_n * bg.params.yamabe_sphere
     cap = bg.grid.theta <= 2.0 * epsilon
     mu = float(bg.mnor.values[cap].min()) if np.any(cap) else float("nan")
     alphas = np.asarray(alphas, dtype=float)
     if not alphas.size:
         return []
-    fields = []
-    for alpha in alphas:
-        psi = capped_bubble(ProfileParams(alpha=float(alpha), epsilon=epsilon, n=n), bg.grid)
-        if not np.any(psi.values):
-            raise ZeroFieldError(
-                f"the capped bubble for n={n}, alpha={alpha:g} is zero at every node of the "
-                f"{bg.grid.size}-node grid: no node lies inside its cap, or the profile underflows")
-        fields.append(psi.values)
-    m_psi = mass_functional(ZonalField(bg.grid, np.stack(fields)), bg).tolist()
+    psi = capped_bubble(alphas, epsilon, bg.grid)
+    empty = ~psi.values.any(axis=-1)
+    if empty.any():
+        raise ZeroFieldError(
+            f"the capped bubble for n={bg.params.n}, alpha={alphas[empty.argmax()]:g} is zero at "
+            f"every node of the {bg.grid.size}-node grid: no node lies inside its cap, or the "
+            "profile underflows")
+    m_psi = mass_functional(psi, bg).tolist()
     return [SweepRow(alpha=float(alpha), m_psi=m, sphere_value=sphere_value,
                      margin=m - sphere_value, mu=mu)
             for alpha, m in zip(alphas, m_psi)]

@@ -182,9 +182,9 @@ def run(argv=None) -> int:
         from . import fieldio, optimize
 
         bg = _background(args)
-        opt_cfg = optimize.OptimizerConfig(tol_residual=args.tol, seed=args.seed)
         try:
-            res = optimize.maximize_mass_functional(bg, opt_cfg)
+            res = optimize.maximize_mass_functional(
+                bg, optimize.seeded_start(bg.grid, args.seed), args.tol)
         except FloatingPointError as exc:
             cause = "; the --mass-field values are too large for it" if args.mass_field else ""
             raise FloatingPointError(f"the optimizer left the float range ({exc}){cause}") from exc

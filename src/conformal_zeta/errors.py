@@ -17,8 +17,11 @@ class SchemaError(ConformalZetaError):
     """A field file or a command-line value violates its schema."""
 
     def __init__(self, message, path="$"):
-        super().__init__(f"{path}: {message}")
+        super().__init__(message, path)  # a pickled copy is rebuilt from both
         self.path = path
+
+    def __str__(self):
+        return f"{self.path}: {self.args[0]}"
 
 
 class ConsistencyError(ConformalZetaError):

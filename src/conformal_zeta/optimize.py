@@ -114,12 +114,6 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    tol_residual: float = OPTIMIZER_TOL_DEFAULT
-    seed: int = OPTIMIZER_SEED_DEFAULT
-
-
-@dataclass(frozen=True)
 class OptimizerResult:
     u_star: ZonalField
     value: float
@@ -235,39 +229,38 @@ def seeded_start(grid: ZonalGrid, seed) -> ZonalField:
     return ZonalField(grid, 1.0 + pert - pert.min(axis=-1, keepdims=True))
 
 
-def maximize_mass_functional(bg: ConformalBackground, cfg: OptimizerConfig | None = None,
-                             start: ZonalField | None = None) -> OptimizerResult:
+def maximize_mass_functional(bg: ConformalBackground, start: ZonalField | None = None,
+                             tol: float = OPTIMIZER_TOL_DEFAULT) -> OptimizerResult:
     """Run the ascent and the polish from one start, then certify the final iterate.
 
-    The start defaults to ``seeded_start(bg.grid, cfg.seed)``.  Returns
+    The start defaults to ``seeded_start(bg.grid, OPTIMIZER_SEED_DEFAULT)``; a
+    seeded run passes ``start=seeded_start(grid, seed)``.  Returns
     converged=False (with diagnostics populated) when the iterate cannot reach
-    ``tol_residual``; raises FloatingPointError on NaN/overflow.
+    the residual ``tol``; raises FloatingPointError on NaN/overflow.
     """
-    cfg = cfg or OptimizerConfig()
     if start is None:
-        start = seeded_start(bg.grid, cfg.seed)
+        start = seeded_start(bg.grid, OPTIMIZER_SEED_DEFAULT)
     elif start.values.ndim != 1:
         raise ValueError("one starting field expected; maximize_stack takes a stack")
-    (result,) = maximize_stack(bg, ZonalField(start.grid, start.values[None]), cfg)
+    (result,) = maximize_stack(bg, ZonalField(start.grid, start.values[None]), tol)
     return result
 
 
 def maximize_stack(bg: ConformalBackground, starts: ZonalField,
-                   cfg: OptimizerConfig | None = None) -> list[OptimizerResult]:
+                   tol: float = OPTIMIZER_TOL_DEFAULT) -> list[OptimizerResult]:
     """Run the ascent and the polish on a (B, N) stack of starts in lockstep, then
     certify every row; one result per row (module docstring).
 
-    ``cfg.seed`` is not read: ``seeded_start(grid, seeds)`` gives a stack of
-    seeded starts.  Raises FloatingPointError when any row goes non-finite.
+    ``seeded_start(grid, seeds)`` gives a stack of seeded starts.  Raises
+    FloatingPointError when any row goes non-finite.
     """
-    cfg = cfg or OptimizerConfig()
     if np.any(starts.values <= 0):
         raise ValueError("starting field must be positive")
     grid, w = bg.grid, bg.grid.weights
     # A^{-1} = (c_n (D + n(n-2)/4))^{-1}, diagonal in the Gegenbauer basis
     inv_sphere_op = 1.0 / (bg.params.c_n * (grid.laplacian_eigenvalues + bg.params.sphere_shift))
     # read at call time: tests lower the caps
-    tol, max_iters, max_polish = cfg.tol_residual, _MAX_ITERS, _MAX_POLISH
+    max_iters, max_polish = _MAX_ITERS, _MAX_POLISH
 
     # P d = A d - m_nor d = r - m_nor d for a direction d = A^{-1} r
     mnor = bg.mnor.values

@@ -219,8 +219,6 @@ def _eval_poly(coeffs: tuple[float, ...], sigma: float) -> float:
 
 def _step_sum_value(w: float, x0: float, step: int) -> float:
     """sum over x = x0, x0+step, ... of x^{-w} (analytic continuation)."""
-    if step == 1:
-        return hurwitz_zeta(w, x0)
     return step ** (-w) * hurwitz_zeta(w, x0 / step)
 
 

@@ -11,12 +11,13 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conformal_zeta import acceptance, bubbles, functionals, laws, optimize
+from conformal_zeta import acceptance, bubbles, errors, functionals, laws, optimize
 from conformal_zeta.acceptance import (_PRODUCERS, CHECK_NAMES, KNOWN_DISPUTED_CHECKS,
                                        _fork_available, _openblas_threads, run_suite)
 from conformal_zeta.errors import ConsistencyError, SchemaError
@@ -244,10 +245,15 @@ def _consistency_error(*args, **kwargs):
     raise ConsistencyError("mass-functional forms disagree (P form vs Y form): 1.0 vs 2.0")
 
 
+def _schema_error(*args, **kwargs):
+    raise SchemaError("expected a number", "--n")
+
+
 @pytest.mark.parametrize("module, name, refusal, error", [
     (functionals, "sobolev_gap", _consistency_error, ConsistencyError),
     (optimize, "maximize_stack", _refuse, AssertionError),
-], ids=["consistency", "assertion"])
+    (functionals, "sobolev_gap", _schema_error, SchemaError),
+], ids=["consistency", "assertion", "schema"])
 def test_a_worker_exception_reaches_the_caller(monkeypatch, forks, module, name, refusal,
                                               error):
     monkeypatch.setattr(module, name, refusal)
@@ -258,6 +264,36 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch, forks, module, name,
         refusal()
     assert str(raised.value) == str(expected.value)
     assert len(forks) == _fork_available()
+    assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{where}: {what}")
+
+
+def _two_arg_error(*args, **kwargs):
+    raise _TwoArgError("no grid", "sobolev")
+
+
+def _unpicklable_error(*args, **kwargs):
+    exc = ValueError("holds a lock")
+    exc.lock = threading.Lock()
+    raise exc
+
+
+@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
+@pytest.mark.parametrize("refusal, message", [
+    (_two_arg_error, "_TwoArgError: sobolev: no grid"),
+    (_unpicklable_error, "ValueError: holds a lock"),
+], ids=["two-arg-init", "unpicklable-attribute"])
+def test_a_worker_exception_that_pickling_would_lose_comes_back_named(monkeypatch, refusal,
+                                                                     message):
+    # rebuilding the first from its args fails, and the second does not pickle
+    monkeypatch.setattr(functionals, "sobolev_gap", refusal)
+    with pytest.raises(RuntimeError) as raised:
+        run_suite(names=SPLIT)
+    assert type(raised.value) is RuntimeError and str(raised.value) == message
     assert_no_child_left()
 
 
@@ -385,12 +421,16 @@ def test_a_filter_from_one_side_never_forks(forks, names):
     assert forks == []
 
 
-def test_a_schema_error_does_not_survive_pickling():
+PACKAGE_ERRORS = sorted((cls for cls in vars(errors).values()
+                         if isinstance(cls, type) and issubclass(cls, errors.ConformalZetaError)),
+                        key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_a_package_error_survives_pickling(cls):
     # a worker's exception reaches the caller pickled: rebuilt from its args,
-    # with its attributes restored.  SchemaError's one arg is the joined
-    # "path: message", which its constructor prefixes with the default path
-    # "$" again.  No producer raises it, so the type-and-message round trip
-    # holds for what the producers raise, not for every exception
-    err = pickle.loads(pickle.dumps(SchemaError("expected a number", "--n")))
-    assert type(err) is SchemaError and err.path == "--n"
-    assert str(err) == "$: --n: expected a number"
+    # with its attributes restored
+    error = cls("expected a number", "--n") if cls is SchemaError else cls("expected a number")
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls and vars(copy) == vars(error)
+    assert str(copy) == ("--n: expected a number" if cls is SchemaError else "expected a number")

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conformal_zeta import bubbles
+from conformal_zeta import bubbles, functionals
 from conformal_zeta.background import round_sphere_background
-from conformal_zeta.bubbles import (ProfileParams, bubble_moment, bubble_profile,
-                                    capped_bubble, concentration_sweep, fit_decay_rate,
-                                    flat_profile_lp_mass, predicted_branch, smooth_cutoff)
+from conformal_zeta.bubbles import (bubble_moment, bubble_profile, capped_bubble,
+                                    concentration_sweep, fit_decay_rate, flat_profile_lp_mass,
+                                    predicted_branch, smooth_cutoff)
+from conformal_zeta.errors import ZeroFieldError
 from conformal_zeta.params import RATE_CAP_DEFAULT, sphere_volume
-from conformal_zeta.zonal import ZonalField, integrate
+from conformal_zeta.zonal import ZonalField, integrate, make_grid
 
 from oracles import jacobi_rule_reference, radial_moment_reference, radial_moment_to_infinity
 
@@ -59,9 +60,8 @@ def test_cutoff_strictly_decreasing_in_transition():
 
 
 def test_capped_bubble_support(grid4):
-    params = ProfileParams(alpha=0.1, epsilon=0.3, n=4)
-    psi = capped_bubble(params, grid4)
-    outside = grid4.theta > 2 * params.epsilon
+    psi = capped_bubble(0.1, 0.3, grid4)
+    outside = grid4.theta > 2 * 0.3
     assert np.abs(psi.values[outside]).max() == 0.0
     assert np.all(psi.values >= 0)
 
@@ -71,7 +71,7 @@ def test_capped_bubble_norm_approaches_flat_value(grid4):
 
     def norm_defect(alpha):
         # ||psi_alpha||_p^p relative to the alpha-independent flat-space value
-        psi = capped_bubble(ProfileParams(alpha=alpha, epsilon=eps, n=4), grid4)
+        psi = capped_bubble(alpha, eps, grid4)
         return integrate(ZonalField(grid4, np.abs(psi.values) ** 4.0)) / (2.0 ** -4 * sphere_volume(4))
 
     assert abs(norm_defect(0.1 * eps) - 1.0) < 0.05
@@ -79,13 +79,24 @@ def test_capped_bubble_norm_approaches_flat_value(grid4):
     assert abs(norm_defect(0.1 * eps) - 1.0) < abs(norm_defect(0.3 * eps) - 1.0)
 
 
-def test_profile_params_validation():
-    with pytest.raises(ValueError):
-        ProfileParams(alpha=0.0, epsilon=0.3, n=4)
-    with pytest.raises(ValueError):
-        ProfileParams(alpha=0.1, epsilon=1.7, n=4)  # support would leave the hemisphere
-    with pytest.raises(ValueError):
-        ProfileParams(alpha=0.1, epsilon=0.3, n=5)
+def test_capped_bubble_refusals(grid4):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        capped_bubble(0.0, 0.3, grid4)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        capped_bubble(np.array([0.1, -0.2]), 0.3, grid4)
+    for eps in (0.0, 1.7):  # 1.7: the support would leave the hemisphere
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            capped_bubble(0.1, eps, grid4)
+
+
+@pytest.mark.parametrize("n, size", [(4, 256), (6, 512), (20, 64)])
+def test_capped_bubble_of_an_array_is_the_scalar_rows_bit_for_bit(n, size):
+    grid = make_grid(n, size)
+    alphas = np.logspace(-3, np.log10(0.5), 17)
+    stack = capped_bubble(alphas, 0.3, grid).values
+    assert stack.shape == (alphas.size, grid.size)
+    for alpha, row in zip(alphas, stack):
+        assert np.array_equal(row, capped_bubble(float(alpha), 0.3, grid).values)
 
 
 def test_moment_closed_form():
@@ -224,6 +235,33 @@ def _loglog_slope(alphas, values, with_log_factor):
     design = np.vstack([t, np.ones_like(t)]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return coef[0]
+
+
+def test_a_sweep_builds_its_bubbles_and_takes_the_functional_in_one_call(grid4, monkeypatch):
+    calls = {"capped_bubble": 0, "mass_functional": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bubbles, "capped_bubble")
+    counted(functionals, "mass_functional")
+    rows = concentration_sweep(RESOLVED_ALPHAS, 0.3, round_sphere_background(4, grid4))
+    assert len(rows) == RESOLVED_ALPHAS.size
+    assert calls == {"capped_bubble": 1, "mass_functional": 1}
+
+
+def test_a_sweep_names_its_first_empty_scale():
+    # at n = 20 the profile underflows to zero at every node of the cap for
+    # alpha = 1e-40 and 1e-50, and not for 1e-30
+    grid = make_grid(20, 64)
+    with pytest.raises(ZeroFieldError, match=r"n=20, alpha=1e-40 is zero at every node"):
+        concentration_sweep([0.05, 1e-30, 1e-40, 1e-50], 0.3, round_sphere_background(20, grid))
 
 
 def test_sweep_stays_below_orbit_value_without_mass_data(grid4):

@@ -314,7 +314,7 @@ def test_constants_dimension_overflow_is_usage_error(capsys):
 def test_floating_point_error_exit_code(capsys, monkeypatch):
     from conformal_zeta import optimize
 
-    def diverged(bg, cfg):
+    def diverged(bg, start, tol):
         raise FloatingPointError("forced for the exit-code contract")
 
     monkeypatch.setattr(optimize, "maximize_mass_functional", diverged)

@@ -131,11 +131,11 @@ def test_field_document_refuses_stacks(grid):
 
 def test_result_document_keys(grid):
     from conformal_zeta.background import round_sphere_background
-    from conformal_zeta.optimize import OptimizerConfig, maximize_mass_functional
+    from conformal_zeta.optimize import maximize_mass_functional
     from conformal_zeta.zonal import constant_field
 
     bg = round_sphere_background(4, grid)
-    res = maximize_mass_functional(bg, OptimizerConfig(), start=constant_field(grid, 1.0))
+    res = maximize_mass_functional(bg, start=constant_field(grid, 1.0))
     doc = result_document(res)
     assert set(doc) == {"value", "lambda", "residual", "mass_mean", "mass_reldev",
                         "iterations", "ascent_steps", "backtracks", "polish_steps",

@@ -9,8 +9,8 @@ from conformal_zeta.acceptance import SUITE_SEED
 from conformal_zeta.background import round_sphere_background
 from conformal_zeta.functionals import dilation_factor, mass_functional
 from conformal_zeta.laws import mass_pushforward, p_operator_apply
-from conformal_zeta.optimize import (OptimizerConfig, certify, fit_dilation_orbit,
-                                     maximize_mass_functional, maximize_stack)
+from conformal_zeta.optimize import (certify, fit_dilation_orbit, maximize_mass_functional,
+                                     maximize_stack, seeded_start)
 from conformal_zeta.zonal import ZonalField, constant_field, random_zonal
 
 
@@ -53,8 +53,8 @@ def test_orbit_fit_recovers_a_dilation(grid4, sphere4, t0):
     assert gap <= 1e-12
 
 
-def test_seed_independence(sphere4):
-    values = [maximize_mass_functional(sphere4, OptimizerConfig(seed=s)).value
+def test_seed_independence(grid4, sphere4):
+    values = [maximize_mass_functional(sphere4, seeded_start(grid4, s)).value
               for s in range(3)]
     target = sphere_value(sphere4)
     for v in values:
@@ -62,7 +62,7 @@ def test_seed_independence(sphere4):
 
 
 def test_positive_mass_data_raises_value(grid4, bump4):
-    res = maximize_mass_functional(bump4, OptimizerConfig(seed=1))
+    res = maximize_mass_functional(bump4, seeded_start(grid4, 1))
     assert res.converged
     assert res.value > sphere_value(bump4) + 1e-4
     assert res.mass_reldev < 1e-6
@@ -80,8 +80,7 @@ def test_history_monotone_within_stages(grid4, sphere4):
 
 def test_non_convergence_is_reported(grid4, sphere4):
     start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
-    cfg = OptimizerConfig(tol_residual=1e-30)  # below working precision
-    res = maximize_mass_functional(sphere4, cfg, start=start)
+    res = maximize_mass_functional(sphere4, start, tol=1e-30)  # below working precision
     assert not res.converged
     assert math.isfinite(res.residual)
     assert res.stop_reason == "polish_stalled"
@@ -92,7 +91,7 @@ def test_non_convergence_is_reported(grid4, sphere4):
 def test_stop_reason_names_the_cap(grid4, sphere4, monkeypatch, cap, reason):
     monkeypatch.setattr(optimize, cap, 1)
     start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
-    res = maximize_mass_functional(sphere4, OptimizerConfig(tol_residual=1e-30), start=start)
+    res = maximize_mass_functional(sphere4, start, tol=1e-30)
     assert not res.converged
     assert res.stop_reason == reason
 
@@ -142,7 +141,7 @@ def test_constant_mass_check_generic_field(grid4, sphere4):
 
 
 def test_optimum_solves_critical_equation(grid4, bump4):
-    res = maximize_mass_functional(bump4, OptimizerConfig(seed=2))
+    res = maximize_mass_functional(bump4, seeded_start(grid4, 2))
     lam, residual, _, _ = certify(res.u_star, bump4)
     assert residual < 1e-8
     assert lam == pytest.approx(res.lam, rel=1e-10)
@@ -153,6 +152,13 @@ def test_optimum_solves_critical_equation(grid4, bump4):
 def _scalars(res):
     """Every field of a result but the optimum itself, which is an array."""
     return dataclasses.replace(res, u_star=None)
+
+
+def test_the_default_start_is_the_default_seeds(grid4, bump4):
+    default = maximize_mass_functional(bump4)
+    seeded = maximize_mass_functional(bump4, start=seeded_start(grid4, 0))
+    assert _scalars(default) == _scalars(seeded)
+    assert np.array_equal(default.u_star.values, seeded.u_star.values)
 
 
 def test_one_row_stack_is_the_single_run(grid4, bump4):
@@ -198,7 +204,7 @@ def test_stack_rows_meet_their_tolerance(grid4, sphere4):
         assert res.converged and res.stop_reason == "tolerance_met"
         assert res.residual < 1e-8
         assert res.value == pytest.approx(sphere_value(sphere4), rel=1e-6)
-        single = maximize_mass_functional(sphere4, OptimizerConfig(seed=seed))
+        single = maximize_mass_functional(sphere4, seeded_start(grid4, seed))
         assert res.value == pytest.approx(single.value, rel=1e-12)
 
 
@@ -276,20 +282,20 @@ def test_sphere_seeds_stop_at_working_precision(grid4, sphere4):
     assert sum(res.backtracks for res in results) <= 100
 
 
-def test_bump_run_hands_over_to_the_polish_sooner(bump4):
+def test_bump_run_hands_over_to_the_polish_sooner(grid4, bump4):
     # the suite's bump run: 52 rejected trials before the working-precision
     # stop, 21 with it
-    res = maximize_mass_functional(bump4, OptimizerConfig(seed=SUITE_SEED))
+    res = maximize_mass_functional(bump4, seeded_start(grid4, SUITE_SEED))
     assert res.stop_reason == "tolerance_met" and res.polish_steps >= 1
     assert res.backtracks <= 30
 
 
-def test_bump_run_applies_p_only_where_it_must(bump4, kernel_products):
+def test_bump_run_applies_p_only_where_it_must(grid4, bump4, kernel_products):
     # the suite's bump run: 201 kernel products with P applied to every
     # trial; 89 with P applied at the start, in the polish and to clipped
     # rows, and a line-search trial's image taken from P's linearity; 87
     # with one P for the whole certificate (93 under OpenBLAS's Haswell GEMM)
-    res = maximize_mass_functional(bump4, OptimizerConfig(seed=SUITE_SEED))
+    res = maximize_mass_functional(bump4, seeded_start(grid4, SUITE_SEED))
     assert res.stop_reason == "tolerance_met"
     assert len(kernel_products) <= 98
 
@@ -318,12 +324,11 @@ def test_capped_ascent_hands_its_residual_to_the_polish(grid4, bump4, monkeypatc
     # after the last ascent step the cap allows, a polish step is taken only
     # if it lowers the residual of the point that step accepted
     monkeypatch.setattr(optimize, "_MAX_ITERS", 2)
-    cfg = OptimizerConfig(tol_residual=1e-30)
     start = optimize.seeded_start(grid4, SUITE_SEED)
     monkeypatch.setattr(optimize, "_MAX_POLISH", 0)
-    capped = maximize_mass_functional(bump4, cfg, start=start)
+    capped = maximize_mass_functional(bump4, start, tol=1e-30)
     monkeypatch.setattr(optimize, "_MAX_POLISH", 1)
-    res = maximize_mass_functional(bump4, cfg, start=start)
+    res = maximize_mass_functional(bump4, start, tol=1e-30)
     assert capped.ascent_steps == res.ascent_steps == 2
     assert res.polish_steps == 0 or res.residual < capped.residual
 
@@ -358,5 +363,5 @@ def test_a_tolerance_stop_is_certified(grid4, bump4, tol):
     # the carried residual fell below these tolerances while the certified
     # one stayed 78 and 7 times above them: tolerance_met, converged false
     start = ZonalField(grid4, 1.0 + 0.3 * grid4.nodes)
-    res = maximize_mass_functional(bump4, OptimizerConfig(tol_residual=tol), start=start)
+    res = maximize_mass_functional(bump4, start, tol=tol)
     assert res.converged == (res.stop_reason == "tolerance_met")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conformal_zeta.bubbles import ProfileParams, bubble_moment
+from conformal_zeta.bubbles import bubble_moment
 from conformal_zeta.params import (MAX_DIMENSION, dim_params,
                                    infinitesimal_transport_coefficient, sphere_volume)
 from conformal_zeta.spectra import SpectrumQuery
@@ -62,10 +62,9 @@ def test_rejects_bad_dimensions(bad):
     infinitesimal_transport_coefficient,
     lambda n: SpectrumQuery(space="sphere", n=n),
     lambda n: make_grid(n, 16),
-    lambda n: ProfileParams(alpha=0.1, epsilon=0.3, n=n),
     lambda n: bubble_moment(0.1, 2.5, 0, n),
 ], ids=["dim_params", "transport_coefficient", "spectrum_query", "zonal_grid",
-        "profile_params", "bubble_moment"])
+        "bubble_moment"])
 def test_dimension_rule_is_shared(build, refuse_grid_build):
     for bad in (3, 2, MAX_DIMENSION + 2, 20000):
         with pytest.raises(ValueError, match=f"4..{MAX_DIMENSION}, got n={bad}"):
