@@ -37,7 +37,7 @@ def main():
 
     for label, mnor in backgrounds.items():
         bg = round_sphere_background(args.n, grid, mnor=mnor)
-        orbit_value = -bg.params.b_n * bg.params.yamabe_sphere
+        orbit_value = bg.params.sphere_value
         rows = concentration_sweep(alphas, args.epsilon, bg)
         best = max(rows, key=lambda r: r.margin)
         res = maximize_mass_functional(bg, seeded_start(grid, args.seed))

@@ -4,7 +4,8 @@
     python scripts/run_suite.py [--out report.json] [--grid-n 256]
 
 The Sobolev and optimizer producers run in a forked worker beside the
-others where two CPUs are usable (``acceptance.run_suite``).  Each row shows
+others where two CPUs are usable (``acceptance.run_suite``); where the fork
+or the worker fails, they run in this process instead.  Each row shows
 the check's value and its margin, the distance to its gate (``Check.margin``;
 negative for a failing check); then each producer's wall time and the
 process that ran it.  The JSON report goes to

@@ -93,6 +93,7 @@ class ReportDocument:
                     "value": c.value,
                     "expected": list(c.expected) if isinstance(c.expected, tuple) else c.expected,
                     "tolerance": c.tolerance,
+                    "margin": c.margin,
                     "pass": c.passed,
                     "provenance": c.provenance,
                     "note": c.note,
@@ -159,10 +160,10 @@ def _zeta_checks(env) -> list[Check]:
         out.append(_scalar_check(f"calibration_mnor_zero_n{n}", cal.normalized_mass,
                                  0.0, 1e-9, "paper",
                                  "round-sphere normalized mass vanishes (calibrated constants)"))
-        pap = zeta.homogeneous_mass(q, dim_params(n, "paper"))
-        b_n = dim_params(n, "paper").b_n
-        out.append(_scalar_check(f"calibration_mnor_paper_n{n}", pap.normalized_mass,
-                                 -b_n * n * (n - 1), 1e-9, "paper",
+        paper = dim_params(n, "paper")
+        out.append(_scalar_check(f"calibration_mnor_paper_n{n}",
+                                 zeta.homogeneous_mass(q, paper).normalized_mass,
+                                 -paper.sphere_mass_offset, 1e-9, "paper",
                                  "paper constants leave -b_n n(n-1)"))
 
     # projective-space positivity and the registered value
@@ -247,11 +248,10 @@ def _sobolev_checks(env) -> list[Check]:
     out = [_interval_check(f"sobolev_gap_random_n{n}", worst[n], -1e-9, None, "paper",
                            "min gap over 1000 seeded positive band-limited fields")
            for n in bgs]
-    worst_dil = 0.0
-    for bg in bgs.values():
-        for t in (0.0, 0.5, 1.0, 2.0):
-            gap = abs(functionals.sobolev_gap(functionals.dilation_factor(t, bg.grid), bg))
-            worst_dil = max(worst_dil, gap)
+    # the four dilations go through as one stack per grid
+    ts = np.array([0.0, 0.5, 1.0, 2.0])[:, None]
+    worst_dil = max(float(np.abs(functionals.sobolev_gap(functionals.dilation_factor(ts, bg.grid),
+                                                         bg)).max()) for bg in bgs.values())
     out.append(_interval_check("sobolev_gap_dilations", worst_dil, None, 1e-8, "derived",
                                "dilation factors are the extremal family"))
     return out
@@ -260,7 +260,7 @@ def _sobolev_checks(env) -> list[Check]:
 def _optimizer_checks(env) -> list[Check]:
     grid = env["grid4"]
     bg = round_sphere_background(4, grid, variant="paper")
-    target = -bg.params.b_n * bg.params.yamabe_sphere
+    target = bg.params.sphere_value
     # the 10 seeds run as one stack, and their orbit fits as one
     results = optimize.maximize_stack(
         bg, optimize.seeded_start(grid, SUITE_SEED + np.arange(10)))
@@ -284,8 +284,6 @@ def _bump_checks(env) -> list[Check]:
     theta = grid.theta
     mnor = ZonalField(grid, 0.02 * np.exp(-(theta**2) / 0.1))
     bg = round_sphere_background(4, grid, variant="paper", mnor=mnor)
-    sphere_value = -bg.params.b_n * bg.params.yamabe_sphere
-
     # concentration scales the N=256 grid resolves (several nodes per core)
     rows = bubbles.concentration_sweep(np.logspace(np.log10(0.02), np.log10(0.3), 12), 0.3, bg)
     best_margin = max(r.margin for r in rows)
@@ -293,8 +291,8 @@ def _bump_checks(env) -> list[Check]:
     return [
         _interval_check("positive_bump_sweep_margin", best_margin, 0.0, None, "paper",
                         "glued-bubble sweep on the positive-mass bump background"),
-        _interval_check("positive_bump_optimizer_margin", res.value - sphere_value, 1e-4, None, "paper",
-                        "optimizer exceeds the orbit value strictly"),
+        _interval_check("positive_bump_optimizer_margin", res.value - bg.params.sphere_value,
+                        1e-4, None, "paper", "optimizer exceeds the orbit value strictly"),
         _interval_check("positive_bump_constant_mass_reldev", res.mass_reldev, None, 1e-6, "paper",
                         "optimal metric has constant mass"),
     ]
@@ -414,36 +412,29 @@ def _fork_available() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and _openblas_threads() is not None)
 
 
-def _fork_worker(producers, env) -> tuple[int, int]:
+def _fork_worker(producers, env) -> tuple[int, int] | None:
     """Fork a worker that runs ``producers`` on the grids of ``env`` (shared
-    copy-on-write) and pickles their runs, or the exception one raised, into a
-    pipe.  Returns the worker's pid and the pipe's read end."""
+    copy-on-write) and pickles their runs into a pipe.  Returns the worker's
+    pid and the pipe's read end, or None where the fork fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        return None
     if pid:
         os.close(write_fd)
         return pid, read_fd
     # the worker leaves by os._exit, so it never returns into the caller's code
-    # and never flushes the stdio buffers it inherited
+    # and never flushes the stdio buffers it inherited; it exits 0 only once
+    # its runs are written, and otherwise the caller runs its producers itself
     status = 1
     try:
         os.close(read_fd)
-        try:
-            outcome = (_timed(producers, env, "worker"), None)
-        except BaseException as exc:  # sent to the caller, which raises it
-            try:  # as itself only if a pickled copy keeps its type and message
-                copy = pickle.loads(pickle.dumps(exc))
-            except Exception:
-                copy = None
-            same = type(copy) is type(exc) and str(copy) == str(exc)
-            outcome = (None, exc if same else RuntimeError(f"{type(exc).__qualname__}: {exc}"))
+        runs = _timed(producers, env, "worker")
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe)
+            pickle.dump(runs, pipe)
         status = 0
     finally:
         os._exit(status)
@@ -456,31 +447,29 @@ def _run_split(worker, main, env) -> list[_Run]:
     this process gets its BLAS thread count back afterwards: OpenBLAS's
     threads wait for work by spinning, so two processes each running as many
     as there are CPUs slowed the suite at N = 512 to twice its one-process
-    time.
+    time.  Unless the worker exits 0, its producers then run here, after
+    the others, so a failed fork or worker costs time, not the run.
     """
     get_threads, set_threads = _openblas_threads()
     threads = get_threads()
     set_threads(max(1, min(threads, len(os.sched_getaffinity(0)) // 2)))
+    code = None
     try:
-        pid, read_fd = _fork_worker(worker, env)
+        forked = _fork_worker(worker, env)
         try:
-            try:
-                runs = _timed(main, env, "main")
-            finally:
-                # drained before the worker is reaped, also when a producer
-                # here raised, so a worker blocked on a full pipe can finish
-                with os.fdopen(read_fd, "rb") as pipe:
-                    payload = pipe.read()
+            runs = _timed(main, env, "main")
         finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if forked:
+                try:
+                    # drained before the worker is reaped, also when a producer
+                    # here raised, so a worker blocked on a full pipe can finish
+                    with os.fdopen(forked[1], "rb") as pipe:
+                        payload = pipe.read()
+                finally:
+                    code = os.waitstatus_to_exitcode(os.waitpid(forked[0], 0)[1])
     finally:
         set_threads(threads)
-    if code != 0:
-        raise RuntimeError(f"the suite's worker process exited with code {code}")
-    theirs, error = pickle.loads(payload)
-    if error is not None:
-        raise error
-    return runs + theirs
+    return runs + (pickle.loads(payload) if code == 0 else _timed(worker, env, "main"))
 
 
 def _matches(name: str, pattern: str) -> bool:
@@ -495,12 +484,13 @@ def run_suite(names: list[str] | None = None, jobs: int = 1,
     (``_WORKER_PRODUCERS``) and one of the others, and ``_fork_available()``
     (``os.fork``, two usable CPUs and numpy's bundled OpenBLAS), those two run
     in a forked worker while this process runs the rest, each on half the
-    BLAS threads; a worker's exception is raised here with its type and
-    message, or as a RuntimeError naming them where pickling would lose
-    them.  Otherwise every producer runs here, one after another.  The check
-    values are the same either way, and ``jobs`` is accepted for existing
-    callers and ignored.  The report's ``environment["producers"]``
-    holds each producer's wall time and the process that ran it.
+    BLAS threads.  The worker only saves time: where the fork fails or the
+    worker does not exit 0, its producers run here after the others, so
+    their exceptions are raised here as themselves.  Otherwise every
+    producer runs here, one after another.  The check values are the same
+    either way, and ``jobs`` is accepted for existing callers and ignored.
+    The report's ``environment["producers"]`` holds each producer's wall
+    time and the process that ran it.
 
     Raises ValueError when ``names`` is empty or one of its patterns matches
     no registered check, so a misspelt filter cannot pass vacuously.

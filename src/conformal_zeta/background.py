@@ -34,8 +34,7 @@ class ConformalBackground:
 
     def mass_field(self) -> ZonalField:
         """m = m_nor - b_n n(n-1)."""
-        n = self.params.n
-        return ZonalField(self.grid, self.mnor.values - self.params.b_n * (n * (n - 1)))
+        return ZonalField(self.grid, self.mnor.values - self.params.sphere_mass_offset)
 
     def is_round_sphere(self) -> bool:
         """True when the normalized mass vanishes."""

@@ -291,7 +291,7 @@ def concentration_sweep(alphas, epsilon: float, bg: ConformalBackground) -> list
     """
     from .functionals import mass_functional
 
-    sphere_value = -bg.params.b_n * bg.params.yamabe_sphere
+    sphere_value = bg.params.sphere_value
     cap = bg.grid.theta <= 2.0 * epsilon
     mu = float(bg.mnor.values[cap].min()) if np.any(cap) else float("nan")
     alphas = np.asarray(alphas, dtype=float)

@@ -17,7 +17,7 @@ class SchemaError(ConformalZetaError):
     """A field file or a command-line value violates its schema."""
 
     def __init__(self, message, path="$"):
-        super().__init__(message, path)  # a pickled copy is rebuilt from both
+        super().__init__(message, path)  # both, so a copy a caller pickles is rebuilt whole
         self.path = path
 
     def __str__(self):

@@ -162,12 +162,12 @@ def sobolev_gap(u: ZonalField, bg: ConformalBackground):
     return _gap(_sphere_form(u, bg, "the Sobolev gap"), norm_sq, bg)
 
 
-def dilation_factor(t: float, grid: ZonalGrid) -> ZonalField:
+def dilation_factor(t, grid: ZonalGrid) -> ZonalField:
     """Conformal factor of the Moebius dilation of strength t along the poles.
 
     u_t = (cosh t + sinh t cos theta)^{-(n-2)/2}; the pulled-back metric is
     isometric to the round sphere, so these are exact extremals for every
-    functional here.
+    functional here.  An array t of shape (M, 1) gives a stack of M fields.
     """
     n = grid.n
     vals = (np.cosh(t) + np.sinh(t) * grid.nodes) ** (-(n - 2) / 2.0)

@@ -74,6 +74,8 @@ class DimensionParams:
     omega_n  : volume of the unit round S^n
     yamabe_sphere : n(n-1) omega_n^{2/n}, the sharp constant on the sphere
     sphere_shift  : n(n-2)/4 = a_n n(n-1), a_n scal of the round S^n (a property)
+    sphere_mass_offset : b_n n(n-1) = m_nor - m on the round S^n (a property)
+    sphere_value  : -b_n Y(S^n), the mass functional on the dilation orbit (a property)
     variant  : "paper" or "calibrated" (c_n, b_n doubled)
     """
 
@@ -90,6 +92,14 @@ class DimensionParams:
     @property
     def sphere_shift(self) -> float:
         return self.n * (self.n - 2) / 4.0
+
+    @property
+    def sphere_mass_offset(self) -> float:
+        return self.b_n * (self.n * (self.n - 1))
+
+    @property
+    def sphere_value(self) -> float:
+        return -self.b_n * self.yamabe_sphere
 
 
 def dim_params(n: int, variant: str = "paper") -> DimensionParams:

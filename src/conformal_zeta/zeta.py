@@ -349,5 +349,4 @@ def homogeneous_mass(query: SpectrumQuery, params: DimensionParams) -> Homogeneo
     if query.space == "projective":
         vol /= 2.0
     mass = fp / vol
-    n = query.n
-    return HomogeneousMass(mass=mass, normalized_mass=mass + params.b_n * n * (n - 1))
+    return HomogeneousMass(mass=mass, normalized_mass=mass + params.sphere_mass_offset)

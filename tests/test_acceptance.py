@@ -272,29 +272,74 @@ class _TwoArgError(Exception):
         super().__init__(f"{where}: {what}")
 
 
-def _two_arg_error(*args, **kwargs):
-    raise _TwoArgError("no grid", "sobolev")
-
-
-def _unpicklable_error(*args, **kwargs):
+def _locked_error():
     exc = ValueError("holds a lock")
     exc.lock = threading.Lock()
-    raise exc
+    return exc
+
+
+# each failure as (module, name, stand-in) for monkeypatch.setattr
+def _raising(make):
+    def raising(*args, **kwargs):
+        raise make()
+    return functionals, "sobolev_gap", raising
+
+
+_CALLER, _sobolev_gap = os.getpid(), functionals.sobolev_gap
+
+
+def _exit_in_the_worker(*args, **kwargs):
+    if os.getpid() != _CALLER:
+        os._exit(5)
+    return _sobolev_gap(*args, **kwargs)
+
+
+def _no_process():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+WORKER_FAILURES = {
+    "consistency": _raising(lambda: ConsistencyError(
+        "mass-functional forms disagree (P form vs Y form): 1.0 vs 2.0")),
+    "assertion": _raising(lambda: AssertionError("a producer outside the filter ran")),
+    "schema": _raising(lambda: SchemaError("expected a number", "--n")),
+    # rebuilding this one from its args fails, and the next does not pickle
+    "two-arg-init": _raising(lambda: _TwoArgError("no grid", "sobolev")),
+    "unpicklable-attribute": _raising(_locked_error),
+    "worker-exits": (functionals, "sobolev_gap", _exit_in_the_worker),
+    "fork-fails": (os, "fork", _no_process),
+}
+
+
+def _outcome():
+    """What ``run_suite(names=SPLIT)`` gives: the exception's type and
+    message, or each check's repr and each producer's process."""
+    try:
+        report = run_suite(names=SPLIT)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([repr(c) for c in report.checks],
+            {name: run["process"] for name, run in report.environment["producers"].items()})
 
 
 @pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
-@pytest.mark.parametrize("refusal, message", [
-    (_two_arg_error, "_TwoArgError: sobolev: no grid"),
-    (_unpicklable_error, "ValueError: holds a lock"),
-], ids=["two-arg-init", "unpicklable-attribute"])
-def test_a_worker_exception_that_pickling_would_lose_comes_back_named(monkeypatch, refusal,
-                                                                     message):
-    # rebuilding the first from its args fails, and the second does not pickle
-    monkeypatch.setattr(functionals, "sobolev_gap", refusal)
-    with pytest.raises(RuntimeError) as raised:
-        run_suite(names=SPLIT)
-    assert type(raised.value) is RuntimeError and str(raised.value) == message
+@pytest.mark.parametrize("failure", WORKER_FAILURES)
+def test_any_worker_failure_gives_the_in_process_outcome(monkeypatch, failure):
+    # the worker only saves time: whatever fails on its side, the producers
+    # it was given run here, and no exception crosses the fork
+    get_threads, _ = _openblas_threads()
+    threads, fds = get_threads(), sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(*WORKER_FAILURES[failure])
+    forked = _outcome()
+    assert get_threads() == threads
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()
+    monkeypatch.setattr(acceptance, "_fork_available", lambda: False)
+    assert forked == _outcome()
+    if failure in ("worker-exits", "fork-fails"):
+        assert len(forked[0]) == 4 and set(forked[1].values()) == {"main"}
+    else:
+        assert issubclass(forked[0], Exception)
 
 
 def test_a_run_reaps_its_worker(forks, suite_report):
@@ -307,15 +352,17 @@ def test_a_run_reaps_its_worker(forks, suite_report):
 
 
 def test_a_failure_here_drains_and_reaps_the_worker(monkeypatch, forks):
-    # the worker's payload is past the 64 KB pipe buffer, and this process's
-    # producer raises before reading it: the worker must still finish
-    def long_refusal(*args, **kwargs):
-        raise ConsistencyError("x" * 200_000)
+    # the worker succeeds with a payload past the 64 KB pipe buffer, and this
+    # process's producer raises before reading it: the worker must still finish
+    interval_check = acceptance._interval_check
+
+    def long_note(*args):
+        return interval_check(*args[:5], "x" * 200_000)
 
     def fail(*args, **kwargs):
         raise ValueError("a producer here failed")
 
-    monkeypatch.setattr(functionals, "sobolev_gap", long_refusal)
+    monkeypatch.setattr(acceptance, "_interval_check", long_note)
     monkeypatch.setattr(bubbles, "flat_profile_lp_mass", fail)
     with pytest.raises(ValueError, match="a producer here failed"):
         run_suite(names=SPLIT)
@@ -352,28 +399,6 @@ def test_no_fork_without_a_blas_thread_count_to_share(monkeypatch, forks, suite_
     assert forks == []
     full = {c.name: c for c in suite_report.checks}
     assert report.checks == tuple(full[c.name] for c in report.checks)
-
-
-@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
-def test_a_failed_fork_closes_the_pipe_and_gives_the_threads_back(monkeypatch):
-    def no_process():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    get_threads, _ = _openblas_threads()
-    threads, fds = get_threads(), sorted(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(os, "fork", no_process)
-    with pytest.raises(BlockingIOError):
-        run_suite(names=SPLIT)
-    assert get_threads() == threads
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
-@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
-def test_a_worker_that_dies_is_an_error(monkeypatch):
-    monkeypatch.setattr(functionals, "sobolev_gap", lambda *args: os._exit(5))
-    with pytest.raises(RuntimeError, match="exited with code 5"):
-        run_suite(names=SPLIT)
-    assert_no_child_left()
 
 
 def test_stdout_buffered_before_a_run_is_written_once():
@@ -428,8 +453,8 @@ PACKAGE_ERRORS = sorted((cls for cls in vars(errors).values()
 
 @pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
 def test_a_package_error_survives_pickling(cls):
-    # a worker's exception reaches the caller pickled: rebuilt from its args,
-    # with its attributes restored
+    # a package error can cross a process boundary (multiprocessing, say)
+    # pickled: rebuilt from its args, with its attributes restored
     error = cls("expected a number", "--n") if cls is SchemaError else cls("expected a number")
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is cls and vars(copy) == vars(error)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import warnings
 from dataclasses import fields
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conformal_zeta import functionals
+from conformal_zeta.acceptance import _fork_available, run_suite
 from conformal_zeta.bubbles import RateFit
 from conformal_zeta.cli import main
 from conformal_zeta.fieldio import field_document, write_field
@@ -283,6 +286,53 @@ def test_suite_unmatched_check_name_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "'nope'" in captured.err
+
+
+def test_suite_json_carries_each_checks_margin(capsys):
+    # scalar checks, and intervals bounded above only and below only
+    names = ["finite_part_*", "zeta_residue_*", "projective_mass_positive_*",
+             "flat_norm_identity"]
+    code, out = run_cli(capsys, "suite", "--checks", *names)
+    assert code == 0
+    margins = {c.name: c.margin for c in run_suite(names=names).checks}
+    assert {c["name"]: c["margin"] for c in json.loads(out)["checks"]} == margins
+    assert len(margins) == 9
+
+
+def _exit_in_the_worker(monkeypatch):
+    parent, sobolev_gap = os.getpid(), functionals.sobolev_gap
+
+    def exiting(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(5)
+        return sobolev_gap(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "sobolev_gap", exiting)
+
+
+def _fail_the_fork(monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+
+
+@pytest.mark.skipif(not _fork_available(), reason="no forked worker on this host")
+@pytest.mark.parametrize("failure", [_exit_in_the_worker, _fail_the_fork],
+                         ids=["worker-exits", "fork-fails"])
+def test_suite_exits_0_when_its_worker_fails(capfd, monkeypatch, failure):
+    # the worker's producers run in this process instead: exit 0, the whole
+    # document, and nothing on stderr, from either process
+    failure(monkeypatch)
+    code = main(["suite", "--checks", "sobolev_*", "flat_norm_identity"])
+    captured = capfd.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert [c["name"] for c in doc["checks"]] == [
+        "flat_norm_identity", "sobolev_gap_dilations", "sobolev_gap_random_n4",
+        "sobolev_gap_random_n6"]
+    assert doc["overall_pass"] is True
+    assert {run["process"] for run in doc["environment"]["producers"].values()} == {"main"}
 
 
 @pytest.mark.parametrize("n", ["0", "3", "-2"])

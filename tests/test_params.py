@@ -2,12 +2,13 @@ import math
 
 import pytest
 
+from conformal_zeta.background import round_sphere_background
 from conformal_zeta.bubbles import bubble_moment
 from conformal_zeta.params import (MAX_DIMENSION, dim_params,
                                    infinitesimal_transport_coefficient, sphere_volume)
 from conformal_zeta.spectra import SpectrumQuery
-from conformal_zeta.zeta import spectral_zeta_at_one
-from conformal_zeta.zonal import make_grid
+from conformal_zeta.zeta import homogeneous_mass, spectral_zeta_at_one
+from conformal_zeta.zonal import ZonalGrid, make_grid
 
 
 def test_n4_paper_closed_forms():
@@ -49,6 +50,21 @@ def test_sphere_shift_is_both_spellings_bit_for_bit(variant):
     for n in range(4, MAX_DIMENSION + 1, 2):
         p = dim_params(n, variant)
         assert p.sphere_shift == p.a_n * (n * (n - 1)) == n * (n - 2) / 4.0
+
+
+@pytest.mark.parametrize("variant", ["paper", "calibrated"])
+def test_sphere_mass_offset_and_value_are_one_spelling_bit_for_bit(variant):
+    # b_n n(n-1) and -b_n Y(S^n), each defined once: the round sphere's mass
+    # field and its homogeneous normalized mass read the first (b_n n (n-1),
+    # grouped the other way, is 1 ulp off from n = 6 on)
+    for n in range(4, MAX_DIMENSION + 1, 2):
+        p = dim_params(n, variant)
+        assert p.sphere_mass_offset == p.b_n * (n * (n - 1))
+        assert p.sphere_value == -p.b_n * p.yamabe_sphere
+        mass = round_sphere_background(n, ZonalGrid(n, 16), variant).mass_field().values
+        assert (mass == -p.sphere_mass_offset).all()
+        hm = homogeneous_mass(SpectrumQuery(space="sphere", n=n), p)
+        assert hm.normalized_mass == hm.mass + p.sphere_mass_offset
 
 
 @pytest.mark.parametrize("bad", [5, 3, 2, 0, -4, 7])
